@@ -22,7 +22,9 @@ from .propagator import DEFAULT_DT, PropagationPlan, monitor_names
 from .stateprep import PhotonicSpec, prepare_initial, required_n_max
 from . import monitors as _monitors  # ensure the full registry is loaded
 
-# step refinement threshold: large-amplitude runs need the finer step
+# `dt = auto` sampling grid: propagation is exact on any grid, so from this
+# branch amplitude on FINE_DT only samples the fast Fock-ladder phases more
+# finely; kept so that `auto` configs resolve to the same sample times
 FINE_STEP_AMPLITUDE = 30.0
 FINE_DT = 1e-4
 

@@ -56,8 +56,9 @@ class HamiltonianAction:
     """Precomputed H|psi> (optionally pre-scaled by a constant).
 
     Holds one scratch buffer, so a single instance must not be shared by
-    concurrent callers.  ``scale`` folds a constant (e.g. -i*dt) into every
-    coefficient; expectation values use the default scale of 1.
+    concurrent callers.  ``scale`` folds a constant into every coefficient
+    (the propagator folds in the inverse half-width of the spectrum);
+    expectation values use the default scale of 1.
     """
 
     def __init__(self, params: ModelParams, dicke: DickeSpace, fock: FockSpace,
@@ -67,6 +68,7 @@ class HamiltonianAction:
         self.params = params
         self.dicke = dicke
         self.fock = fock
+        self.scale = scale
         m = dicke.m_values()
         n = np.arange(fock.dim, dtype=float)
         diag = params.delta * m[:, None] + params.omega * n[None, :]
@@ -102,6 +104,23 @@ class HamiltonianAction:
             np.multiply(self._k_counter_up, psi[:-1, :-1], out=t)  # a^dag J+
             out[1:, 1:] += t
         return out
+
+    def spectral_bounds(self) -> tuple[float, float]:
+        """Gershgorin interval [lo, hi] holding every eigenvalue of H.
+
+        Bounds the unscaled H: each row's disc is its diagonal entry widened
+        by the summed magnitudes of the couplings that land in that row.
+        """
+        s = abs(self.scale)
+        radius = np.zeros(self._diag.shape)
+        radius[1:, :-1] += np.abs(self._k_absorb)
+        radius[:-1, 1:] += np.abs(self._k_emit)
+        if self._k_counter_up is not None:
+            radius[:-1, :-1] += np.abs(self._k_counter_dn)
+            radius[1:, 1:] += np.abs(self._k_counter_up)
+        center = (self._diag / self.scale).real
+        return (float(np.min(center - radius / s)),
+                float(np.max(center + radius / s)))
 
 
 def apply_hamiltonian(state: CompositeState, params: ModelParams) -> np.ndarray:

@@ -16,9 +16,10 @@ with |a|^2 + |b|^2 = 1, and the lab-frame collective state
 Superpositions of field amplitudes map to superpositions of these spin
 trajectories; overlaps between the branches decide the normalization.
 Without the rotating wave approximation the drive is a real oscillating
-field and the qubit equation is integrated numerically (midpoint-sampled
-renormalized Taylor step), which exposes the 2 omega micromotion absent
-from the closed form.
+field. The N qubits still evolve independently, so one qubit is integrated
+numerically (adaptive eighth-order Runge-Kutta) and raised to the same
+symmetric N-fold product; this exposes the 2 omega micromotion absent from
+the closed form.
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_hermite
 
-from .errors import GridConvergenceError, StateValidationError
+from .errors import GridConvergenceError, NumericalError, StateValidationError
 from .hilbert import CompositeState, DickeSpace, FockSpace
 from .operators import ModelParams
-from .propagator import DEFAULT_DT
 from .stateprep import PhotonicSpec, coherent_matrix, required_n_max
 
 DEFAULT_GRID_NODES = 41
@@ -79,31 +79,26 @@ class RabiDrive:
         return 2.0 * math.pi / w
 
 
+def _product_state(n_qubits: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dicke amplitudes sqrt(C(N, k)) a^{N-k} b^k of N copies of
+    a|down> + b|up>, k counting flipped qubits; one row per (a, b) pair."""
+    k = np.arange(n_qubits + 1)
+    comb = np.sqrt([math.comb(n_qubits, i) for i in k])
+    return comb * np.power(a[:, None], n_qubits - k) * np.power(b[:, None], k)
+
+
 def rabi_solution(params: ModelParams, alpha: complex, t: float) -> np.ndarray:
     """Lab-frame collective spin state for one classical field amplitude.
 
     Exact for the rotating wave drive; for alpha = 0 it reduces to the
     all-down state times its free phase e^{i J omega t}.
     """
-    drive = RabiDrive(params, alpha)
-    a, b = drive.amplitudes(t)
-    space = params.dicke()
-    m = space.m_values()
-    j = space.j
-    comb = np.array([math.comb(params.n_qubits, k) for k in range(space.dim)])
-    # k = J + m counts flipped qubits
-    amps = np.sqrt(comb).astype(complex)
-    amps *= np.power(a, np.round(j - m)) * np.power(b, np.round(j + m))
-    amps *= np.exp(-1j * params.omega * t * m)
-    return amps
+    return _rabi_solution_batch(params, np.array([alpha], dtype=complex), t)[0]
 
 
 def _rabi_solution_batch(params: ModelParams, alphas: np.ndarray,
                          t: float) -> np.ndarray:
     """rabi_solution for many amplitudes at once, rows indexed by alpha."""
-    space = params.dicke()
-    m = space.m_values()
-    j = space.j
     g = params.mu * params.gamma * params.omega
     delta = params.delta - params.omega
     w = np.sqrt(delta ** 2 + (g * np.abs(alphas)) ** 2)
@@ -112,12 +107,8 @@ def _rabi_solution_batch(params: ModelParams, alphas: np.ndarray,
     safe = np.where(w == 0.0, 1.0, w)
     a = c + 1j * delta * s / safe
     b = 1j * params.mu * (1j * params.gamma * params.omega * alphas) * s / safe
-    comb = np.array([math.comb(params.n_qubits, k) for k in range(space.dim)])
-    out = np.sqrt(comb)[None, :] * \
-        np.power(a[:, None], np.round(j - m)[None, :]) * \
-        np.power(b[:, None], np.round(j + m)[None, :])
-    out *= np.exp(-1j * params.omega * t * m)[None, :]
-    return out
+    m = params.dicke().m_values()
+    return _product_state(params.n_qubits, a, b) * np.exp(-1j * params.omega * t * m)
 
 
 def _superposed(params: ModelParams, branches, weights, t: float) -> np.ndarray:
@@ -161,93 +152,48 @@ def jz_expectation(params: ModelParams, psi: np.ndarray) -> float:
     return float(np.real(np.sum(m * np.abs(psi) ** 2)))
 
 
-def _dense_hamiltonian_parts(params: ModelParams):
-    space = params.dicke()
-    s = space.raising_coefficients()
-    dim = space.dim
-    jx = np.zeros((dim, dim))
-    idx = np.arange(dim - 1)
-    jx[idx + 1, idx] = 0.5 * s
-    jx[idx, idx + 1] = 0.5 * s
-    jz = np.diag(space.m_values())
-    jplus = np.zeros((dim, dim))
-    jplus[idx + 1, idx] = s
-    return jz, jx, jplus
-
-
-def _taylor_step(h: np.ndarray, psi: np.ndarray, dt: float) -> np.ndarray:
-    acc = psi.copy()
-    term = psi
-    for k in range(1, 5):
-        term = (-1j * dt / k) * (h @ term)
-        acc = acc + term
-    return acc / np.linalg.norm(acc)
-
-
-def classically_driven_state(params: ModelParams, alpha: complex, t: float,
-                             dt: float = DEFAULT_DT) -> np.ndarray:
-    """Integrate the classical drive numerically; lab-frame state at t.
-
-    Rotating wave drive: stepped in the co-rotating frame where it is
-    static, then rotated back. Full drive: stepped in the lab frame with
-    the field sampled at each midpoint.
-    """
-    space = params.dicke()
-    jz, jx, jplus = _dense_hamiltonian_parts(params)
-    n_steps = max(1, int(round(t / dt)))
-    psi = np.zeros(space.dim, dtype=complex)
-    psi[0] = 1.0
-    if params.rwa:
-        coeff = -0.5j * params.gamma * params.omega * params.mu * alpha
-        h = (params.delta - params.omega) * jz \
-            + coeff * jplus + np.conj(coeff) * jplus.conj().T
-        for _ in range(n_steps):
-            psi = _taylor_step(h, psi, dt)
-        psi *= np.exp(-1j * params.omega * (n_steps * dt) * space.m_values())
-        return psi
-    g = params.gamma * params.omega * params.mu
-    for k in range(n_steps):
-        t_mid = (k + 0.5) * dt
-        field = -2.0 * g * np.imag(alpha * np.exp(-1j * params.omega * t_mid))
-        h = params.delta * jz - field * jx
-        psi = _taylor_step(h, psi, dt)
-    return psi
-
-
 def classically_driven_trajectory(params: ModelParams, alpha: complex,
-                                  times, dt: float = DEFAULT_DT) -> np.ndarray:
-    """classically_driven_state sampled at several times in one sweep."""
-    space = params.dicke()
-    jz, jx, jplus = _dense_hamiltonian_parts(params)
-    targets = [max(0, int(round(t / dt))) for t in times]
-    if sorted(targets) != targets:
-        raise StateValidationError("sample times must be nondecreasing")
-    out = np.empty((len(targets), space.dim), dtype=complex)
-    psi = np.zeros(space.dim, dtype=complex)
-    psi[0] = 1.0
+                                  times) -> np.ndarray:
+    """Lab-frame collective spin state under the classical drive, one row
+    per sample time.
+
+    Rotating wave drive: the closed form ``rabi_solution``. Full drive: one
+    qubit integrated with DOP853 in the lab frame, then raised to the
+    symmetric N-fold product.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.size and (times[0] < 0.0 or np.any(np.diff(times) < 0.0)):
+        raise StateValidationError("sample times must be nonnegative and nondecreasing")
     if params.rwa:
-        coeff = -0.5j * params.gamma * params.omega * params.mu * alpha
-        h = (params.delta - params.omega) * jz \
-            + coeff * jplus + np.conj(coeff) * jplus.conj().T
-    else:
-        g = params.gamma * params.omega * params.mu
-        h = None
-    step = 0
-    for row, target in enumerate(targets):
-        while step < target:
-            if params.rwa:
-                psi = _taylor_step(h, psi, dt)
-            else:
-                t_mid = (step + 0.5) * dt
-                field = -2.0 * g * np.imag(alpha * np.exp(-1j * params.omega * t_mid))
-                psi = _taylor_step(params.delta * jz - field * jx, psi, dt)
-            step += 1
-        if params.rwa:
-            out[row] = psi * np.exp(
-                -1j * params.omega * (step * dt) * space.m_values())
-        else:
-            out[row] = psi
-    return out
+        return np.array([rabi_solution(params, alpha, t) for t in times],
+                        dtype=complex).reshape(times.size, params.n_qubits + 1)
+    from scipy.integrate import solve_ivp  # costly import, needed only here
+
+    g = params.gamma * params.omega * params.mu
+    half_delta = 0.5 * params.delta
+
+    def rhs(t, y):
+        # i d/dt (a, b) = h (a, b), h = delta sz / 2 - field sx / 2
+        half_field = -g * np.imag(alpha * np.exp(-1j * params.omega * t))
+        return -1j * np.array([-half_delta * y[0] - half_field * y[1],
+                               half_delta * y[1] - half_field * y[0]])
+
+    grid, rows = np.unique(times, return_inverse=True)
+    amps = np.zeros((grid.size, 2), dtype=complex)
+    amps[:, 0] = 1.0
+    if grid.size and grid[-1] > 0.0:
+        sol = solve_ivp(rhs, (0.0, grid[-1]), amps[0], method="DOP853",
+                        t_eval=grid, rtol=1e-13, atol=1e-14)
+        if not sol.success:
+            raise NumericalError(f"classical drive integration failed: {sol.message}")
+        amps = sol.y.T
+    return _product_state(params.n_qubits, amps[rows, 0], amps[rows, 1])
+
+
+def classically_driven_state(params: ModelParams, alpha: complex,
+                             t: float) -> np.ndarray:
+    """Lab-frame collective spin state at t under the classical drive."""
+    return classically_driven_trajectory(params, alpha, [t])[0]
 
 
 def depletion_ratio(n_qubits: int, alpha: complex) -> float:

@@ -80,15 +80,19 @@ def _check_propagation_norm() -> tuple[bool, str]:
                                       monitors=("norm_drift",))
     series = propagator.run(state, params, plan)
     worst = float(np.max(series.column("norm_drift")))
-    return worst < 1e-10, f"per-step norm drift {worst:.2e}"
+    return worst < 1e-10, f"per-interval norm drift {worst:.2e}"
 
 
 def _check_rabi_consistency() -> tuple[bool, str]:
-    params = ModelParams(n_qubits=3, gamma=0.2)
-    analytic = semiclassical.rabi_solution(params, 1.0, 2.0)
-    stepped = semiclassical.classically_driven_state(params, 1.0, 2.0)
-    err = float(np.max(np.abs(analytic - stepped)))
-    return err < 1e-8, f"closed form vs stepped drive differ by {err:.2e}"
+    # one qubit, so the closed form and the integrated full drive share no
+    # arithmetic; at gamma = 0.01 the counter-rotating terms only dress the
+    # rotation (pi/4 here) with small 2 omega micromotion
+    alpha, t = 5.0, 5.0 * math.pi
+    closed = semiclassical.rabi_solution(ModelParams(n_qubits=1, gamma=0.01), alpha, t)
+    driven = semiclassical.classically_driven_state(
+        ModelParams(n_qubits=1, gamma=0.01, rwa=False), alpha, t)
+    overlap = float(abs(np.vdot(closed, driven)))
+    return overlap > 0.999, f"closed form vs full drive overlap {overlap:.6f}"
 
 
 def _check_excitation_conserved() -> tuple[bool, str]:

@@ -152,15 +152,15 @@ def test_06_conditioned_qfi_tracks_the_driven_superposition(flagship):
     period is 0.128 at t = 41.2, about 0.65 of the period and after the
     inversion at half a period; over the first half period it stays <= 0.037.
     An independent excitation-sector eigh with the brute-force QFI gives the
-    same 0.128, and so does a four times finer Taylor step, so this is the
-    finite-|alpha0| correction of the model, not integrator error.  It
-    follows about 12.8 / |alpha0|^2 at N = 8 (0.476, 0.254, 0.128, 0.064,
-    0.032 at alpha0 = 5, 7.07, 10, 14.1, 20) and grows with N at alpha0 = 10
-    (0.088, 0.128, 0.214 at N = 4, 8, 16).  A fixed gate of 0.1 therefore
+    same 0.128, so this is the finite-|alpha0| correction of the model, not
+    integrator error.  It follows about 12.8 / |alpha0|^2 at N = 8 (0.476,
+    0.254, 0.128, 0.064, 0.032 at alpha0 = 5, 7.07, 10, 14.1, 20) and grows
+    with N at alpha0 = 10 (0.088, 0.128, 0.214 at N = 4, 8, 16).  A fixed gate of 0.1 therefore
     holds only from |alpha0| ~ 11.3 at N = 8; the test checks the scaling
-    law instead, from the flagship curve and one at |alpha0|^2 = 50.  The
-    second amplitude lies below 10 because at alpha0 = 20 the default
-    dt = 1e-3 Taylor step is itself off (0.079 against the exact 0.032).
+    law instead, from the flagship curve and one at |alpha0|^2 = 50.  With
+    the default dt, `run` at alpha0 = 20 now gives 0.0318 (n_max 558), on
+    the same law; the second amplitude lies below 10 because that run is
+    the cheaper one.
     """
     params, period, series = flagship
     dev_flag, t_flag = _max_model_deviation(params, ALPHA_FLAG, series, period)
@@ -287,7 +287,7 @@ def test_11_invariant_bundle_holds_and_stays_fast():
     drift = float(series.column("norm_drift").max())
     energy_span = float(np.ptp(series.column("energy")))
     excitation_span = float(np.ptp(series.column("excitation_number")))
-    assert drift < 1e-10, f"norm drift per step {drift:.3e}"
+    assert drift < 1e-10, f"norm drift per sample interval {drift:.3e}"
     assert energy_span < 1e-8, f"energy drift {energy_span:.3e}"
     assert excitation_span < 1e-8, f"excitation drift {excitation_span:.3e}"
 

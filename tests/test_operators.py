@@ -41,6 +41,13 @@ def test_apply_hamiltonian_matches_dense(params, rng):
     h = dense_hamiltonian(params, n_max)
     ref = (h @ state.amplitudes.ravel()).reshape(state.amplitudes.shape)
     assert np.abs(out - ref).max() < 1e-13
+    # Gershgorin interval of the unscaled H, row discs read off the dense H
+    lo, hi = cq.HamiltonianAction(params, state.dicke, state.fock,
+                                  scale=0.25).spectral_bounds()
+    centre = np.diag(h).real
+    radius = np.abs(h).sum(axis=1) - np.abs(centre)
+    assert lo == pytest.approx((centre - radius).min(), abs=1e-12)
+    assert hi == pytest.approx((centre + radius).max(), abs=1e-12)
 
 
 def test_hamiltonian_action_scale(rng):
