@@ -16,9 +16,8 @@ from .operators import (OBSERVABLES, HamiltonianAction, ModelParams,
                         apply_hamiltonian, expectation, field_expectation)
 from .stateprep import (PhotonicSpec, coherent_vector, photonic_vector,
                         prepare_initial, required_n_max)
-from .propagator import (PeakInfo, PropagationPlan, TimeSeries, monitor_names,
-                         peak_and_fwhm, propagate, register_monitor, run,
-                         snapshots)
+from .propagator import (PeakInfo, PropagationPlan, TimeSeries, peak_and_fwhm,
+                         propagate, run, snapshots)
 from .measurement import (ParityOutcome, PostselectionResult, QuadratureSpec,
                           hermite_functions, parity_postselect,
                           parity_probabilities, quadrature_amplitudes,
@@ -32,8 +31,7 @@ from .semiclassical import (RabiDrive, classically_driven_state,
                             coherent_expansion_state, depletion_ratio,
                             expansion_weights, rabi_cat_state,
                             rabi_kitten_state, rabi_solution)
-from . import monitors as _monitors  # registers the conditioned monitors
-from .monitors import build_quadrature_monitors
+from .monitors import build_quadrature_monitors, monitor_names
 
 __version__ = "0.1.0"
 
@@ -49,7 +47,7 @@ __all__ = [
     "PhotonicSpec", "coherent_vector", "photonic_vector", "prepare_initial",
     "required_n_max",
     "PeakInfo", "PropagationPlan", "TimeSeries", "monitor_names",
-    "peak_and_fwhm", "propagate", "register_monitor", "run", "snapshots",
+    "peak_and_fwhm", "propagate", "run", "snapshots",
     "ParityOutcome", "PostselectionResult", "QuadratureSpec",
     "hermite_functions", "parity_postselect", "parity_probabilities",
     "quadrature_amplitudes", "quadrature_postselect",

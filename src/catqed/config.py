@@ -18,9 +18,9 @@ from .fileio import format_float
 from .hilbert import CompositeState
 from .operators import ModelParams
 from .measurement import QuadratureSpec
-from .propagator import DEFAULT_DT, PropagationPlan, monitor_names
+from .monitors import monitor_names
+from .propagator import DEFAULT_DT, PropagationPlan
 from .stateprep import PhotonicSpec, prepare_initial, required_n_max
-from . import monitors as _monitors  # ensure the full registry is loaded
 
 # `dt = auto` sampling grid: propagation is exact on any grid, so from this
 # branch amplitude on FINE_DT only samples the fast Fock-ladder phases more

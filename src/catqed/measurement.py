@@ -21,7 +21,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_legendre
 
-from .errors import ImpossibleOutcomeError, QuadratureConvergenceError
+from .errors import (ConfigError, ImpossibleOutcomeError,
+                     QuadratureConvergenceError)
 from .hilbert import CompositeState, ElectronDensityMatrix
 
 PROBABILITY_FLOOR = 1e-14
@@ -66,7 +67,7 @@ class QuadratureSpec:
 
     def __post_init__(self):
         if self.delta_x < 0.0:
-            raise ValueError(f"delta_x must be >= 0, got {self.delta_x!r}")
+            raise ConfigError(f"delta_x must be >= 0, got {self.delta_x!r}")
 
     def phase_at(self, time: float, omega: float) -> float:
         if self.phase_tracking:
@@ -132,39 +133,44 @@ def parity_probabilities(state: CompositeState) -> tuple[float, float]:
     return float(p[0::2].sum()), float(p[1::2].sum())
 
 
-def parity_postselect(state: CompositeState, outcome: ParityOutcome) -> PostselectionResult:
-    """Condition on a photon-parity readout; errors on impossible outcomes."""
-    sub = state.amplitudes[:, outcome.offset::2]
-    prob = float(np.sum(sub.real**2 + sub.imag**2))
+def _conditioned(u: np.ndarray, state: CompositeState, outcome: str,
+                 what: str, is_density: bool = False) -> PostselectionResult:
+    """Gram form of every conditioning: rho = u u^dag / |u|^2.
+
+    ``u`` (dim_e, k) holds the projected amplitudes, one column per
+    orthogonal branch of the measured operator; a norm below
+    PROBABILITY_FLOOR means ``what`` cannot occur.
+    """
+    prob = float(np.sum(u.real**2 + u.imag**2))
     if prob < PROBABILITY_FLOOR:
-        raise ImpossibleOutcomeError(
-            f"parity outcome {outcome.label!r} has probability {prob:.3e}")
-    rho = (sub @ sub.conj().T) / prob
+        raise ImpossibleOutcomeError(f"{what} has probability {prob:.3e}")
+    rho = (u @ u.conj().T) / prob
     return PostselectionResult(
         probability=prob,
         rho=ElectronDensityMatrix(rho, state.dicke, copy=False, validate=False),
-        outcome=outcome.label)
+        outcome=outcome,
+        is_density=is_density)
 
 
-@lru_cache(maxsize=64)
-def _legendre_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = roots_legendre(count)
-    return nodes, weights
+def parity_postselect(state: CompositeState, outcome: ParityOutcome) -> PostselectionResult:
+    """Condition on a photon-parity readout; errors on impossible outcomes."""
+    return _conditioned(state.amplitudes[:, outcome.offset::2], state,
+                        outcome.label, f"parity outcome {outcome.label!r}")
 
 
-def _window_moments(state: CompositeState, center: float, width: float,
-                    phi: float, count: int) -> tuple[float, np.ndarray]:
-    """Integrate |u(x)><u(x)| over the window with a ``count``-node rule."""
-    nodes, weights = _legendre_rule(count)
-    xs = center + 0.5 * width * nodes
-    ws = 0.5 * width * weights
-    psi = hermite_functions(xs, state.fock.n_max)
-    n = np.arange(state.fock.dim, dtype=float)
-    bra = psi * np.exp(-1j * phi * n)[None, :]
-    u = state.amplitudes @ bra.T        # (dim_e, count)
-    prob = float(np.einsum("mk,k,mk->", u.conj(), ws, u).real)
-    accum = np.einsum("mk,k,lk->ml", u, ws, u.conj())
-    return prob, accum
+@lru_cache(maxsize=16)
+def _window_rule(x: float, delta_x: float, n_max: int, count: int) -> np.ndarray:
+    """B[k, n] = sqrt(w_k) psi_n(x_k) for the ``count``-node Gauss-Legendre
+    rule over [x - delta_x/2, x + delta_x/2]; the ideal readout
+    (delta_x = 0) is the single node x with unit weight.  Read-only."""
+    if delta_x == 0.0:
+        table = hermite_functions(np.array([x]), n_max)
+    else:
+        nodes, weights = roots_legendre(count)
+        table = hermite_functions(x + 0.5 * delta_x * nodes, n_max)
+        table *= np.sqrt(0.5 * delta_x * weights)[:, None]
+    table.flags.writeable = False
+    return table
 
 
 def quadrature_postselect(state: CompositeState, spec: QuadratureSpec,
@@ -173,43 +179,32 @@ def quadrature_postselect(state: CompositeState, spec: QuadratureSpec,
 
     Ideal (delta_x = 0): pure conditioned state, probability density.
     Finite window: Gauss-Legendre over the window, node count doubled until
-    the conditioned matrix is stable to 1e-8 in max-norm.
+    the conditioned matrix is stable to WINDOW_RHO_ATOL in max-norm.  The
+    sqrt-weighted Hermite table of each node count depends only on the
+    window and ``n_max``, so it is built once and cached; only the phase
+    e^{-i n phi(t)} is applied per call.
     """
+    n_max = state.fock.n_max
     phi = spec.phase_at(state.time, omega)
-    if spec.delta_x == 0.0:
-        v = quadrature_amplitudes(spec.x, phi, state.fock.n_max)
-        u = state.amplitudes @ v
-        dens = float(np.vdot(u, u).real)
-        if dens < PROBABILITY_FLOOR:
-            raise ImpossibleOutcomeError(
-                f"ideal quadrature at x = {spec.x} has density {dens:.3e}")
-        rho = np.outer(u, u.conj()) / dens
-        return PostselectionResult(
-            probability=dens,
-            rho=ElectronDensityMatrix(rho, state.dicke, copy=False, validate=False),
-            outcome="quadrature",
-            is_density=True)
+    phased = state.amplitudes * np.exp(-1j * phi * np.arange(n_max + 1.0))
+    ideal = spec.delta_x == 0.0
+    what = (f"ideal quadrature at x = {spec.x}" if ideal else
+            f"window at x = {spec.x} (delta_x = {spec.delta_x})")
 
-    count = max(8, math.ceil(10.0 * spec.delta_x * math.sqrt(state.fock.n_max)))
-    prob, accum = _window_moments(state, spec.x, spec.delta_x, phi, count)
-    if prob < PROBABILITY_FLOOR:
-        raise ImpossibleOutcomeError(
-            f"window at x = {spec.x} (delta_x = {spec.delta_x}) has "
-            f"probability {prob:.3e}")
-    rho = accum / prob
+    def condition(count: int) -> PostselectionResult:
+        u = phased @ _window_rule(spec.x, spec.delta_x, n_max, count).T
+        return _conditioned(u, state, "quadrature", what, is_density=ideal)
+
+    if ideal:
+        return condition(1)
+    count = max(8, math.ceil(10.0 * spec.delta_x * math.sqrt(n_max)))
+    res = condition(count)
     for _ in range(MAX_NODE_DOUBLINGS):
         count *= 2
-        prob2, accum2 = _window_moments(state, spec.x, spec.delta_x, phi, count)
-        rho2 = accum2 / prob2
-        delta = float(np.max(np.abs(rho2 - rho)))
-        prob, rho = prob2, rho2
-        if delta <= WINDOW_RHO_ATOL:
-            return PostselectionResult(
-                probability=prob,
-                rho=ElectronDensityMatrix(rho, state.dicke, copy=False,
-                                          validate=False),
-                outcome="quadrature",
-                is_density=False)
+        refined = condition(count)
+        if np.max(np.abs(refined.rho.matrix - res.rho.matrix)) <= WINDOW_RHO_ATOL:
+            return refined
+        res = refined
     raise QuadratureConvergenceError(
         f"window projection not stable to {WINDOW_RHO_ATOL} after "
         f"{MAX_NODE_DOUBLINGS} node doublings (last count {count})")

@@ -12,14 +12,15 @@ coefficients fall below double precision.  The result is exact on the
 truncated space up to rounding, so ``dt`` only fixes the sampling grid.
 Each interval ends with renormalization; the pre-renormalization norm
 deviation is kept as a diagnostic.  Monitors are evaluated only on the
-sampling grid, never inside the hot loop.
+sampling grid, never inside the hot loop, through one ``MonitorContext``
+per sample (see ``monitors``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import jv
@@ -27,8 +28,8 @@ from scipy.special import jv
 from .errors import ConfigError, NumericalError, PeakError, TruncationError
 from .fileio import atomic_write_text, format_float
 from .hilbert import CompositeState, FockSpace
-from .operators import HamiltonianAction, expectation
-from .operators import ModelParams
+from .monitors import MonitorContext, MonitorFn, resolve_monitors
+from .operators import HamiltonianAction, ModelParams
 
 # Chosen so long runs stay responsive: with the default stride rule a run
 # yields at most this many samples.
@@ -67,47 +68,6 @@ class PropagationPlan:
         if self.sample_stride is not None:
             return self.sample_stride
         return max(1, math.ceil(self.n_steps / MAX_AUTO_SAMPLES))
-
-
-@dataclass
-class MonitorContext:
-    """Everything a monitor may need at one sampling instant."""
-
-    state: CompositeState
-    params: ModelParams
-    norm_drift: float
-
-
-MonitorFn = Callable[[MonitorContext], float]
-
-_REGISTRY: dict[str, MonitorFn] = {}
-
-
-def register_monitor(name: str, fn: MonitorFn) -> None:
-    _REGISTRY[name] = fn
-
-
-def monitor_names() -> tuple[str, ...]:
-    return tuple(sorted(_REGISTRY))
-
-
-def resolve_monitors(names: Sequence[str]) -> list[tuple[str, MonitorFn]]:
-    missing = [n for n in names if n not in _REGISTRY]
-    if missing:
-        raise ConfigError(
-            f"unknown monitor(s) {missing}; available: {monitor_names()}")
-    return [(n, _REGISTRY[n]) for n in names]
-
-
-register_monitor("norm_drift", lambda ctx: ctx.norm_drift)
-register_monitor("photon_number", lambda ctx: expectation(ctx.state, "photon_number"))
-register_monitor("jz", lambda ctx: expectation(ctx.state, "jz"))
-register_monitor("jx", lambda ctx: expectation(ctx.state, "jx"))
-register_monitor("jy", lambda ctx: expectation(ctx.state, "jy"))
-register_monitor("energy", lambda ctx: expectation(ctx.state, "energy", ctx.params))
-register_monitor(
-    "excitation_number",
-    lambda ctx: expectation(ctx.state, "excitation_number", ctx.params))
 
 
 def _chebyshev_coefficients(x: float) -> np.ndarray:
@@ -228,9 +188,10 @@ def run(initial: CompositeState, params: ModelParams, plan: PropagationPlan,
     steps = list(range(0, plan.n_steps + 1, plan.stride()))
     if steps[-1] != plan.n_steps:
         steps.append(plan.n_steps)
-    rows = [[fn(MonitorContext(state=state, params=params, norm_drift=drift))
-             for _, fn in monitors]
-            for state, drift in _evolve(initial, params, steps, plan.dt)]
+    rows = []
+    for state, drift in _evolve(initial, params, steps, plan.dt):
+        ctx = MonitorContext(state=state, params=params, norm_drift=drift)
+        rows.append([fn(ctx) for _, fn in monitors])
     data = np.asarray(rows, dtype=float)
     columns = {name: np.ascontiguousarray(data[:, i]) for i, name in enumerate(names)}
     return TimeSeries(times=np.asarray(steps) * plan.dt, columns=columns)

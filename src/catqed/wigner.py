@@ -8,7 +8,11 @@ W(theta, phi) = Tr[rho Delta(theta, phi)] with the kernel
 
 and normalized measure dOmega = (2J+1)/(4 pi) sin(theta) dtheta dphi.
 Clebsch-Gordan coefficients come from the closed factorial sum evaluated
-with log-gamma arithmetic, stable up to J = 16 in double precision.
+with log-gamma arithmetic, stable up to J = 16 in double precision.  Beyond
+that its cancellations drift (largest kernel-weight error against exact
+rational CG: 2.3e-12 at N = 32, 2.8e-11 at N = 40, 4.8e-9 at N = 60, and
+the trace error is not monotone in N), so ``kernel_weights`` refuses
+N > MAX_KERNEL_QUBITS with a NumericalError.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .fileio import atomic_write_text, format_float
 from .hilbert import DickeSpace, ElectronDensityMatrix
 
 IMAG_RESIDUE_ATOL = 1e-10
+MAX_KERNEL_QUBITS = 32      # J = 16
 
 
 def _half_int(value: float, name: str) -> int:
@@ -131,6 +136,10 @@ def _small_d(n_qubits: int, theta: float) -> np.ndarray:
 @lru_cache(maxsize=64)
 def kernel_weights(n_qubits: int) -> np.ndarray:
     """Diagonal kernel weights D_{J,m}; their sum is Tr Delta = 1."""
+    if n_qubits > MAX_KERNEL_QUBITS:
+        raise NumericalError(
+            f"Wigner kernel for {n_qubits} qubits exceeds the "
+            f"{MAX_KERNEL_QUBITS}-qubit (J = 16) range of the Clebsch-Gordan sum")
     space = DickeSpace(n_qubits)
     j = space.j
     weights = np.zeros(space.dim)

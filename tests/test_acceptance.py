@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 import catqed as cq
-from catqed.monitors import conditioned_quadrature_series
 from oracles import (cg_ladder, dense_hamiltonian, dense_spin, evolve_exact,
                      partial_trace_electron, pearson, qfi_brute,
                      quadrature_overlap_closed_form)
@@ -215,8 +214,14 @@ def _width_curve(alpha):
     for scaled in SCALED_WIDTHS:
         quad = cq.QuadratureSpec(x=0.0, phi=0.5 * math.pi,
                                  delta_x=scaled / alpha, phase_tracking=True)
-        _, dens = conditioned_quadrature_series(states, params, quad)
-        curve.append(float(np.nanmax(dens)))
+        dens = []
+        for snap in states:
+            try:
+                res = cq.quadrature_postselect(snap, quad, omega=params.omega)
+            except cq.ImpossibleOutcomeError:
+                continue
+            dens.append(cq.qfi_mixed(res.rho).value / N_FLAG)
+        curve.append(max(dens))
     return np.asarray(curve)
 
 

@@ -98,6 +98,23 @@ def test_wigner_impossible_outcome_exit_code(tmp_path, capsys):
     assert "validation failure" in capsys.readouterr().err
 
 
+def test_wigner_beyond_the_kernel_range_exit_code(tmp_path, capsys):
+    text = SMOKE.replace("n_qubits = 2", "n_qubits = 60")
+    path = write_config(tmp_path, text)
+    code = main(["wigner", "--config", path, "--times", "0",
+                 "--out", str(tmp_path / "w")])
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_window_convergence_failure_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cq.measurement, "WINDOW_RHO_ATOL", -1.0)
+    text = SMOKE + "\n[measurement]\ndelta_x = 0.5\n\n[monitors]\nquadrature = true\n"
+    path = write_config(tmp_path, text)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 3
+    assert "node doublings" in capsys.readouterr().err
+
+
 def test_wigner_bad_times_argument(tmp_path, capsys):
     path = write_config(tmp_path)
     code = main(["wigner", "--config", path, "--times", "1.0;2.0",

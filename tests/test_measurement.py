@@ -183,3 +183,16 @@ def test_quadrature_postselect_rejects_unreachable_x(rng):
     state = random_joint(rng, 1, 10)
     with pytest.raises(cq.ImpossibleOutcomeError):
         cq.quadrature_postselect(state, cq.QuadratureSpec(x=40.0))
+
+
+def test_window_that_never_settles_raises(monkeypatch, rng):
+    # no two node counts can agree to a negative tolerance
+    monkeypatch.setattr(cq.measurement, "WINDOW_RHO_ATOL", -1.0)
+    state = random_joint(rng, 2, 8)
+    with pytest.raises(cq.QuadratureConvergenceError, match="node doublings"):
+        cq.quadrature_postselect(state, cq.QuadratureSpec(x=0.3, delta_x=0.4))
+
+
+def test_negative_window_width_is_config_error():
+    with pytest.raises(cq.ConfigError, match="delta_x"):
+        cq.QuadratureSpec(x=0.0, delta_x=-0.1)

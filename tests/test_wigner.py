@@ -87,6 +87,13 @@ def test_kernel_weights_trace_one(n_qubits):
     assert cq.kernel_weights(n_qubits).sum() == pytest.approx(1.0, abs=1e-10)
 
 
+def test_kernel_weights_refuse_spins_beyond_the_stable_range():
+    # the factorial-sum CG drifts past J = 16 (4.8e-9 weight error at N = 60)
+    assert cq.kernel_weights(32).sum() == pytest.approx(1.0, abs=1e-10)
+    with pytest.raises(cq.NumericalError, match="60 qubits"):
+        cq.kernel_weights(60)
+
+
 def test_rotation_matrix_unitary_large_spin():
     r = cq.rotation_matrix(32, 0.7, 1.3)
     eye = r.conj().T @ r
