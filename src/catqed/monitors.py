@@ -83,6 +83,7 @@ def _expectation(name: str) -> MonitorFn:
 
 MONITORS: dict[str, MonitorFn] = {
     "norm_drift": lambda ctx: ctx.norm_drift,
+    "tail_population": lambda ctx: ctx.state.tail_population(),
     **{name: _expectation(name) for name in
        ("photon_number", "jz", "jx", "jy", "energy", "excitation_number")},
     "qfi_density": _qfi_density(None),

@@ -59,10 +59,15 @@ class HamiltonianAction:
     concurrent callers.  ``scale`` folds a constant into every coefficient
     (the propagator folds in the inverse half-width of the spectrum);
     expectation values use the default scale of 1.
+
+    ``_rotating`` is the propagator's frame for the RWA model: it leaves
+    omega K, K = Jz + n, out of the diagonal, so the action is that of
+    H' = H - omega K = (delta - omega) Jz + V.  Only under the RWA does K
+    commute with H, so only there is this frame exact.
     """
 
     def __init__(self, params: ModelParams, dicke: DickeSpace, fock: FockSpace,
-                 scale: complex = 1.0):
+                 scale: complex = 1.0, *, _rotating: bool = False):
         if dicke.n_qubits != params.n_qubits:
             raise DimensionMismatchError("params.n_qubits does not match dicke space")
         self.params = params
@@ -71,7 +76,11 @@ class HamiltonianAction:
         self.scale = scale
         m = dicke.m_values()
         n = np.arange(fock.dim, dtype=float)
-        diag = params.delta * m[:, None] + params.omega * n[None, :]
+        if _rotating:
+            diag = np.broadcast_to((params.delta - params.omega) * m[:, None],
+                                   (dicke.dim, fock.dim))
+        else:
+            diag = params.delta * m[:, None] + params.omega * n[None, :]
         self._diag = np.asarray(scale * diag, dtype=np.complex128)
         # block[k, n-1] multiplies psi[k, n] into the (m, n) -> (m +- 1, n -+ 1)
         # and (m +- 1, n +- 1) destinations; all four share sqrt(n) * s+(m).
@@ -106,10 +115,12 @@ class HamiltonianAction:
         return out
 
     def spectral_bounds(self) -> tuple[float, float]:
-        """Gershgorin interval [lo, hi] holding every eigenvalue of H.
+        """Gershgorin interval [lo, hi] holding every eigenvalue of H (of H'
+        with ``_rotating``).
 
-        Bounds the unscaled H: each row's disc is its diagonal entry widened
-        by the summed magnitudes of the couplings that land in that row.
+        Bounds the unscaled operator: each row's disc is its diagonal entry
+        widened by the summed magnitudes of the couplings that land in that
+        row.
         """
         s = abs(self.scale)
         radius = np.zeros(self._diag.shape)

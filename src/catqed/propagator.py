@@ -2,18 +2,31 @@
 
 The state moves from one sample time straight to the next (Tal-Ezer and
 Kosloff, J. Chem. Phys. 81, 3967 (1984)).  The Gershgorin interval
-[lo, hi] of ``HamiltonianAction.spectral_bounds`` maps H onto
-H_n = (H - c) / r in [-1, 1], with c the centre and r the half-width, and
+[lo, hi] of ``HamiltonianAction.spectral_bounds`` maps the expanded
+operator onto H_n = (H - c) / r in [-1, 1], with c the centre and r the
+half-width, and
 
     exp(-iH tau) = e^{-i c tau} sum_k (2 - delta_k0) (-i)^k J_k(r tau) T_k(H_n)
 
 is summed by the three-term Chebyshev recurrence until the Bessel
-coefficients fall below double precision.  The result is exact on the
-truncated space up to rounding, so ``dt`` only fixes the sampling grid.
-Each interval ends with renormalization; the pre-renormalization norm
-deviation is kept as a diagnostic.  Monitors are evaluated only on the
-sampling grid, never inside the hot loop, through one ``MonitorContext``
-per sample (see ``monitors``).
+coefficients fall below double precision.  The sum needs about r tau
+terms, so the cost of an interval grows with the half-width.
+
+In the RWA model K = Jz + n commutes with H, so
+
+    exp(-iHt) = exp(-i omega K t) exp(-iH't),   H' = (delta - omega) Jz + V,
+
+and the evolver keeps psi in the frame rotating with omega K: it expands
+only H', whose half-width is set by the coupling V instead of the fast
+Fock ladder, and applies exp(-i omega K t) as an exact elementwise phase
+when it hands out a sampled state.  The full model has no conserved K and
+expands H itself in the lab frame.
+
+The result is exact on the truncated space up to rounding, so ``dt`` only
+fixes the sampling grid.  Each interval ends with renormalization; the
+pre-renormalization norm deviation is kept as a diagnostic.  Monitors are
+evaluated only on the sampling grid, never inside the hot loop, through one
+``MonitorContext`` per sample (see ``monitors``).
 """
 
 from __future__ import annotations
@@ -74,25 +87,48 @@ def _chebyshev_coefficients(x: float) -> np.ndarray:
     """(2 - delta_k0) (-i)^k J_k(x), cut where |J_k(x)| < CHEBYSHEV_TOL."""
     k = np.arange(int(x + 15.0 * x ** (1.0 / 3.0)) + 25)
     bessel = jv(k, x)
-    keep = max(2, int(np.flatnonzero(np.abs(bessel) >= CHEBYSHEV_TOL)[-1]) + 1)
+    keep = int(np.flatnonzero(np.abs(bessel) >= CHEBYSHEV_TOL)[-1]) + 1
     coeffs = np.array([1, -1j, -1, 1j])[k[:keep] % 4] * bessel[:keep]
     coeffs[1:] *= 2.0
     return coeffs
 
 
 class _Chebyshev:
-    """Owns the working buffers and the per-interval expansions of one run."""
+    """Owns the working buffers and the per-interval expansions of one run.
+
+    ``psi`` is the state in the frame rotating with omega K for the RWA
+    model (where only H' is expanded) and in the lab frame otherwise;
+    ``lab_amplitudes`` hands out the lab-frame state.
+    """
 
     def __init__(self, initial: CompositeState, params: ModelParams):
         self.psi = np.array(initial.amplitudes, dtype=np.complex128, order="C")
         spaces = (params, initial.dicke, initial.fock)
-        lo, hi = HamiltonianAction(*spaces).spectral_bounds()
+        rotating = params.rwa
+        lo, hi = HamiltonianAction(*spaces, _rotating=rotating).spectral_bounds()
         self._center, self._half_width = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        # A zero-width H' (RWA on resonance without coupling) is the constant
+        # c: each expansion is the one term e^{-i c tau} and H is never
+        # applied, so any positive width serves for the scaled action.
+        width = self._half_width or 1.0
         # apply() yields 2 H_n psi + shift psi
-        self.action = HamiltonianAction(*spaces, scale=2.0 / self._half_width)
-        self._shift = 2.0 * self._center / self._half_width
+        self.action = HamiltonianAction(*spaces, scale=2.0 / width, _rotating=rotating)
+        self._shift = 2.0 * self._center / width
+        # omega K = omega m + omega n, one factor per axis; None in the lab frame
+        self._omega_k = ((params.omega * initial.dicke.m_values(),
+                          params.omega * np.arange(initial.fock.dim, dtype=float))
+                         if rotating else None)
         self._cur, self._acc, self._tmp = (np.empty_like(self.psi) for _ in range(3))
         self._expansions: dict[float, tuple[np.ndarray, complex]] = {}
+
+    def lab_amplitudes(self, t: float) -> np.ndarray:
+        """A new array holding the lab-frame state at time ``t``."""
+        if self._omega_k is None:
+            return self.psi.copy()
+        omega_m, omega_n = self._omega_k
+        out = np.multiply(self.psi, np.exp(-1j * t * omega_m)[:, None])
+        out *= np.exp(-1j * t * omega_n)
+        return out
 
     def advance(self, interval: float) -> float:
         """psi <- exp(-iH interval) psi, renormalized; returns
@@ -105,12 +141,13 @@ class _Chebyshev:
         apply, shift, tmp, acc = self.action.apply, self._shift, self._tmp, self._acc
         prev, cur = self.psi, self._cur
         np.multiply(prev, coeffs[0], out=acc)
-        apply(prev, cur)                       # T_1 psi = H_n psi
-        np.multiply(prev, shift, out=tmp)
-        cur -= tmp
-        cur *= 0.5
-        np.multiply(cur, coeffs[1], out=tmp)
-        acc += tmp
+        if coeffs.size > 1:
+            apply(prev, cur)                   # T_1 psi = H_n psi
+            np.multiply(prev, shift, out=tmp)
+            cur -= tmp
+            cur *= 0.5
+            np.multiply(cur, coeffs[1], out=tmp)
+            acc += tmp
         for c in coeffs[2:]:
             apply(cur, tmp)                    # T_{k+1} = 2 H_n T_k - T_{k-1}
             np.subtract(tmp, prev, out=prev)
@@ -170,8 +207,9 @@ def _evolve(initial: CompositeState, params: ModelParams, steps: Sequence[int],
         drift = evolver.advance((step - previous) * dt) if step > previous else 0.0
         previous = step
         _check_tail(initial.fock, evolver.psi, step * dt)
-        yield CompositeState(evolver.psi, initial.dicke, initial.fock,
-                             time=step * dt, copy=True, validate=False), drift
+        yield CompositeState(evolver.lab_amplitudes(step * dt), initial.dicke,
+                             initial.fock, time=step * dt, copy=False,
+                             validate=False), drift
 
 
 def run(initial: CompositeState, params: ModelParams, plan: PropagationPlan,

@@ -175,12 +175,14 @@ class WignerGrid:
 
     def to_file(self, path: str) -> None:
         j = self.n_qubits / 2.0
-        lines = [f"# J={j:g} n_theta={self.theta.size} n_phi={self.phi.size}"]
-        for it, th in enumerate(self.theta):
-            for ip, ph in enumerate(self.phi):
-                lines.append(f"{format_float(th)} {format_float(ph)} "
-                             f"{format_float(self.values[it, ip])}")
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        header = f"# J={j:g} n_theta={self.theta.size} n_phi={self.phi.size}"
+        # Each angle is formatted once, not once per line, and each theta row
+        # is joined into one block, which keeps the peak memory near the
+        # size of the text.
+        phis = [f" {format_float(ph)} " for ph in self.phi]
+        rows = ("\n".join([th + ph + format_float(w) for ph, w in zip(phis, row.tolist())])
+                for th, row in zip(map(format_float, self.theta), self.values))
+        atomic_write_text(path, "\n".join([header, *rows, ""]))
 
 
 def wigner_function(rho: ElectronDensityMatrix, n_theta: int = 181,

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 
 import catqed as cq
 from catqed import measurement, monitors
@@ -67,3 +68,14 @@ def test_impossible_outcome_records_nan_and_zero():
     assert math.isnan(series.column("qfi_density_odd")[0])
     assert np.all(series.column("prob_quad") == 0.0)
     assert np.all(np.isnan(series.column("qfi_density_quad")))
+
+
+def test_tail_population_monitor_matches_direct_calls():
+    params = cq.ModelParams(n_qubits=2, gamma=0.3)
+    state = cq.prepare_initial(cq.PhotonicSpec("even_cat", 2.0), 2)
+    times = [0.0, 0.5, 1.0]
+    plan = cq.PropagationPlan(t_max=1.0, dt=0.5, monitors=("tail_population",))
+    column = cq.run(state, params, plan).column("tail_population")
+    direct = [s.tail_population() for s in cq.snapshots(state, params, times, dt=0.5)]
+    assert column.tolist() == pytest.approx(direct, rel=1e-12, abs=0.0)
+    assert column[0] > 0.0

@@ -30,6 +30,44 @@ def test_propagate_matches_expm(params):
         assert np.abs(got - ref).max() < 1e-12
 
 
+@pytest.mark.parametrize("delta", [1.0, 1.4])
+def test_uncoupled_rwa_model_propagates_exactly(delta):
+    # gamma = 0 leaves H' = (delta - omega) Jz; on resonance H' = 0, so its
+    # interval has zero width and each advance is the phase alone
+    params = cq.ModelParams(n_qubits=2, gamma=0.0, delta=delta)
+    initial = cq.prepare_initial(cq.PhotonicSpec("even_cat", 2.0), 2)
+    h = dense_hamiltonian(params, initial.fock.n_max)
+    for t in (1.0, 7.3):
+        got = cq.propagate(initial, params, t).amplitudes.ravel()
+        ref = evolve_exact(h, initial.amplitudes.ravel(), t)
+        assert np.abs(got - ref).max() < 1e-12
+
+
+def _count_applies(monkeypatch, rwa):
+    calls = []
+    apply = cq.HamiltonianAction.apply
+
+    def counted(self, psi, out):
+        calls.append(None)
+        return apply(self, psi, out)
+
+    monkeypatch.setattr(cq.HamiltonianAction, "apply", counted)
+    params = cq.ModelParams(n_qubits=8, gamma=0.01, rwa=rwa)
+    initial = cq.prepare_initial(cq.PhotonicSpec("even_cat", 10.0), 8, n_max=188)
+    plan = cq.PropagationPlan(t_max=10.0, sample_stride=100,
+                              monitors=("photon_number",))
+    cq.run(initial, params, plan)
+    return len(calls)
+
+
+def test_rwa_model_expands_only_the_coupling(monkeypatch):
+    # flagship parameters: in the frame rotating with omega K the sum runs
+    # over the coupling half-width (0.61) instead of the Fock ladder's (98),
+    # 700 applies against 3400; the full model stays in the lab frame
+    assert _count_applies(monkeypatch, rwa=True) <= 1000
+    assert _count_applies(monkeypatch, rwa=False) == 3400
+
+
 def test_result_is_independent_of_the_sampling_step():
     # dt only sets the sampling grid: sampled at every point of either grid,
     # the state at t = 1 is the exact one, not a step-dependent approximation

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import catqed as cq
+from catqed.fileio import format_float
 from oracles import cg_ladder, pearson, rotation_expm, wigner_d_expm
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -197,3 +198,14 @@ def test_wigner_grid_to_file(tmp_path):
     data = np.loadtxt(str(path))
     assert data.shape == (20, 3)
     assert data[:, 2].reshape(5, 4) == pytest.approx(grid.values, abs=1e-15)
+
+    # byte for byte the per-value rendering, on negative, non-round values
+    theta = np.linspace(0.0, math.pi, 3)
+    phi = np.linspace(0.0, 2.0 * math.pi, 4, endpoint=False)
+    values = np.random.default_rng(7).normal(size=(3, 4)) * [[1.0], [-1e-7], [3e5]]
+    grid = cq.WignerGrid(theta=theta, phi=phi, values=values, n_qubits=3)
+    grid.to_file(str(path))
+    expected = ["# J=1.5 n_theta=3 n_phi=4"] + [
+        f"{format_float(th)} {format_float(ph)} {format_float(values[i, k])}"
+        for i, th in enumerate(theta) for k, ph in enumerate(phi)]
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
