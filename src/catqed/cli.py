@@ -15,7 +15,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -137,6 +136,8 @@ def _cmd_sweep(args) -> int:
     out = _out_dir(cfg, args.out)
     sizes = sorted(cfg.sweep_qubits)
     if args.workers > 1:
+        # costly import (multiprocessing), needed only here
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(_sweep_point, [cfg] * len(sizes), sizes))
     else:

@@ -9,6 +9,7 @@ emits a canonical file; parse(serialize(parse(text))) == parse(text).
 
 from __future__ import annotations
 
+import cmath
 import configparser
 import math
 from dataclasses import dataclass, field
@@ -55,17 +56,23 @@ def _parse_bool(raw: str, where: str) -> bool:
 
 def _parse_complex(raw: str, where: str) -> complex:
     try:
-        return complex("".join(raw.split()))
+        value = complex("".join(raw.split()))
     except ValueError:
-        raise ConfigError(f"{where}: expected a number like 2, -1.5, or 1+2j, "
-                          f"got {raw!r}") from None
+        value = cmath.nan
+    if not cmath.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number like 2, -1.5, "
+                          f"or 1+2j, got {raw!r}")
+    return value
 
 
 def _parse_float(raw: str, where: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise ConfigError(f"{where}: expected a real number, got {raw!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite real number, got {raw!r}")
+    return value
 
 
 def _parse_int(raw: str, where: str) -> int:

@@ -19,7 +19,7 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from .errors import (ConfigError, ImpossibleOutcomeError,
                      QuadratureConvergenceError)
@@ -166,7 +166,7 @@ def _window_rule(x: float, delta_x: float, n_max: int, count: int) -> np.ndarray
     if delta_x == 0.0:
         table = hermite_functions(np.array([x]), n_max)
     else:
-        nodes, weights = roots_legendre(count)
+        nodes, weights = leggauss(count)
         table = hermite_functions(x + 0.5 * delta_x * nodes, n_max)
         table *= np.sqrt(0.5 * delta_x * weights)[:, None]
     table.flags.writeable = False

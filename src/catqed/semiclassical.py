@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_hermite
+from numpy.polynomial.hermite import hermgauss
 
 from .errors import GridConvergenceError, NumericalError, StateValidationError
 from .hilbert import CompositeState, DickeSpace, FockSpace
@@ -215,7 +215,7 @@ def expansion_weights(spec: PhotonicSpec, nodes: int = DEFAULT_GRID_NODES):
     Returns (alphas, weights) flattened over all branches, such that
     sum_k weights[k] |alphas[k]> reproduces the photonic state.
     """
-    u, wu = roots_hermite(nodes)
+    u, wu = hermgauss(nodes)
     centers = spec.branch_amplitudes()
     branch_weights = spec.branch_weights()
     norm2 = 0.0

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
 
 from .errors import ConfigError, TruncationError
 from .hilbert import CompositeState, DickeSpace, FockSpace
@@ -81,6 +80,21 @@ class PhotonicSpec:
 STATIC_TAIL_ATOL = 1e-9
 
 
+def _poisson_tails(mean: float, lo: int) -> np.ndarray:
+    """Upper Poisson tails P(n' >= n) at mean ``mean`` for n = lo, lo + 1, ...
+    up to where the tail is negligible, from one reverse cumulative sum of
+    the weights e^{-mean} mean^n / n! taken in log scale."""
+    if mean == 0.0:
+        return np.array([float(lo == 0), 0.0])
+    stop = math.ceil(max(lo, mean) + 15.0 * math.sqrt(mean) + 80.0)
+    log_weights = np.empty(stop - lo + 1)
+    log_weights[0] = lo * math.log(mean) - mean - math.lgamma(lo + 1.0)
+    log_weights[1:] = np.log(mean / np.arange(lo + 1.0, stop + 1.0))
+    np.cumsum(log_weights, out=log_weights)
+    top = float(log_weights.max())
+    return math.exp(top) * np.cumsum(np.exp(log_weights[::-1] - top))[::-1]
+
+
 def required_n_max(spec_or_amplitude, n_qubits: int) -> int:
     """Cutoff heuristic: |alpha|^2 + 7|alpha| covers the Poisson tail, plus
     room for up to N emitted photons and the 10-wide watch window.
@@ -88,16 +102,16 @@ def required_n_max(spec_or_amplitude, n_qubits: int) -> int:
     At small amplitudes the 7|alpha| margin alone is too thin: the watch
     window would start inside the still-populated Poisson tail and the
     preparation gate would reject the automatic cutoff.  The floor below
-    walks the exact tail mass down to STATIC_TAIL_ATOL instead.
+    is the first n >= |alpha|^2 whose exact tail mass is at most
+    STATIC_TAIL_ATOL.
     """
     if isinstance(spec_or_amplitude, PhotonicSpec):
         a = spec_or_amplitude.max_amplitude()
     else:
         a = abs(spec_or_amplitude)
     mean = a * a
-    floor = max(1, math.ceil(mean))
-    while float(gammainc(floor, mean)) > STATIC_TAIL_ATOL:
-        floor += 1
+    lo = max(1, math.ceil(mean))
+    floor = lo + int(np.argmax(_poisson_tails(mean, lo) <= STATIC_TAIL_ATOL))
     return n_qubits + 10 + max(math.ceil(mean + 7.0 * a), floor)
 
 
@@ -105,9 +119,9 @@ def check_truncation(alpha: complex, n_max: int) -> None:
     """Reject cutoffs that clip a non-negligible Poisson tail.
 
     The clipped mass is the upper Poisson tail P(n > n_max) at mean
-    |alpha|^2, i.e. the regularized lower incomplete gamma function.
+    |alpha|^2, summed in log scale by ``_poisson_tails``.
     """
-    leak = float(gammainc(n_max + 1.0, abs(alpha) ** 2))
+    leak = float(_poisson_tails(abs(alpha) ** 2, n_max + 1)[0])
     if leak > LEAKAGE_ATOL:
         raise TruncationError(
             f"coherent amplitude |alpha| = {abs(alpha):.3f} leaks "

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import CatqedError, NumericalError
 from .fileio import atomic_write_text, format_float
@@ -106,11 +105,11 @@ def clebsch_gordan(j1: float, m1: float, j2: float, m2: float,
 
 @lru_cache(maxsize=64)
 def _jy_eigensystem(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of Jy via its real tridiagonal gauge transform."""
+    """Eigendecomposition of Jy via its real tridiagonal gauge transform,
+    by a dense eigh of the (N+1) x (N+1) matrix."""
     space = DickeSpace(n_qubits)
     off = -0.5 * space.raising_coefficients()
-    evals, evecs = eigh_tridiagonal(np.zeros(space.dim), off)
-    return evals, evecs
+    return np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
 
 
 @lru_cache(maxsize=64)

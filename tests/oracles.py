@@ -133,6 +133,27 @@ def hermite_psi_mpmath(x, n, dps=60):
         return float(val)
 
 
+def legendre_rule_mpmath(guesses, dps=40):
+    """Gauss-Legendre nodes and weights w = 2 (1 - x^2) / (n P_{n-1}(x))^2,
+    each node polished from its double-precision guess by Newton steps on
+    the three-term recurrence at high precision; rounded to float."""
+    import mpmath
+
+    n = len(guesses)
+    nodes, weights = [], []
+    with mpmath.workdps(dps):
+        for guess in guesses:
+            x = mpmath.mpf(float(guess))
+            for _ in range(3):
+                p_prev, p = mpmath.mpf(1), x
+                for k in range(2, n + 1):
+                    p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+                x -= p * (x * x - 1) / (n * (x * p - p_prev))
+            nodes.append(float(x))
+            weights.append(float(2 * (1 - x * x) / (n * p_prev) ** 2))
+    return np.array(nodes), np.array(weights)
+
+
 def quadrature_overlap_closed_form(x, phi, alpha):
     """<x; phi|alpha> = pi^{-1/4} exp(-x^2/2 + sqrt(2) x b - b^2/2 - |b|^2/2),
 

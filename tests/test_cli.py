@@ -123,6 +123,21 @@ def test_wigner_bad_times_argument(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("times", ["inf", "nan", "0,inf"])
+def test_wigner_non_finite_times_are_usage_errors(tmp_path, capsys, times):
+    path = write_config(tmp_path)
+    code = main(["wigner", "--config", path, "--times", times,
+                 "--out", str(tmp_path / "w")])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_non_finite_config_value_is_usage_error(tmp_path, capsys):
+    path = write_config(tmp_path, SMOKE.replace("t_max = 2", "t_max = nan"))
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_sweep_writes_table(tmp_path, capsys):
     text = SMOKE.replace("t_max = 2", "t_max = 15") \
         + "\n[sweep]\nn_qubits = 1 2\n"

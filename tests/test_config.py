@@ -106,10 +106,16 @@ def test_complex_values_tolerate_spaces():
     (lambda s: s + "\n[sweep]\nalpha = 2\n", "requires n_qubits"),
     (lambda s: s + "\n[sweep]\nn_qubits = 4 4\n", "distinct"),
     (lambda s: "garbage without a section\n" + s, "malformed"),
+    (lambda s: s.replace("t_max = 50", "t_max = nan"), "finite"),
+    (lambda s: s.replace("t_max = 50", "t_max = 50\ndt = inf"), "finite"),
+    (lambda s: s.replace("gamma = 0.01", "gamma = -inf"), "finite"),
+    (lambda s: s.replace("alpha = 2", "alpha = nan+1j"), "finite"),
+    (lambda s: s.replace("alpha = 2", "alpha = 2+infj"), "finite"),
 ], ids=["section", "key", "missing-section", "missing-key", "bad-float",
         "bad-complex", "bad-bool", "t_max", "dt", "n_max", "stride",
         "monitor", "kind", "delta_x", "prefix", "sweep-missing",
-        "sweep-dupes", "malformed"])
+        "sweep-dupes", "malformed", "t_max-nan", "dt-inf", "gamma-inf",
+        "alpha-nan", "alpha-infj"])
 def test_rejects_bad_input(mangle, fragment):
     with pytest.raises(cq.ConfigError, match=fragment):
         parse_config(mangle(MINIMAL))

@@ -1,5 +1,7 @@
 """Propagator accuracy against dense matrix exponentials, plus run() plumbing."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -170,6 +172,16 @@ def test_plan_validation():
         cq.PropagationPlan(t_max=1.0, dt=2.0)
     with pytest.raises(cq.ConfigError):
         cq.PropagationPlan(t_max=1.0, sample_stride=0)
+    for t_max, dt in [(math.inf, 1e-3), (math.nan, 1e-3), (1.0, math.nan)]:
+        with pytest.raises(cq.ConfigError):
+            cq.PropagationPlan(t_max=t_max, dt=dt)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_snapshots_reject_non_finite_times(bad):
+    initial = coherent_initial(1, 0.5, 25)
+    with pytest.raises(cq.ConfigError, match="finite"):
+        cq.snapshots(initial, cq.ModelParams(n_qubits=1, gamma=0.1), [0.5, bad])
 
 
 def test_truncation_guard_trips_on_saturated_window():
