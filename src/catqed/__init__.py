@@ -24,8 +24,8 @@ from .measurement import (ParityOutcome, PostselectionResult, QuadratureSpec,
                           quadrature_postselect)
 from .qfi import (QfiResult, entanglement_depth_bound, qfi_mixed, qfi_pure,
                   spin_matrices)
-from .wigner import (WignerGrid, clebsch_gordan, kernel_weights,
-                     rotation_matrix, wigner_function)
+from .wigner import (WignerGrid, kernel_weights, rotation_matrix,
+                     wigner_function)
 from .semiclassical import (RabiDrive, classically_driven_state,
                             classically_driven_trajectory,
                             coherent_expansion_state, depletion_ratio,
@@ -53,8 +53,7 @@ __all__ = [
     "quadrature_amplitudes", "quadrature_postselect",
     "QfiResult", "entanglement_depth_bound", "qfi_mixed", "qfi_pure",
     "spin_matrices",
-    "WignerGrid", "clebsch_gordan", "kernel_weights", "rotation_matrix",
-    "wigner_function",
+    "WignerGrid", "kernel_weights", "rotation_matrix", "wigner_function",
     "RabiDrive", "classically_driven_state", "classically_driven_trajectory",
     "coherent_expansion_state", "depletion_ratio", "expansion_weights",
     "rabi_cat_state", "rabi_kitten_state", "rabi_solution",

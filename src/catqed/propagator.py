@@ -57,6 +57,10 @@ DEFAULT_DT = 1e-3
 # smaller still.
 CHEBYSHEV_TOL = 1e-16
 
+# One expansion spans a whole sample interval with about r * tau terms; past
+# this many the Bessel table alone would take gigabytes.
+MAX_CHEBYSHEV_TERMS = 10_000_000
+
 
 @dataclass(frozen=True)
 class PropagationPlan:
@@ -115,7 +119,12 @@ def _chebyshev_coefficients(x: float) -> np.ndarray:
     The Bessel values come from ``_bessel_j``, started where J_k has decayed
     far below the cut (about 15 x^(1/3) orders past the turning point k = x).
     """
-    bessel = _bessel_j(x, int(x + 15.0 * x ** (1.0 / 3.0)) + 25)
+    start = x + 15.0 * x ** (1.0 / 3.0)
+    if not start + 25 <= MAX_CHEBYSHEV_TERMS:
+        raise NumericalError(
+            f"a sample interval of r * tau = {x:.3g} needs {start + 25:.3g} Chebyshev "
+            f"terms, more than {MAX_CHEBYSHEV_TERMS}; sample that interval more finely")
+    bessel = _bessel_j(x, int(start) + 25)
     keep = int(np.flatnonzero(np.abs(bessel) >= CHEBYSHEV_TOL)[-1]) + 1
     coeffs = np.array([1, -1j, -1, 1j])[np.arange(keep) % 4] * bessel[:keep]
     coeffs[1:] *= 2.0

@@ -25,11 +25,14 @@ class CheckResult:
     detail: str
 
 
-def _check_clebsch_gordan() -> tuple[bool, str]:
-    got = wigner.clebsch_gordan(0.5, 0.5, 0.5, -0.5, 0.0, 0.0)
-    want = 1.0 / math.sqrt(2.0)
-    err = abs(got - want)
-    return err < 1e-12, f"singlet coefficient off by {err:.2e}"
+def _check_kernel_weights() -> tuple[bool, str]:
+    # D for J = 1 in ascending m; a sign error in any p_K moves an entry
+    # while the trace stays 1
+    got = wigner.kernel_weights(2)
+    r2, r10 = math.sqrt(2.0), math.sqrt(10.0)
+    want = np.array([1 / 3 - 1 / r2 + r10 / 6, 1 / 3 - r10 / 3, 1 / 3 + 1 / r2 + r10 / 6])
+    err = float(np.max(np.abs(got - want)))
+    return err < 1e-12, f"J = 1 kernel weights off by {err:.2e}"
 
 
 def _check_kernel_trace() -> tuple[bool, str]:
@@ -113,7 +116,7 @@ def _check_excitation_conserved() -> tuple[bool, str]:
 
 
 _CHECKS = (
-    ("clebsch_gordan", _check_clebsch_gordan),
+    ("wigner_kernel_weights", _check_kernel_weights),
     ("wigner_kernel_trace", _check_kernel_trace),
     ("rotation_unitarity", _check_rotation_unitary),
     ("hermite_normalization", _check_hermite_norm),

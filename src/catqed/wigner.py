@@ -7,12 +7,11 @@ W(theta, phi) = Tr[rho Delta(theta, phi)] with the kernel
     D_{J,m} = sum_{j=0}^{2J} (2j+1)/(2J+1) <J,m; j,0|J,m>,
 
 and normalized measure dOmega = (2J+1)/(4 pi) sin(theta) dtheta dphi.
-Clebsch-Gordan coefficients come from the closed factorial sum evaluated
-with log-gamma arithmetic, stable up to J = 16 in double precision.  Beyond
-that its cancellations drift (largest kernel-weight error against exact
-rational CG: 2.3e-12 at N = 32, 2.8e-11 at N = 40, 4.8e-9 at N = 60, and
-the trace error is not monotone in N), so ``kernel_weights`` refuses
-N > MAX_KERNEL_QUBITS with a NumericalError.
+As a function of m, <J,m; K,0|J,m> = sqrt((2J+1)/(2K+1)) p_K(m), with p_K
+the K-th Gram (discrete Chebyshev) polynomial, orthonormal on m = -J..J.
+``kernel_weights`` reads every p_K(m) off the eigenvectors of their Jacobi
+matrix, each signed so that p_0 > 0 (Golub and Welsch, Math. Comp. 23, 221
+(1969)).  p_K(J) is no sign reference: for K near 2J it is rounding noise.
 """
 
 from __future__ import annotations
@@ -23,84 +22,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CatqedError, NumericalError
+from .errors import ConfigError, NumericalError
 from .fileio import atomic_write_text, format_float
 from .hilbert import DickeSpace, ElectronDensityMatrix
 
 IMAG_RESIDUE_ATOL = 1e-10
-MAX_KERNEL_QUBITS = 32      # J = 16
-
-
-def _half_int(value: float, name: str) -> int:
-    doubled = 2.0 * value
-    rounded = round(doubled)
-    if abs(doubled - rounded) > 1e-9:
-        raise CatqedError(f"{name} = {value!r} is not a half-integer")
-    return int(rounded)
-
-
-def _lg(n: int) -> float:
-    """log(n!) for integer n >= 0."""
-    return math.lgamma(n + 1.0)
-
-
-@lru_cache(maxsize=200000)
-def _cg_twice(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int) -> float:
-    if tm1 + tm2 != tm:
-        return 0.0
-    if abs(tm1) > tj1 or abs(tm2) > tj2 or abs(tm) > tj:
-        return 0.0
-    if tj > tj1 + tj2 or tj < abs(tj1 - tj2):
-        return 0.0
-    # m must differ from j by an integer, and j1 + j2 + j must be integral
-    if (tj1 - tm1) % 2 or (tj2 - tm2) % 2 or (tj - tm) % 2:
-        return 0.0
-    if (tj1 + tj2 + tj) % 2:
-        return 0.0
-
-    def h(t: int) -> int:
-        # factorial argument from a doubled quantum number
-        assert t % 2 == 0
-        return t // 2
-
-    log_pref = 0.5 * (
-        math.log(tj + 1.0)
-        + _lg(h(tj1 + tj2 - tj)) + _lg(h(tj1 - tj2 + tj)) + _lg(h(-tj1 + tj2 + tj))
-        - _lg(h(tj1 + tj2 + tj) + 1)
-        + _lg(h(tj1 + tm1)) + _lg(h(tj1 - tm1))
-        + _lg(h(tj2 + tm2)) + _lg(h(tj2 - tm2))
-        + _lg(h(tj + tm)) + _lg(h(tj - tm)))
-
-    k_min = max(0, h(tj2 - tj - tm1), h(tj1 + tm2 - tj))
-    k_max = min(h(tj1 + tj2 - tj), h(tj1 - tm1), h(tj2 + tm2))
-    if k_min > k_max:
-        return 0.0
-    logs = np.empty(k_max - k_min + 1)
-    signs = np.empty(k_max - k_min + 1)
-    for i, k in enumerate(range(k_min, k_max + 1)):
-        logs[i] = -(_lg(k)
-                    + _lg(h(tj1 + tj2 - tj) - k)
-                    + _lg(h(tj1 - tm1) - k)
-                    + _lg(h(tj2 + tm2) - k)
-                    + _lg(h(tj - tj2 + tm1) + k)
-                    + _lg(h(tj - tj1 - tm2) + k))
-        signs[i] = -1.0 if k % 2 else 1.0
-    shift = logs.max()
-    total = float(np.sum(signs * np.exp(logs - shift)))
-    return math.exp(log_pref + shift) * total
-
-
-def clebsch_gordan(j1: float, m1: float, j2: float, m2: float,
-                   j: float, m: float) -> float:
-    """<j1 m1; j2 m2 | j m> in the Condon-Shortley convention.
-
-    Selection-rule violations return 0; non-half-integer inputs raise.
-    """
-    args = [_half_int(v, n) for v, n in
-            ((j1, "j1"), (m1, "m1"), (j2, "j2"), (m2, "m2"), (j, "j"), (m, "m"))]
-    if args[0] < 0 or args[2] < 0 or args[4] < 0:
-        raise CatqedError("angular momenta must be nonnegative")
-    return _cg_twice(*args)
 
 
 @lru_cache(maxsize=64)
@@ -134,21 +60,14 @@ def _small_d(n_qubits: int, theta: float) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def kernel_weights(n_qubits: int) -> np.ndarray:
-    """Diagonal kernel weights D_{J,m}; their sum is Tr Delta = 1."""
-    if n_qubits > MAX_KERNEL_QUBITS:
-        raise NumericalError(
-            f"Wigner kernel for {n_qubits} qubits exceeds the "
-            f"{MAX_KERNEL_QUBITS}-qubit (J = 16) range of the Clebsch-Gordan sum")
-    space = DickeSpace(n_qubits)
-    j = space.j
-    weights = np.zeros(space.dim)
-    for k, m in enumerate(space.m_values()):
-        acc = 0.0
-        for twice_jp in range(0, 2 * n_qubits + 1, 2):
-            jp = twice_jp / 2.0
-            acc += (2.0 * jp + 1.0) / (n_qubits + 1.0) * \
-                clebsch_gordan(j, m, jp, 0.0, j, m)
-        weights[k] = acc
+    """Diagonal kernel weights D_{J,m} in ascending m; their sum is Tr Delta = 1.
+    Row K, column i of the sign-fixed eigenvectors holds p_K(m_i)."""
+    dim = DickeSpace(n_qubits).dim
+    k = np.arange(1, dim)
+    off = k * np.sqrt((dim ** 2 - k ** 2) / (4.0 * (4.0 * k ** 2 - 1.0)))
+    _, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    polys = vecs * np.sign(vecs[0])
+    weights = np.sqrt((2.0 * np.arange(dim) + 1.0) / dim) @ polys
     weights.flags.writeable = False
     return weights
 
@@ -191,6 +110,9 @@ def wigner_function(rho: ElectronDensityMatrix, n_theta: int = 181,
     Per theta the phi dependence enters only through e^{i phi (m - m')},
     so each row costs one small dense contraction plus a phase sum.
     """
+    if n_theta < 2 or n_phi < 1:
+        raise ConfigError(f"the Wigner grid needs n_theta >= 2 (both poles) and "
+                          f"n_phi >= 1, got {n_theta} x {n_phi}")
     n_qubits = rho.dicke.n_qubits
     dim = rho.dicke.dim
     weights = kernel_weights(n_qubits)

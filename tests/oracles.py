@@ -1,12 +1,14 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately naive: dense kron matrices, explicit index
-loops, matrix exponentials, and ladder-constructed Clebsch-Gordan tables.
+loops, matrix exponentials, ladder-constructed and exact rational
+Clebsch-Gordan tables.
 Nothing imports from catqed, so agreement between the two code paths is
 meaningful.
 """
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -224,6 +226,57 @@ def cg_ladder(j1, m1, j2, m2, j, m):
     """Single Clebsch-Gordan coefficient from the ladder-built table."""
     table = cg_table_ladder(round(2 * j1), round(2 * j2), round(2 * j))
     return table.get((round(2 * m1), round(2 * m2), round(2 * m)), 0.0)
+
+
+def cg_exact(j1, m1, j2, m2, j, m):
+    """<j1 m1; j2 m2|j m> from the Racah sum in exact rational arithmetic.
+
+    Selection-rule violations return 0; non-half-integer or negative
+    spins raise ValueError.
+    """
+    doubled = []
+    for value in (j1, m1, j2, m2, j, m):
+        twice = round(2 * value)
+        if abs(2 * value - twice) > 1e-9:
+            raise ValueError(f"{value!r} is not a half-integer")
+        doubled.append(twice)
+    if min(doubled[0], doubled[2], doubled[4]) < 0:
+        raise ValueError("angular momenta must be nonnegative")
+    return _cg_exact_twice(*doubled)
+
+
+@lru_cache(maxsize=None)
+def _cg_exact_twice(tj1, tm1, tj2, tm2, tj, tm):
+    """Doubled quantum numbers; the square root is taken once, at the end."""
+    pairs = ((tj1, tm1), (tj2, tm2), (tj, tm))
+    if (tm1 + tm2 != tm or tj > tj1 + tj2 or tj < abs(tj1 - tj2)
+            or (tj1 + tj2 + tj) % 2
+            or any(abs(tm_) > tj_ or (tj_ - tm_) % 2 for tj_, tm_ in pairs)):
+        return 0.0
+    fact = math.factorial
+    a, b, c = (tj1 + tj2 - tj) // 2, (tj1 - tj2 + tj) // 2, (tj2 - tj1 + tj) // 2
+    radicand = Fraction((tj + 1) * fact(a) * fact(b) * fact(c),
+                        fact((tj1 + tj2 + tj) // 2 + 1))
+    for tj_, tm_ in pairs:
+        radicand *= fact((tj_ + tm_) // 2) * fact((tj_ - tm_) // 2)
+    total = Fraction(0)
+    for k in range(a + 1):
+        dens = (a - k, (tj1 - tm1) // 2 - k, (tj2 + tm2) // 2 - k,
+                (tj - tj2 + tm1) // 2 + k, (tj - tj1 - tm2) // 2 + k)
+        if min(dens) >= 0:
+            total += Fraction((-1) ** k, fact(k) * math.prod(map(fact, dens)))
+    return math.copysign(math.sqrt(float(total * total * radicand)), total)
+
+
+@lru_cache(maxsize=None)
+def kernel_weights_exact(n_qubits):
+    """Wigner kernel weights D_m = sum_K (2K+1)/(N+1) <J m; K 0|J m> in
+    ascending m, each coefficient exact before its rounding to double and
+    the sum correctly rounded."""
+    tj = n_qubits
+    return np.array([math.fsum((tk + 1) / (tj + 1) * _cg_exact_twice(tj, tm, tk, 0, tj, tm)
+                               for tk in range(0, 2 * tj + 1, 2))
+                     for tm in range(-tj, tj + 1, 2)])
 
 
 def wigner_d_expm(n_qubits, theta):

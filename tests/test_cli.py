@@ -1,5 +1,6 @@
 """Command line behavior: outputs, determinism, and exit code mapping."""
 
+import numpy as np
 import pytest
 
 import catqed as cq
@@ -99,12 +100,33 @@ def test_wigner_impossible_outcome_exit_code(tmp_path, capsys):
 
 
 def test_wigner_beyond_the_kernel_range_exit_code(tmp_path, capsys):
+    # N = 60 is far past where a factorial-sum Clebsch-Gordan loses digits
     text = SMOKE.replace("n_qubits = 2", "n_qubits = 60")
     path = write_config(tmp_path, text)
-    code = main(["wigner", "--config", path, "--times", "0",
-                 "--out", str(tmp_path / "w")])
-    assert code == 3
-    assert "numerical failure" in capsys.readouterr().err
+    code = main(["wigner", "--config", path, "--times", "0", "--n-theta", "19",
+                 "--n-phi", "12", "--out", str(tmp_path / "w")])
+    assert code == 0
+    capsys.readouterr()
+    target = tmp_path / "w" / "run_wigner_none_t0.dat"
+    assert target.read_text().startswith("# J=30 n_theta=19 n_phi=12")
+
+
+@pytest.mark.parametrize("flag, value", [("--n-phi", "0"), ("--n-theta", "-1"),
+                                         ("--n-theta", "0"), ("--n-theta", "1")])
+def test_wigner_bad_grid_size_is_usage_error(tmp_path, capsys, flag, value):
+    path = write_config(tmp_path)
+    out = tmp_path / "w"
+    assert main(["wigner", "--config", path, "--times", "0", flag, value,
+                 "--out", str(out)]) == 2
+    assert "n_theta >= 2" in capsys.readouterr().err
+    assert not list(out.glob("*.dat"))
+
+
+def test_wigner_huge_sample_interval_is_numerical_failure(tmp_path, capsys):
+    path = write_config(tmp_path)
+    assert main(["wigner", "--config", path, "--times", "1e30",
+                 "--out", str(tmp_path / "w")]) == 3
+    assert "sample that interval more finely" in capsys.readouterr().err
 
 
 def test_window_convergence_failure_exit_code(tmp_path, capsys, monkeypatch):
@@ -160,14 +182,14 @@ def test_validate_all_green(capsys):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out
     assert "9/9 checks passed" in out
-    assert "clebsch_gordan" in out and "FAIL" not in out
+    assert "wigner_kernel_weights" in out and "FAIL" not in out
 
 
 def test_validate_flags_broken_block(monkeypatch, capsys):
-    monkeypatch.setattr(cq.wigner, "clebsch_gordan", lambda *a, **k: 0.0)
+    monkeypatch.setattr(cq.wigner, "kernel_weights", lambda n: np.zeros(n + 1))
     assert main(["validate"]) == 4
     out = capsys.readouterr().out
-    assert "clebsch_gordan" in out and "FAIL" in out
+    assert "wigner_kernel_weights" in out and "FAIL" in out
 
 
 def test_echo_config_is_canonical(tmp_path, capsys):

@@ -5,7 +5,7 @@ from catqed import validation
 
 
 EXPECTED_NAMES = (
-    "clebsch_gordan",
+    "wigner_kernel_weights",
     "wigner_kernel_trace",
     "rotation_unitarity",
     "hermite_normalization",
@@ -29,9 +29,13 @@ def test_all_checks_pass():
 
 
 def test_broken_building_block_is_named(monkeypatch):
-    monkeypatch.setattr(cq.wigner, "clebsch_gordan", lambda *a, **k: 0.0)
+    # weights reflected about their mean keep the trace at 1, so only the
+    # value check can name the breakage
+    healthy = cq.wigner.kernel_weights
+    monkeypatch.setattr(cq.wigner, "kernel_weights", lambda n: -healthy(n) + 2.0 / (n + 1))
     results = {r.name: r for r in validation.run_checks()}
-    assert not results["clebsch_gordan"].ok
+    assert not results["wigner_kernel_weights"].ok
+    assert results["wigner_kernel_trace"].ok
     assert results["qfi_ghz"].ok  # unrelated checks stay green
 
 

@@ -1,8 +1,10 @@
-"""Clebsch-Gordan, rotations, and the spherical phase-space map.
+"""Wigner kernel weights, rotations, and the spherical phase-space map.
 
-The ladder-constructed CG table in oracles.py never touches the Racah sum
-used by the package, so their agreement checks the closed form against the
-defining recursion.
+The package builds its kernel weights from Gram polynomials and never
+evaluates a Clebsch-Gordan coefficient.  Its references here are the exact
+rational Racah sum in oracles.py, itself checked against a frozen table and
+the ladder-constructed table, which never touches the Racah sum, so their
+agreement checks the closed form against the defining recursion.
 """
 
 import math
@@ -12,7 +14,7 @@ import pytest
 
 import catqed as cq
 from catqed.fileio import format_float
-from oracles import cg_ladder, pearson, rotation_expm, wigner_d_expm
+from oracles import cg_exact, cg_ladder, kernel_weights_exact, rotation_expm
 
 SQ2 = 1.0 / math.sqrt(2.0)
 SQ3 = 1.0 / math.sqrt(3.0)
@@ -36,7 +38,7 @@ def half_range(tj_max):
     ((1.0, 1.0, 1.0, 0.0, 1.0, 1.0), SQ2),
 ])
 def test_clebsch_gordan_frozen_table(args, expected):
-    assert cq.clebsch_gordan(*args) == pytest.approx(expected, abs=1e-12)
+    assert cg_exact(*args) == pytest.approx(expected, abs=1e-12)
 
 
 def test_clebsch_gordan_matches_ladder_oracle():
@@ -50,7 +52,7 @@ def test_clebsch_gordan_matches_ladder_oracle():
                         m = m1 + m2
                         if abs(m) > j:
                             continue
-                        got = cq.clebsch_gordan(j1, m1, j2, m2, j, m)
+                        got = cg_exact(j1, m1, j2, m2, j, m)
                         ref = cg_ladder(j1, m1, j2, m2, j, m)
                         assert got == pytest.approx(ref, abs=1e-10), (
                             j1, m1, j2, m2, j, m)
@@ -60,21 +62,21 @@ def test_clebsch_gordan_large_spins_spot():
     for args in [(4.0, 2.0, 3.0, -1.0, 5.0, 1.0),
                  (3.5, 0.5, 2.5, 0.5, 4.0, 1.0),
                  (4.0, 4.0, 4.0, -4.0, 0.0, 0.0)]:
-        assert cq.clebsch_gordan(*args) == pytest.approx(
+        assert cg_exact(*args) == pytest.approx(
             cg_ladder(*args), abs=1e-10)
 
 
 def test_clebsch_gordan_selection_rules():
-    assert cq.clebsch_gordan(1.0, 1.0, 1.0, 1.0, 2.0, 1.0) == 0.0  # m1+m2 != m
-    assert cq.clebsch_gordan(1.0, 0.0, 1.0, 0.0, 3.0, 0.0) == 0.0  # j too big
-    assert cq.clebsch_gordan(0.5, 0.5, 0.5, 0.5, 0.0, 1.0) == 0.0
+    assert cg_exact(1.0, 1.0, 1.0, 1.0, 2.0, 1.0) == 0.0  # m1+m2 != m
+    assert cg_exact(1.0, 0.0, 1.0, 0.0, 3.0, 0.0) == 0.0  # j too big
+    assert cg_exact(0.5, 0.5, 0.5, 0.5, 0.0, 1.0) == 0.0
 
 
 def test_clebsch_gordan_rejects_bad_input():
-    with pytest.raises(cq.CatqedError):
-        cq.clebsch_gordan(0.3, 0.3, 0.5, 0.5, 1.0, 0.8)
-    with pytest.raises(cq.CatqedError):
-        cq.clebsch_gordan(-1.0, 0.0, 1.0, 0.0, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        cg_exact(0.3, 0.3, 0.5, 0.5, 1.0, 0.8)
+    with pytest.raises(ValueError):
+        cg_exact(-1.0, 0.0, 1.0, 0.0, 1.0, 0.0)
 
 
 def test_kernel_weights_spin_half_frozen():
@@ -83,16 +85,16 @@ def test_kernel_weights_spin_half_frozen():
     assert sorted(w) == pytest.approx(expected, abs=1e-12)
 
 
-@pytest.mark.parametrize("n_qubits", [1, 2, 4, 9])
+@pytest.mark.parametrize("n_qubits", [1, 2, 4, 9, 32, 60, 128])
 def test_kernel_weights_trace_one(n_qubits):
     assert cq.kernel_weights(n_qubits).sum() == pytest.approx(1.0, abs=1e-10)
 
 
-def test_kernel_weights_refuse_spins_beyond_the_stable_range():
-    # the factorial-sum CG drifts past J = 16 (4.8e-9 weight error at N = 60)
-    assert cq.kernel_weights(32).sum() == pytest.approx(1.0, abs=1e-10)
-    with pytest.raises(cq.NumericalError, match="60 qubits"):
-        cq.kernel_weights(60)
+@pytest.mark.parametrize("n_qubits", [8, 16, 32, 40, 60])
+def test_kernel_weights_match_exact_rational_sum(n_qubits):
+    # includes N > 32, where a factorial-sum CG loses digits (4.8e-9 at 60)
+    err = np.abs(cq.kernel_weights(n_qubits) - kernel_weights_exact(n_qubits)).max()
+    assert err <= 1e-13
 
 
 def test_rotation_matrix_unitary_large_spin():
@@ -186,6 +188,26 @@ def test_wigner_ghz_equatorial_fringes():
     flips = int(np.sum(signs[1:] * signs[:-1] < 0))
     assert flips == 2 * n  # cos(N phi) oscillation
     assert equator.min() < -0.01  # genuine negativity
+
+
+def test_wigner_ghz_fringes_at_64_qubits():
+    # default 181 x 360 grid; the cos(N phi) fringe needs n_phi > 2N
+    n = 64
+    psi = np.zeros(n + 1, dtype=complex)
+    psi[0] = psi[-1] = math.sqrt(0.5)
+    rho = np.outer(psi, psi.conj())
+    grid = cq.wigner_function(cq.ElectronDensityMatrix(rho, cq.DickeSpace(n)))
+    assert grid.values.shape == (181, 360)
+    d = np.diag(kernel_weights_exact(n))
+    worst = 0.0
+    for it in (30, 90, 151):
+        for ip in range(0, 360, 45):
+            r = rotation_expm(n, grid.theta[it], grid.phi[ip])
+            want = np.trace(rho @ r @ d @ r.conj().T).real
+            worst = max(worst, abs(grid.values[it, ip] - want))
+    assert worst <= 1e-12
+    spectrum = np.abs(np.fft.rfft(grid.values[90]))  # theta = pi/2
+    assert int(np.argmax(spectrum[1:])) + 1 == n
 
 
 def test_wigner_grid_to_file(tmp_path):
