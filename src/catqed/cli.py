@@ -81,8 +81,18 @@ def _cmd_wigner(args) -> int:
                           f"got {args.times!r}") from None
     if not times:
         raise ConfigError("--times is empty")
-    states = snapshots(cfg.initial_state(), cfg.model_params(), times, cfg.dt)
     label = args.parity
+
+    def grid_path(time: float) -> str:
+        return os.path.join(out, f"{cfg.prefix}_wigner_{label}_t{time:g}.dat")
+
+    # a file name keeps six significant digits of the snapped time, so two
+    # distinct snapshots could share one; refuse before propagating
+    snapped = {round(t / cfg.dt) * cfg.dt for t in times if math.isfinite(t)}
+    if len({grid_path(t) for t in snapped}) < len(snapped):
+        raise ConfigError(f"--times {args.times} holds distinct times that "
+                          f"share a file name (six significant digits)")
+    states = snapshots(cfg.initial_state(), cfg.model_params(), times, cfg.dt)
     for state in states:
         if label == "none":
             rho = reduce_to_electron(state)
@@ -90,8 +100,7 @@ def _cmd_wigner(args) -> int:
             outcome = ParityOutcome.EVEN if label == "even" else ParityOutcome.ODD
             rho = parity_postselect(state, outcome).rho
         grid = wigner_function(rho, n_theta=args.n_theta, n_phi=args.n_phi)
-        path = os.path.join(
-            out, f"{cfg.prefix}_wigner_{label}_t{state.time:g}.dat")
+        path = grid_path(state.time)
         grid.to_file(path)
         print(f"wrote {path}")
     return 0

@@ -23,10 +23,12 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .fileio import atomic_write_text, format_float
+from .fileio import FLOAT_FORMAT, atomic_write_text, format_float
 from .hilbert import DickeSpace, ElectronDensityMatrix
 
 IMAG_RESIDUE_ATOL = 1e-10
+# theta rows per block of ``wigner_function``
+THETA_BLOCK = 32
 
 
 @lru_cache(maxsize=64)
@@ -51,11 +53,14 @@ def rotation_matrix(n_qubits: int, theta: float, phi: float) -> np.ndarray:
     return np.exp(1j * phi * m)[:, None] * d
 
 
-def _small_d(n_qubits: int, theta: float) -> np.ndarray:
+def _small_d(n_qubits: int, theta: float | np.ndarray) -> np.ndarray:
+    """d(theta) = e^{i theta Jy} for a scalar or an array of angles; the
+    matrices stack along the leading axes, shape theta.shape + (dim, dim)."""
     evals, evecs = _jy_eigensystem(n_qubits)
     gauge = _jy_gauge(n_qubits)
-    core = (evecs * np.exp(1j * theta * evals)) @ evecs.T
-    return gauge[:, None] * core * gauge.conj()[None, :]
+    phases = np.exp(1j * np.asarray(theta)[..., None, None] * evals)
+    core = (evecs * phases) @ evecs.T
+    return gauge[:, None] * core * gauge.conj()
 
 
 @lru_cache(maxsize=64)
@@ -94,21 +99,27 @@ class WignerGrid:
     def to_file(self, path: str) -> None:
         j = self.n_qubits / 2.0
         header = f"# J={j:g} n_theta={self.theta.size} n_phi={self.phi.size}"
-        # Each angle is formatted once, not once per line, and each theta row
-        # is joined into one block, which keeps the peak memory near the
-        # size of the text.
-        phis = [f" {format_float(ph)} " for ph in self.phi]
-        rows = ("\n".join([th + ph + format_float(w) for ph, w in zip(phis, row.tolist())])
+        # Each phi is formatted once into a line template, and each theta row
+        # is rendered by one %-format of its values.  Converting one row at a
+        # time keeps the peak memory near the size of the text.
+        phis = [f" {format_float(ph)} {FLOAT_FORMAT}" for ph in self.phi]
+        rows = ((th + ("\n" + th).join(phis)) % tuple(row.tolist())
                 for th, row in zip(map(format_float, self.theta), self.values))
         atomic_write_text(path, "\n".join([header, *rows, ""]))
 
 
 def wigner_function(rho: ElectronDensityMatrix, n_theta: int = 181,
                     n_phi: int = 360) -> WignerGrid:
-    """Evaluate W on the grid; embarrassingly parallel over theta rows.
+    """Evaluate W on the grid, a block of ``THETA_BLOCK`` theta rows at a time.
 
-    Per theta the phi dependence enters only through e^{i phi (m - m')},
-    so each row costs one small dense contraction plus a phase sum.
+    With g(theta) = conj(d) diag(D) d^T and d = d(theta) the small-d matrix,
+    W(theta, phi) = sum_k e^{i phi k} sum_{m' - m = k} g_{mm'} rho_{mm'}:
+    phi enters only through the diagonal offset k.  Per block, one stack of
+    d matrices, one batched product for g, one sum of g o rho along its
+    diagonals and one (rows, 2 dim - 1) x (2 dim - 1, n_phi) phase product
+    give every row.  Blocks, not one stack over all theta, keep the working
+    set small.  The largest imaginary part over the whole grid must stay
+    within ``IMAG_RESIDUE_ATOL``.
     """
     if n_theta < 2 or n_phi < 1:
         raise ConfigError(f"the Wigner grid needs n_theta >= 2 (both poles) and "
@@ -119,18 +130,24 @@ def wigner_function(rho: ElectronDensityMatrix, n_theta: int = 181,
     thetas = np.linspace(0.0, math.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
     offsets = np.arange(-(dim - 1), dim)
-    phase = np.exp(1j * np.outer(phis, offsets))   # (n_phi, n_off)
+    phase = np.exp(1j * np.outer(offsets, phis))   # (2 dim - 1, n_phi)
     values = np.empty((n_theta, n_phi))
     worst_imag = 0.0
-    mat = rho.matrix
-    for it, theta in enumerate(thetas):
-        a = _small_d(n_qubits, theta).conj().T
-        g = (a * weights[:, None]).T @ a.conj()
-        p = g * mat
-        t = np.array([np.trace(p, offset=off) for off in offsets])
-        row = phase @ t
-        worst_imag = max(worst_imag, float(np.max(np.abs(row.imag))))
-        values[it] = row.real
+    # Rows of width 2 dim read back with width 2 dim - 1 shift row r right
+    # by r.  With the rows of g o rho stored in reverse order, entry (m, m')
+    # lands in column m' - m + dim - 1, so a column sum is a diagonal sum.
+    skew = np.zeros((THETA_BLOCK, dim, 2 * dim), dtype=complex)
+    flipped = rho.matrix[::-1]
+    for start in range(0, n_theta, THETA_BLOCK):
+        d = _small_d(n_qubits, thetas[start:start + THETA_BLOCK])
+        g = (d.conj() * weights) @ d.swapaxes(1, 2)
+        rows = len(d)
+        np.multiply(g[:, ::-1], flipped, out=skew[:rows, :, :dim])
+        skewed = skew[:rows].reshape(rows, -1)[:, :dim * (2 * dim - 1)]
+        diagonals = skewed.reshape(rows, dim, 2 * dim - 1).sum(axis=1)
+        block = diagonals @ phase
+        worst_imag = max(worst_imag, float(np.max(np.abs(block.imag))))
+        values[start:start + rows] = block.real
     if worst_imag > IMAG_RESIDUE_ATOL:
         raise NumericalError(
             f"Wigner imaginary residue {worst_imag:.3e} exceeds {IMAG_RESIDUE_ATOL}")

@@ -129,6 +129,22 @@ def test_wigner_huge_sample_interval_is_numerical_failure(tmp_path, capsys):
     assert "sample that interval more finely" in capsys.readouterr().err
 
 
+def test_wigner_times_sharing_a_file_name_are_usage_error(tmp_path, capsys):
+    # t{time:g} keeps six significant digits: 1234.5678 and 1234.5679 are
+    # distinct snapshots on a 1e-4 grid but would write one file
+    path = write_config(tmp_path, SMOKE + "dt = 1e-4\n")
+    out = tmp_path / "w"
+    assert main(["wigner", "--config", path, "--times", "1234.5678,1234.5679",
+                 "--out", str(out)]) == 2
+    assert "share a file name" in capsys.readouterr().err
+    assert not list(out.glob("*.dat"))
+    # one time requested twice is one snapshot and one file
+    assert main(["wigner", "--config", path, "--times", "1,1", "--n-theta", "5",
+                 "--n-phi", "4", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert [p.name for p in out.glob("*.dat")] == ["run_wigner_none_t1.dat"]
+
+
 def test_window_convergence_failure_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cq.measurement, "WINDOW_RHO_ATOL", -1.0)
     text = SMOKE + "\n[measurement]\ndelta_x = 0.5\n\n[monitors]\nquadrature = true\n"

@@ -210,6 +210,51 @@ def test_wigner_ghz_fringes_at_64_qubits():
     assert int(np.argmax(spectrum[1:])) + 1 == n
 
 
+@pytest.mark.parametrize("n_qubits", [1, 16, 40])
+@pytest.mark.parametrize("n_theta", [2, 33, 181])  # below, one past, default
+def test_wigner_blocks_match_expm_oracle(n_qubits, n_theta, random_density):
+    # every theta row, across the block boundaries, against the expm
+    # rotation and the exact kernel.  R(theta, phi) = R(0, phi) R(theta, 0),
+    # and on the uniform grid R(theta_k, 0) = R(theta_1, 0)^k (2.4e-15 from
+    # a direct expm at N = 40), so the oracle needs few expm calls
+    rho = random_density(n_qubits + 1)
+    grid = cq.wigner_function(
+        cq.ElectronDensityMatrix(rho, cq.DickeSpace(n_qubits)),
+        n_theta=n_theta, n_phi=3)
+    d = np.diag(kernel_weights_exact(n_qubits))
+    turns = [rotation_expm(n_qubits, 0.0, ph) for ph in grid.phi]
+    step = rotation_expm(n_qubits, grid.theta[1], 0.0)
+    tilt = np.eye(n_qubits + 1)
+    want = np.empty_like(grid.values)
+    for it in range(n_theta):
+        kernel = tilt @ d @ tilt.conj().T
+        for ip, turn in enumerate(turns):
+            want[it, ip] = np.trace(rho @ turn @ kernel @ turn.conj().T).real
+        tilt = tilt @ step
+    assert np.abs(grid.values - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("pole", [0, -1])
+def test_wigner_imaginary_residue_checked_in_every_block(pole):
+    # an anti-Hermitian defect i eps |m><m| adds i eps W_m to the grid; W_m
+    # peaks at theta = pi for m = -J (index 0) and at theta = 0 for m = +J,
+    # and eps keeps the residue below tolerance in the block at the far pole
+    n, eps = 16, 1e-9
+    dim = n + 1
+    proj = np.zeros((dim, dim), dtype=complex)
+    proj[pole, pole] = 1.0
+    reach = eps * np.abs(cq.wigner_function(
+        cq.ElectronDensityMatrix(proj, cq.DickeSpace(n))).values).max(axis=1)
+    blocks = set(np.flatnonzero(reach > cq.wigner.IMAG_RESIDUE_ATOL)
+                 // cq.wigner.THETA_BLOCK)
+    far = 0 if pole == 0 else (reach.size - 1) // cq.wigner.THETA_BLOCK
+    assert blocks and far not in blocks
+    rho = cq.ElectronDensityMatrix(np.eye(dim) / dim, cq.DickeSpace(n))
+    object.__setattr__(rho, "matrix", rho.matrix + 1j * eps * proj)
+    with pytest.raises(cq.NumericalError, match="imaginary residue"):
+        cq.wigner_function(rho)
+
+
 def test_wigner_grid_to_file(tmp_path):
     grid = cq.wigner_function(all_down_density(2), n_theta=5, n_phi=4)
     path = tmp_path / "w.dat"
