@@ -30,7 +30,7 @@ from .monitors import build_quadrature_monitors
 from .propagator import PropagationPlan, peak_and_fwhm, run, snapshots
 from .stateprep import prepare_initial, required_n_max
 from .validation import run_checks
-from .wigner import wigner_function
+from .wigner import check_grid_size, wigner_function
 
 _USAGE_EXIT = 2
 _NUMERICAL_EXIT = 3
@@ -81,6 +81,7 @@ def _cmd_wigner(args) -> int:
                           f"got {args.times!r}") from None
     if not times:
         raise ConfigError("--times is empty")
+    check_grid_size(args.n_theta, args.n_phi)
     label = args.parity
 
     def grid_path(time: float) -> str:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -53,30 +54,30 @@ class RabiDrive:
         return 1j * p.gamma * p.omega * self.alpha
 
     @property
-    def detuning(self) -> float:
-        return self.params.delta - self.params.omega
-
-    @property
     def rabi_frequency(self) -> float:
-        g = self.params.mu * abs(self.field_amplitude)
-        return math.hypot(self.detuning, g)
+        return float(_rabi_closed_form(self.params, self.alpha, 0.0)[2])
 
     def amplitudes(self, t: float) -> tuple[complex, complex]:
         """(a, b): rotating-frame amplitudes to stay down / flip up."""
-        w = self.rabi_frequency
-        if w == 0.0:
-            return 1.0 + 0.0j, 0.0j
-        c = math.cos(0.5 * w * t)
-        s = math.sin(0.5 * w * t)
-        a = c + 1j * (self.detuning / w) * s
-        b = 1j * (self.params.mu * self.field_amplitude / w) * s
-        return a, b
+        a, b, _ = _rabi_closed_form(self.params, self.alpha, t)
+        return complex(a), complex(b)
 
     def period(self) -> float:
         w = self.rabi_frequency
         if w == 0.0:
             raise StateValidationError("undriven qubit has no Rabi period")
         return 2.0 * math.pi / w
+
+
+def _rabi_closed_form(params: ModelParams, alphas, times):
+    """(a, b, W) of the module docstring, broadcast over amplitudes and
+    times; an undriven resonant qubit (W = 0) stays down."""
+    field = 1j * params.gamma * params.omega * alphas
+    detuning = params.delta - params.omega
+    w = np.hypot(detuning, params.mu * np.abs(field))
+    half = 0.5 * w * np.asarray(times)
+    s = np.sin(half) / np.where(w == 0.0, 1.0, w)
+    return np.cos(half) + 1j * detuning * s, 1j * params.mu * field * s, w
 
 
 def _product_state(n_qubits: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -87,33 +88,27 @@ def _product_state(n_qubits: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return comb * np.power(a[:, None], n_qubits - k) * np.power(b[:, None], k)
 
 
+def _rabi_states(params: ModelParams, alphas, times) -> np.ndarray:
+    """Lab-frame collective spin states, one row per entry of ``alphas``
+    and ``times`` broadcast against each other."""
+    alphas, times = (x.ravel() for x in np.broadcast_arrays(alphas, times))
+    a, b, _ = _rabi_closed_form(params, alphas, times)
+    m = params.dicke().m_values()
+    return (_product_state(params.n_qubits, a, b)
+            * np.exp(-1j * params.omega * times[:, None] * m))
+
+
 def rabi_solution(params: ModelParams, alpha: complex, t: float) -> np.ndarray:
     """Lab-frame collective spin state for one classical field amplitude.
 
     Exact for the rotating wave drive; for alpha = 0 it reduces to the
     all-down state times its free phase e^{i J omega t}.
     """
-    return _rabi_solution_batch(params, np.array([alpha], dtype=complex), t)[0]
-
-
-def _rabi_solution_batch(params: ModelParams, alphas: np.ndarray,
-                         t: float) -> np.ndarray:
-    """rabi_solution for many amplitudes at once, rows indexed by alpha."""
-    g = params.mu * params.gamma * params.omega
-    delta = params.delta - params.omega
-    w = np.sqrt(delta ** 2 + (g * np.abs(alphas)) ** 2)
-    c = np.cos(0.5 * w * t)
-    s = np.sin(0.5 * w * t)
-    safe = np.where(w == 0.0, 1.0, w)
-    a = c + 1j * delta * s / safe
-    b = 1j * params.mu * (1j * params.gamma * params.omega * alphas) * s / safe
-    m = params.dicke().m_values()
-    return _product_state(params.n_qubits, a, b) * np.exp(-1j * params.omega * t * m)
+    return _rabi_states(params, alpha, t)[0]
 
 
 def _superposed(params: ModelParams, branches, weights, t: float) -> np.ndarray:
-    vecs = [w * rabi_solution(params, al, t) for al, w in zip(branches, weights)]
-    total = np.sum(vecs, axis=0)
+    total = np.asarray(weights) @ _rabi_states(params, branches, t)
     nrm2 = float(np.real(np.vdot(total, total)))
     if nrm2 < DEGENERATE_NORM_ATOL:
         raise StateValidationError(
@@ -128,13 +123,9 @@ def rabi_cat_state(params: ModelParams, alpha: complex, t: float,
     The even field superposition takes the + sign between the alpha and
     -alpha spin trajectories, the odd one the - sign.
     """
-    if parity == "even":
-        signs = (1.0, 1.0)
-    elif parity == "odd":
-        signs = (1.0, -1.0)
-    else:
+    if parity not in ("even", "odd"):
         raise StateValidationError(f"unknown parity {parity!r}")
-    return _superposed(params, (alpha, -alpha), signs, t)
+    return _superposed(params, (alpha, -alpha), (1.0, 1.0 if parity == "even" else -1.0), t)
 
 
 def rabi_kitten_state(params: ModelParams, alpha: complex, t: float) -> np.ndarray:
@@ -145,11 +136,6 @@ def rabi_kitten_state(params: ModelParams, alpha: complex, t: float) -> np.ndarr
     rotation.
     """
     return _superposed(params, (alpha, 0.0), (1.0, 1.0), t)
-
-
-def jz_expectation(params: ModelParams, psi: np.ndarray) -> float:
-    m = params.dicke().m_values()
-    return float(np.real(np.sum(m * np.abs(psi) ** 2)))
 
 
 def classically_driven_trajectory(params: ModelParams, alpha: complex,
@@ -165,8 +151,7 @@ def classically_driven_trajectory(params: ModelParams, alpha: complex,
     if times.size and (times[0] < 0.0 or np.any(np.diff(times) < 0.0)):
         raise StateValidationError("sample times must be nonnegative and nondecreasing")
     if params.rwa:
-        return np.array([rabi_solution(params, alpha, t) for t in times],
-                        dtype=complex).reshape(times.size, params.n_qubits + 1)
+        return _rabi_states(params, alpha, times)
     from scipy.integrate import solve_ivp  # costly import, needed only here
 
     g = params.gamma * params.omega * params.mu
@@ -208,6 +193,14 @@ def depletion_ratio(n_qubits: int, alpha: complex) -> float:
     return 0.5 * n_qubits / mean_photons
 
 
+@lru_cache(maxsize=16)
+def _hermite_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights for ``nodes`` points.  Read-only."""
+    u, wu = hermgauss(nodes)
+    u.flags.writeable = wu.flags.writeable = False
+    return u, wu
+
+
 def expansion_weights(spec: PhotonicSpec, nodes: int = DEFAULT_GRID_NODES):
     """Gauss-Hermite discretization of the coherent-state expansion
     f(alpha) = <alpha|psi>/pi, one displaced grid per branch.
@@ -215,39 +208,29 @@ def expansion_weights(spec: PhotonicSpec, nodes: int = DEFAULT_GRID_NODES):
     Returns (alphas, weights) flattened over all branches, such that
     sum_k weights[k] |alphas[k]> reproduces the photonic state.
     """
-    u, wu = hermgauss(nodes)
-    centers = spec.branch_amplitudes()
-    branch_weights = spec.branch_weights()
-    norm2 = 0.0
-    for ci, wi in zip(centers, branch_weights):
-        for cj, wj in zip(centers, branch_weights):
-            norm2 += float(np.real(np.conj(wi) * wj *
-                                   np.exp(np.conj(ci) * cj
-                                          - 0.5 * abs(ci) ** 2
-                                          - 0.5 * abs(cj) ** 2)))
-    all_alphas = []
-    all_weights = []
-    for center, bw in zip(centers, branch_weights):
-        if abs(complex(center).imag) > 1e-12:
-            raise StateValidationError(
-                "expansion grid assumes branch centers on the real axis")
-        c = float(np.real(center))
-        # alpha = c + sqrt(2) u + i sqrt(2) v; the Gaussian of the kernel
-        # becomes exactly the Gauss-Hermite weight in (u, v)
-        re = c + math.sqrt(2.0) * u
-        grid = re[:, None] + 1j * math.sqrt(2.0) * u[None, :]
-        phase = np.exp(-1j * math.sqrt(2.0) * u * c)
-        w2d = 2.0 * np.outer(wu, wu * phase) * bw / \
-            (math.pi * math.sqrt(norm2))
-        all_alphas.append(grid.ravel())
-        all_weights.append(w2d.ravel())
-    return np.concatenate(all_alphas), np.concatenate(all_weights)
+    centers = np.array(spec.branch_amplitudes())
+    if np.any(np.abs(centers.imag) > 1e-12):
+        raise StateValidationError(
+            "expansion grid assumes branch centers on the real axis")
+    c = centers.real
+    bw = np.array(spec.branch_weights())
+    # <c_i|c_j> = e^{-(c_i - c_j)^2 / 2} for real centers
+    norm2 = float(np.real(np.conj(bw) @ np.exp(-0.5 * np.subtract.outer(c, c) ** 2) @ bw))
+    # alpha = c + sqrt(2) u + i sqrt(2) v; the Gaussian of the kernel
+    # becomes exactly the Gauss-Hermite weight in (u, v)
+    u, wu = _hermite_rule(nodes)
+    root2u = math.sqrt(2.0) * u
+    c = c[:, None, None]
+    grid = c + root2u[:, None] + 1j * root2u
+    w2d = 2.0 * wu[:, None] * (wu * np.exp(-1j * root2u * c)) * \
+        bw[:, None, None] / (math.pi * math.sqrt(norm2))
+    return grid.ravel(), w2d.ravel()
 
 
 def _assemble(params: ModelParams, spec: PhotonicSpec, t: float,
               n_max: int, nodes: int) -> np.ndarray:
     alphas, weights = expansion_weights(spec, nodes)
-    spin = _rabi_solution_batch(params, alphas, t)          # (grid, dim)
+    spin = _rabi_states(params, alphas, t)                  # (grid, dim)
     fock = coherent_matrix(alphas * np.exp(-1j * params.omega * t), n_max)
     c = (spin * weights[:, None]).T @ fock
     nrm = np.linalg.norm(c)

@@ -18,10 +18,8 @@ from .hilbert import CompositeState, DickeSpace, FockSpace
 
 PHOTONIC_KINDS = ("coherent", "general_cat", "even_cat", "kitten")
 
-# Above this amplitude the n = 0 coefficient exp(-|alpha|^2 / 2) is small
-# enough that the multiplicative recurrence risks underflow-contaminated
-# leading terms; switch to log-scale evaluation.
-LOG_SCALE_THRESHOLD = 25.0
+# e^{-|alpha|^2/2} is subnormal below this exponent (|alpha| > 37.6)
+_LOG_TINY = math.log(np.finfo(float).tiny)
 
 LEAKAGE_ATOL = 1e-10
 
@@ -130,40 +128,23 @@ def check_truncation(alpha: complex, n_max: int) -> None:
 
 
 def coherent_vector(alpha: complex, n_max: int, enforce_cutoff: bool = True) -> np.ndarray:
-    """Fock coefficients <n|alpha> = e^{-|alpha|^2/2} alpha^n / sqrt(n!).
+    """Fock coefficients <n|alpha>, one row of ``coherent_matrix``.
 
-    Built by the multiplicative recurrence v[n] = v[n-1] * alpha / sqrt(n);
-    for |alpha| > 25 each coefficient is evaluated in log scale instead.
     ``enforce_cutoff=False`` skips the tail precondition for callers that
     deliberately truncate negligible-weight branches.
     """
-    alpha = complex(alpha)
     if enforce_cutoff:
         check_truncation(alpha, n_max)
-    dim = n_max + 1
-    if alpha == 0.0:
-        v = np.zeros(dim, dtype=np.complex128)
-        v[0] = 1.0
-        return v
-    if abs(alpha) <= LOG_SCALE_THRESHOLD:
-        sqn = np.sqrt(np.arange(1, dim, dtype=float))
-        v = np.empty(dim, dtype=np.complex128)
-        v[0] = math.exp(-0.5 * abs(alpha) ** 2)
-        np.cumprod(alpha / sqn, out=v[1:])
-        v[1:] *= v[0]
-        return v
-    n = np.arange(dim, dtype=float)
-    logmag = -0.5 * abs(alpha) ** 2 + n * math.log(abs(alpha)) - 0.5 * _lgamma(n + 1.0)
-    phase = n * np.angle(alpha)
-    return np.exp(logmag) * (np.cos(phase) + 1j * np.sin(phase))
-
-
-def _lgamma(x: np.ndarray) -> np.ndarray:
-    return np.vectorize(math.lgamma, otypes=[float])(x)
+    return coherent_matrix([alpha], n_max)[0]
 
 
 def coherent_matrix(alphas: np.ndarray, n_max: int) -> np.ndarray:
-    """Row i holds <n|alphas[i]>; recurrence vectorized across amplitudes.
+    """Row i holds <n|alphas[i]> = e^{-|a|^2/2} a^n / sqrt(n!), a = alphas[i].
+
+    Each row is the cumulative product of e^{-|a|^2/2}, a/sqrt(1), a/sqrt(2),
+    ...; every partial product is a true coefficient, at most 1 in modulus,
+    so nothing overflows.  Only where e^{-|a|^2/2} is subnormal does a row
+    start instead from its Poisson mode (``_mode_anchored``).
 
     No cutoff precondition: rows with |alpha| beyond the reliable range are
     the caller's responsibility (used for weighted coherent-grid sums where
@@ -171,23 +152,51 @@ def coherent_matrix(alphas: np.ndarray, n_max: int) -> np.ndarray:
     """
     alphas = np.asarray(alphas, dtype=np.complex128)
     dim = n_max + 1
+    exponents = -0.5 * np.abs(alphas) ** 2
     out = np.empty((alphas.size, dim), dtype=np.complex128)
-    out[:, 0] = np.exp(-0.5 * np.abs(alphas) ** 2)
-    sqn = np.sqrt(np.arange(1, dim, dtype=float))
-    ratios = alphas[:, None] / sqn[None, :]
-    np.cumprod(ratios, axis=1, out=out[:, 1:])
-    out[:, 1:] *= out[:, :1]
+    np.divide(alphas[:, None], np.sqrt(np.arange(1.0, dim)), out=out[:, 1:])
+    out[:, 0] = np.exp(exponents)
+    np.cumprod(out, axis=1, out=out)
+    far = exponents < _LOG_TINY
+    if n_max > 0 and far.any():
+        out[far] = _mode_anchored(alphas[far], n_max)
     return out
 
 
+def _mode_anchored(alphas: np.ndarray, n_max: int) -> np.ndarray:
+    """coherent_matrix rows anchored at n0 = min(floor(|a|^2), n_max) >= 1.
+
+    log|<n0|a>| comes from Stirling's series for log n0!, written so that
+    the large terms cancel analytically; the recurrence then runs from n0
+    up by a/sqrt(n) and down by sqrt(n+1)/a, both at most 1 in modulus.
+    """
+    mean = np.abs(alphas) ** 2
+    top = np.minimum(np.floor(mean), n_max)[:, None]
+    a = alphas[:, None]
+    excess = mean[:, None] - top
+    log_anchor = (0.5 * top * np.log1p(excess / top) - 0.5 * excess
+                  - 0.25 * np.log(2.0 * math.pi * top)
+                  - 1.0 / (24.0 * top) + 1.0 / (720.0 * top ** 3))
+    n = np.arange(n_max + 1)
+    above, below = n > top, n < top
+    steps = np.sqrt(n + 1.0) / a
+    np.divide(a, np.sqrt(n), out=steps, where=above)
+    np.put_along_axis(steps, top.astype(int),
+                      np.exp(log_anchor + 1j * top * np.angle(a)), axis=1)
+    ahead = np.cumprod(np.where(below, 1.0, steps), axis=1)
+    steps[above] = 1.0
+    behind = steps[:, ::-1]
+    np.cumprod(behind, axis=1, out=behind)
+    return np.where(below, steps, ahead)
+
+
 def photonic_vector(spec: PhotonicSpec, n_max: int) -> np.ndarray:
-    """Normalized truncated Fock vector for the requested photonic state."""
+    """Normalized truncated Fock vector: the branch weights times the rows
+    of one ``coherent_matrix``, each branch's cutoff checked first."""
     branches = spec.branch_amplitudes()
-    v = coherent_vector(branches[0], n_max)
-    if len(branches) == 2:
-        phase = complex(math.cos(spec.phi_cat), math.sin(spec.phi_cat)) \
-            if spec.kind == "general_cat" else 1.0 + 0.0j
-        v = v + phase * coherent_vector(branches[1], n_max)
+    for alpha in branches:
+        check_truncation(alpha, n_max)
+    v = np.asarray(spec.branch_weights()) @ coherent_matrix(branches, n_max)
     nrm = np.linalg.norm(v)
     if nrm < 1e-12:
         raise ConfigError(

@@ -108,6 +108,13 @@ class WignerGrid:
         atomic_write_text(path, "\n".join([header, *rows, ""]))
 
 
+def check_grid_size(n_theta: int, n_phi: int) -> None:
+    """A grid needs both poles in theta and at least one phi column."""
+    if n_theta < 2 or n_phi < 1:
+        raise ConfigError(f"the Wigner grid needs n_theta >= 2 (both poles) and "
+                          f"n_phi >= 1, got {n_theta} x {n_phi}")
+
+
 def wigner_function(rho: ElectronDensityMatrix, n_theta: int = 181,
                     n_phi: int = 360) -> WignerGrid:
     """Evaluate W on the grid, a block of ``THETA_BLOCK`` theta rows at a time.
@@ -121,9 +128,7 @@ def wigner_function(rho: ElectronDensityMatrix, n_theta: int = 181,
     set small.  The largest imaginary part over the whole grid must stay
     within ``IMAG_RESIDUE_ATOL``.
     """
-    if n_theta < 2 or n_phi < 1:
-        raise ConfigError(f"the Wigner grid needs n_theta >= 2 (both poles) and "
-                          f"n_phi >= 1, got {n_theta} x {n_phi}")
+    check_grid_size(n_theta, n_phi)
     n_qubits = rho.dicke.n_qubits
     dim = rho.dicke.dim
     weights = kernel_weights(n_qubits)

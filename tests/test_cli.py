@@ -122,6 +122,18 @@ def test_wigner_bad_grid_size_is_usage_error(tmp_path, capsys, flag, value):
     assert not list(out.glob("*.dat"))
 
 
+def test_wigner_bad_grid_size_is_refused_before_propagating(tmp_path, capsys,
+                                                            monkeypatch):
+    def no_snapshots(*args, **kwargs):
+        raise AssertionError("snapshots ran before the grid size was checked")
+
+    monkeypatch.setattr(cq.cli, "snapshots", no_snapshots)
+    path = write_config(tmp_path)
+    assert main(["wigner", "--config", path, "--times", "0,20000",
+                 "--n-theta", "0", "--out", str(tmp_path / "w")]) == 2
+    assert "n_theta >= 2" in capsys.readouterr().err
+
+
 def test_wigner_huge_sample_interval_is_numerical_failure(tmp_path, capsys):
     path = write_config(tmp_path)
     assert main(["wigner", "--config", path, "--times", "1e30",

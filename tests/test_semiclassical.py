@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 import catqed as cq
-from catqed.semiclassical import jz_expectation
+from catqed import semiclassical
 from oracles import dense_spin
 
 RES = cq.ModelParams(n_qubits=3, gamma=0.7)
@@ -70,6 +71,11 @@ def test_rabi_solution_matches_numerical_drive(params, alpha):
         * (expm(-1j * t * h) @ down)
     closed = cq.rabi_solution(params, alpha, t)
     assert np.max(np.abs(closed - numeric)) < 1e-12
+
+
+def jz_expectation(params, psi):
+    m = params.dicke().m_values()
+    return float(np.real(np.sum(m * np.abs(psi) ** 2)))
 
 
 def test_driven_jz_follows_rabi_oscillation():
@@ -205,6 +211,34 @@ def test_expansion_tracks_full_dynamics_when_undepleted(spec):
     predicted = cq.coherent_expansion_state(params, spec, t, n_max=n_max)
     overlap = abs(np.vdot(predicted.amplitudes, exact.amplitudes))
     assert overlap > 0.999
+
+
+def test_expansion_tracks_full_dynamics_at_large_amplitude():
+    # grid amplitudes reach |alpha| ~ 45, where e^{-|alpha|^2/2} is subnormal
+    params = cq.ModelParams(n_qubits=2, gamma=0.01)
+    spec = cq.PhotonicSpec("even_cat", 30.0)
+    n_max = cq.required_n_max(30.0, params.n_qubits)
+    exact = cq.propagate(cq.prepare_initial(spec, 2, n_max=n_max), params, 1.0)
+    predicted = cq.coherent_expansion_state(params, spec, 1.0, n_max=n_max)
+    assert np.all(np.isfinite(predicted.amplitudes))
+    assert abs(np.vdot(predicted.amplitudes, exact.amplitudes)) > 0.9999999
+
+
+def test_expansion_builds_each_gauss_hermite_rule_once(monkeypatch):
+    built = []
+
+    def counted(nodes):
+        built.append(nodes)
+        return hermgauss(nodes)
+
+    semiclassical._hermite_rule.cache_clear()
+    monkeypatch.setattr(semiclassical, "hermgauss", counted)
+    params = cq.ModelParams(n_qubits=2, gamma=0.2)
+    spec = cq.PhotonicSpec("even_cat", 2.0)
+    for t in (0.5, 1.0):
+        cq.coherent_expansion_state(params, spec, t)
+    assert built == [semiclassical.DEFAULT_GRID_NODES,
+                     semiclassical.DEFAULT_GRID_NODES + 8]
 
 
 def test_depletion_ratio():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import catqed as cq
-from catqed.stateprep import LOG_SCALE_THRESHOLD, check_truncation
+from catqed.stateprep import check_truncation, coherent_matrix
 from oracles import coherent_amplitudes_mpmath
 
 
@@ -24,9 +24,9 @@ def test_coherent_vector_matches_mpmath(alpha):
 
 
 def test_coherent_vector_log_branch_matches_mpmath():
-    # alpha = 30 exercises the log-scale path; spot-check across the support
+    # alpha = 30: e^{-|alpha|^2/2} = e^{-450} is the smallest start the
+    # product recurrence is used from here; spot-check across the support
     alpha = 30.0
-    assert alpha > LOG_SCALE_THRESHOLD
     n_max = cq.required_n_max(alpha, 1)
     v = cq.coherent_vector(alpha, n_max)
     ref = coherent_amplitudes_mpmath(alpha, n_max)
@@ -34,6 +34,31 @@ def test_coherent_vector_log_branch_matches_mpmath():
         if abs(ref[n]) > 1e-300:
             assert abs(v[n] - ref[n]) <= 1e-12 * abs(ref[n]) + 1e-300
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_coherent_vector_past_the_subnormal_prefactor_matches_mpmath():
+    # e^{-800} is subnormal, so the row is anchored at its Poisson mode
+    alpha = 40.0
+    n_max = cq.required_n_max(alpha, 1)
+    v = cq.coherent_vector(alpha, n_max)
+    ref = coherent_amplitudes_mpmath(alpha, n_max)
+    for n in (100, 400, 1500, 1599, 1600, 1601, 1700, n_max):
+        assert abs(ref[n]) > 1e-300
+        assert abs(v[n] - ref[n]) <= 1e-12 * abs(ref[n])
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_coherent_matrix_rows_equal_coherent_vector():
+    # |alpha| = 37.6 and 37.7 sit on either side of where e^{-|alpha|^2/2}
+    # turns subnormal; 55 has its mode past n_max
+    alphas = np.array([0.0, 1.5j, 37.6, -37.7, 26.0 + 28.0j, 55.0])
+    n_max = 2000
+    rows = coherent_matrix(alphas, n_max)
+    for alpha, row in zip(alphas, rows):
+        assert np.array_equal(row, cq.coherent_vector(alpha, n_max,
+                                                      enforce_cutoff=False))
+    assert np.all(np.isfinite(rows))
+    assert np.all(np.abs(rows) <= 1.0)
 
 
 def test_coherent_vacuum():
