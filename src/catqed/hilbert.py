@@ -5,6 +5,12 @@ two-level systems, spanned by |J, m> with J = N/2 and m = -J .. J.  The
 photonic sector is a Fock ladder truncated at n_max.  Joint amplitudes are
 stored m-major, shape (N + 1, n_max + 1), so photon-operator application is
 stride-1 along each row.
+
+A ``CompositeState`` or ``ElectronDensityMatrix`` may also hold a stack of
+samples along a leading axis (one time per sample).  The readouts reduce
+over the trailing axes only, so one code path serves a single state, for
+which they return floats, and a stack, for which they return one value per
+sample (``per_sample``).
 """
 
 from __future__ import annotations
@@ -22,6 +28,20 @@ EIGENVALUE_FLOOR = -1e-10
 
 # Columns counted by the truncation-tail diagnostic.
 TAIL_WIDTH = 10
+
+
+def per_sample(values) -> float | np.ndarray:
+    """A reduction over the axes of one state: a float for a single state,
+    the array of per-sample values for a stack."""
+    values = np.asarray(values)
+    return float(values) if values.ndim == 0 else values
+
+
+def _norms(amplitudes: np.ndarray) -> np.ndarray:
+    """2-norm over the last two axes of a C-ordered complex array, summed
+    on its float view so that no array of its size is allocated."""
+    flat = amplitudes.view(np.float64).reshape(*amplitudes.shape[:-2], -1)
+    return np.sqrt(np.einsum("...k,...k->...", flat, flat))
 
 
 @dataclass(frozen=True)
@@ -72,11 +92,12 @@ class FockSpace:
     def dim(self) -> int:
         return self.n_max + 1
 
-    def tail_population(self, amplitudes: np.ndarray) -> float:
-        """Probability weight in the top TAIL_WIDTH + 1 Fock levels."""
+    def tail_population(self, amplitudes: np.ndarray) -> float | np.ndarray:
+        """Probability weight in the top TAIL_WIDTH + 1 Fock levels of a
+        joint state (per sample for a stack)."""
         lo = max(0, self.n_max - TAIL_WIDTH)
         tail = amplitudes[..., lo:]
-        return float(np.sum(tail.real**2 + tail.imag**2))
+        return per_sample(np.sum(tail.real**2 + tail.imag**2, axis=(-2, -1)))
 
 
 class CompositeState:
@@ -84,51 +105,62 @@ class CompositeState:
 
     Value type: the amplitude array is frozen on construction.  ``time``
     records the evolution time (units of 1/delta) at which the state holds.
+    A stack of samples has amplitudes of shape (samples, dicke.dim,
+    fock.dim) and one time per sample; every sample is validated.
     """
 
     __slots__ = ("amplitudes", "dicke", "fock", "time")
 
     def __init__(self, amplitudes, dicke: DickeSpace, fock: FockSpace,
-                 time: float = 0.0, copy: bool = True, validate: bool = True):
+                 time: float | np.ndarray = 0.0, copy: bool = True,
+                 validate: bool = True):
         arr = np.array(amplitudes, dtype=np.complex128, copy=copy, order="C")
-        if arr.shape != (dicke.dim, fock.dim):
+        if arr.ndim not in (2, 3) or arr.shape[-2:] != (dicke.dim, fock.dim):
             raise DimensionMismatchError(
                 f"amplitudes shape {arr.shape} does not match "
                 f"(dicke.dim, fock.dim) = ({dicke.dim}, {fock.dim})")
+        times = np.array(time, dtype=float)
+        if times.shape != arr.shape[:-2]:
+            raise DimensionMismatchError(
+                f"times of shape {times.shape} for amplitudes of shape {arr.shape}")
         if validate:
             if not np.all(np.isfinite(arr.view(np.float64))):
                 raise StateValidationError("non-finite amplitude encountered")
-            nrm = np.linalg.norm(arr)
-            if abs(nrm - 1.0) > NORM_ATOL:
+            dev = np.max(np.abs(_norms(arr) - 1.0))
+            if dev > NORM_ATOL:
                 raise StateValidationError(
-                    f"state norm {nrm!r} deviates from 1 by more than {NORM_ATOL}")
+                    f"state norm deviates from 1 by {dev:.3e} (> {NORM_ATOL})")
         arr.flags.writeable = False
+        times.flags.writeable = False
         object.__setattr__(self, "amplitudes", arr)
         object.__setattr__(self, "dicke", dicke)
         object.__setattr__(self, "fock", fock)
-        object.__setattr__(self, "time", float(time))
+        object.__setattr__(self, "time", per_sample(times))
 
     def __setattr__(self, name, value):
         raise AttributeError("CompositeState is immutable")
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+    def norm(self) -> float | np.ndarray:
+        return per_sample(_norms(self.amplitudes))
 
-    def tail_population(self) -> float:
+    def tail_population(self) -> float | np.ndarray:
         return self.fock.tail_population(self.amplitudes)
 
     def photon_distribution(self) -> np.ndarray:
-        """Marginal photon-number probabilities p(n)."""
+        """Marginal photon-number probabilities p(n), one row per sample
+        of a stack."""
         a = self.amplitudes
-        return np.sum(a.real**2 + a.imag**2, axis=0)
+        return (np.einsum("...mn,...mn->...n", a.real, a.real)
+                + np.einsum("...mn,...mn->...n", a.imag, a.imag))
 
 
 class ElectronDensityMatrix:
     """Reduced electronic density matrix on the Dicke ladder.
 
     Construction validates hermiticity, unit trace, and positivity up to
-    numerical dust; ``validate=False`` skips the eigenvalue check when the
-    caller guarantees the matrix is a Gram form.
+    numerical dust, on every sample of a stack (shape (samples, dim, dim));
+    ``validate=False`` skips the eigenvalue check when the caller
+    guarantees the matrix is a Gram form.
     """
 
     __slots__ = ("matrix", "dicke")
@@ -136,21 +168,21 @@ class ElectronDensityMatrix:
     def __init__(self, matrix, dicke: DickeSpace, copy: bool = True,
                  validate: bool = True):
         rho = np.array(matrix, dtype=np.complex128, copy=copy, order="C")
-        if rho.shape != (dicke.dim, dicke.dim):
+        if rho.ndim not in (2, 3) or rho.shape[-2:] != (dicke.dim, dicke.dim):
             raise DimensionMismatchError(
                 f"density matrix shape {rho.shape}, expected square dim {dicke.dim}")
         if not np.all(np.isfinite(rho.view(np.float64))):
             raise StateValidationError("non-finite density-matrix entry")
-        herm = np.max(np.abs(rho - rho.conj().T))
+        herm = np.max(np.abs(rho - rho.conj().swapaxes(-1, -2)))
         if herm > HERMITICITY_ATOL:
             raise StateValidationError(
                 f"hermiticity violated by {herm:.3e} (> {HERMITICITY_ATOL})")
-        tr = np.trace(rho).real
-        if abs(tr - 1.0) > TRACE_ATOL:
+        dev = np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0))
+        if dev > TRACE_ATOL:
             raise StateValidationError(
-                f"trace {tr!r} deviates from 1 by more than {TRACE_ATOL}")
+                f"trace deviates from 1 by {dev:.3e} (> {TRACE_ATOL})")
         if validate:
-            lo = float(np.linalg.eigvalsh(rho)[0])
+            lo = float(np.min(np.linalg.eigvalsh(rho)[..., 0]))
             if lo < EIGENVALUE_FLOOR:
                 raise StateValidationError(
                     f"negative eigenvalue {lo:.3e} below floor {EIGENVALUE_FLOOR}")
@@ -161,14 +193,15 @@ class ElectronDensityMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("ElectronDensityMatrix is immutable")
 
-    def purity(self) -> float:
-        return float(np.sum(np.abs(self.matrix) ** 2))
+    def purity(self) -> float | np.ndarray:
+        return per_sample(np.sum(np.abs(self.matrix) ** 2, axis=(-2, -1)))
 
 
 def reduce_to_electron(state: CompositeState) -> ElectronDensityMatrix:
-    """Trace out the photon mode: rho[m, m'] = sum_n c[m, n] conj(c[m', n])."""
+    """Trace out the photon mode: rho[m, m'] = sum_n c[m, n] conj(c[m', n]),
+    one batched Gram for a stack of samples."""
     c = state.amplitudes
-    rho = c @ c.conj().T
+    rho = c @ c.conj().swapaxes(-1, -2)
     # Gram form is positive semidefinite by construction.
     return ElectronDensityMatrix(rho, state.dicke, copy=False, validate=False)
 

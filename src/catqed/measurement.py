@@ -9,6 +9,10 @@ either ideally (a single x, yielding a pure conditioned state whose
 "probability" is a density) or over a finite window of width delta_x
 (yielding a genuinely mixed conditioned state).  The bra components are
 <x; phi|n> = e^{-i n phi} psi_n(x) with psi_n the Hermite functions.
+
+Every readout also takes a stack of samples (see ``hilbert``): one batched
+Gram per outcome conditions the whole stack, and each sample's probability
+and conditioned state are those of its own single-state readout.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import (ConfigError, ImpossibleOutcomeError,
                      QuadratureConvergenceError)
-from .hilbert import CompositeState, ElectronDensityMatrix
+from .hilbert import CompositeState, ElectronDensityMatrix, per_sample
 
 PROBABILITY_FLOOR = 1e-14
 WINDOW_RHO_ATOL = 1e-8
@@ -81,9 +85,11 @@ class PostselectionResult:
 
     ``probability`` is a true probability except for ideal quadrature
     conditioning, where it is a probability density (``is_density=True``).
+    For a stack of samples it holds one value per sample and ``rho`` the
+    stack of conditioned states.
     """
 
-    probability: float
+    probability: float | np.ndarray
     rho: ElectronDensityMatrix
     outcome: str
     is_density: bool = False
@@ -127,26 +133,32 @@ def quadrature_amplitudes(x: float, phi: float, n_max: int) -> np.ndarray:
     return np.exp(-1j * phi * n) * psi
 
 
-def parity_probabilities(state: CompositeState) -> tuple[float, float]:
-    """(p_even, p_odd); sums to the squared norm of the state."""
+def parity_probabilities(
+        state: CompositeState) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """(p_even, p_odd); sums to the squared norm of the state (per sample
+    for a stack)."""
     p = state.photon_distribution()
-    return float(p[0::2].sum()), float(p[1::2].sum())
+    return per_sample(p[..., 0::2].sum(axis=-1)), per_sample(p[..., 1::2].sum(axis=-1))
 
 
-def _conditioned(u: np.ndarray, state: CompositeState, outcome: str,
-                 what: str, is_density: bool = False) -> PostselectionResult:
+def _gram(u: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Gram form of every conditioning: rho = u u^dag / |u|^2.
 
-    ``u`` (dim_e, k) holds the projected amplitudes, one column per
-    orthogonal branch of the measured operator; a norm below
-    PROBABILITY_FLOOR means ``what`` cannot occur.
+    ``u`` (..., dim_e, k) holds the projected amplitudes, one column per
+    orthogonal branch of the measured operator; returns (|u|^2, rho) per
+    sample.  A norm below PROBABILITY_FLOOR in any sample means ``what``
+    cannot occur there.
     """
-    prob = float(np.sum(u.real**2 + u.imag**2))
-    if prob < PROBABILITY_FLOOR:
-        raise ImpossibleOutcomeError(f"{what} has probability {prob:.3e}")
-    rho = (u @ u.conj().T) / prob
+    prob = np.sum(u.real**2 + u.imag**2, axis=(-2, -1))
+    if np.min(prob) < PROBABILITY_FLOOR:
+        raise ImpossibleOutcomeError(f"{what} has probability {np.min(prob):.3e}")
+    return prob, (u @ u.conj().swapaxes(-1, -2)) / prob[..., None, None]
+
+
+def _result(prob: np.ndarray, rho: np.ndarray, state: CompositeState,
+            outcome: str, is_density: bool = False) -> PostselectionResult:
     return PostselectionResult(
-        probability=prob,
+        probability=per_sample(prob),
         rho=ElectronDensityMatrix(rho, state.dicke, copy=False, validate=False),
         outcome=outcome,
         is_density=is_density)
@@ -154,8 +166,8 @@ def _conditioned(u: np.ndarray, state: CompositeState, outcome: str,
 
 def parity_postselect(state: CompositeState, outcome: ParityOutcome) -> PostselectionResult:
     """Condition on a photon-parity readout; errors on impossible outcomes."""
-    return _conditioned(state.amplitudes[:, outcome.offset::2], state,
-                        outcome.label, f"parity outcome {outcome.label!r}")
+    u = state.amplitudes[..., outcome.offset::2]
+    return _result(*_gram(u, f"parity outcome {outcome.label!r}"), state, outcome.label)
 
 
 @lru_cache(maxsize=16)
@@ -179,32 +191,40 @@ def quadrature_postselect(state: CompositeState, spec: QuadratureSpec,
 
     Ideal (delta_x = 0): pure conditioned state, probability density.
     Finite window: Gauss-Legendre over the window, node count doubled until
-    the conditioned matrix is stable to WINDOW_RHO_ATOL in max-norm.  The
-    sqrt-weighted Hermite table of each node count depends only on the
-    window and ``n_max``, so it is built once and cached; only the phase
+    the conditioned matrix is stable to WINDOW_RHO_ATOL in max-norm.  Each
+    sample of a stack keeps the node count at which it alone converges;
+    only the samples not yet converged are refined.  The sqrt-weighted
+    Hermite table of each node count depends only on the window and
+    ``n_max``, so it is built once and cached; only the phase
     e^{-i n phi(t)} is applied per call.
     """
     n_max = state.fock.n_max
     phi = spec.phase_at(state.time, omega)
-    phased = state.amplitudes * np.exp(-1j * phi * np.arange(n_max + 1.0))
+    phased = state.amplitudes * np.exp(
+        -1j * np.multiply.outer(phi, np.arange(n_max + 1.0)))[..., None, :]
     ideal = spec.delta_x == 0.0
     what = (f"ideal quadrature at x = {spec.x}" if ideal else
             f"window at x = {spec.x} (delta_x = {spec.delta_x})")
 
-    def condition(count: int) -> PostselectionResult:
-        u = phased @ _window_rule(spec.x, spec.delta_x, n_max, count).T
-        return _conditioned(u, state, "quadrature", what, is_density=ideal)
+    def gram(amplitudes: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+        return _gram(amplitudes @ _window_rule(spec.x, spec.delta_x, n_max, count).T, what)
 
     if ideal:
-        return condition(1)
+        return _result(*gram(phased, 1), state, "quadrature", is_density=True)
     count = max(8, math.ceil(10.0 * spec.delta_x * math.sqrt(n_max)))
-    res = condition(count)
+    samples = phased.reshape(-1, *phased.shape[-2:])
+    prob, rho = gram(samples, count)
+    pending = np.arange(len(samples))
     for _ in range(MAX_NODE_DOUBLINGS):
         count *= 2
-        refined = condition(count)
-        if np.max(np.abs(refined.rho.matrix - res.rho.matrix)) <= WINDOW_RHO_ATOL:
-            return refined
-        res = refined
+        refined_prob, refined = gram(samples, count)
+        done = np.max(np.abs(refined - rho[pending]), axis=(-2, -1)) <= WINDOW_RHO_ATOL
+        prob[pending], rho[pending] = refined_prob, refined
+        pending, samples = pending[~done], samples[~done]
+        if not pending.size:
+            return _result(prob.reshape(phased.shape[:-2]),
+                           rho.reshape(phased.shape[:-2] + rho.shape[-2:]),
+                           state, "quadrature")
     raise QuadratureConvergenceError(
         f"window projection not stable to {WINDOW_RHO_ATOL} after "
         f"{MAX_NODE_DOUBLINGS} node doublings (last count {count})")

@@ -1,15 +1,18 @@
 """Time-series monitors: the only place that knows which monitors exist.
 
-A monitor maps the ``MonitorContext`` of one sampling instant to a float.
-``MONITORS`` holds every named monitor; ``build_quadrature_monitors`` adds
-the two that need a caller's ``QuadratureSpec``.  ``run`` builds one context
-per sample, and every electron state a monitor reads (the trace-out, a
-parity branch or a quadrature readout) is formed once per sample in its
-``memo``, however many monitors read it.
+A monitor maps the ``MonitorContext`` of one block of consecutive sampling
+instants to an array with one float per sample.  ``MONITORS`` holds every
+named monitor; ``build_quadrature_monitors`` adds the two that need a
+caller's ``QuadratureSpec``.  ``run`` builds one context per block, and
+every electron state a monitor reads (the trace-out, a parity branch or a
+quadrature readout) is formed once per block in its ``memo``, as one stack
+over the block's samples, however many monitors read it.
 
 Conditioned quantities are undefined where the conditioning outcome has
 (numerically) zero probability; those samples record NaN rather than
-aborting the run.
+aborting the run.  A block in which some sample cannot occur is read again
+one sample at a time, so only the impossible samples record NaN (or a
+probability of 0).
 """
 
 from __future__ import annotations
@@ -18,8 +21,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import ConfigError, ImpossibleOutcomeError
-from .hilbert import CompositeState, reduce_to_electron
+from .hilbert import CompositeState, ElectronDensityMatrix, reduce_to_electron
 from .measurement import (ParityOutcome, PostselectionResult, QuadratureSpec,
                           parity_postselect, parity_probabilities,
                           quadrature_postselect)
@@ -29,48 +34,78 @@ from .qfi import qfi_mixed
 
 @dataclass
 class MonitorContext:
-    """Everything a monitor may need at one sampling instant; ``memo``
-    keeps what several monitors share at that instant."""
+    """Everything a monitor may need at a block of sampling instants:
+    ``state`` stacks the block's samples (one time each) and
+    ``norm_drift`` holds one value per sample; ``memo`` keeps what several
+    monitors share within the block."""
 
     state: CompositeState
     params: ModelParams
-    norm_drift: float
+    norm_drift: np.ndarray
     memo: dict = field(default_factory=dict, init=False, repr=False)
 
 
-MonitorFn = Callable[[MonitorContext], float]
+MonitorFn = Callable[[MonitorContext], np.ndarray]
 
 Outcome = ParityOutcome | QuadratureSpec | None
 
 
-def _conditioned(ctx: MonitorContext, outcome: Outcome) -> PostselectionResult | None:
-    """Electron state after ``outcome`` (None: trace out the field), formed
-    once per sample; None where the outcome is impossible."""
-    if outcome not in ctx.memo:
+def _read(state: CompositeState, outcome: Outcome, omega: float) -> PostselectionResult:
+    if outcome is None:
+        return PostselectionResult(1.0, reduce_to_electron(state), "none")
+    if isinstance(outcome, ParityOutcome):
+        return parity_postselect(state, outcome)
+    return quadrature_postselect(state, outcome, omega=omega)
+
+
+def _one_at_a_time(state: CompositeState, outcome: Outcome,
+                   omega: float) -> tuple[np.ndarray, PostselectionResult | None]:
+    """``_conditioned`` for a block in which some sample cannot occur."""
+    reads = []
+    for amplitudes, time in zip(state.amplitudes, state.time):
+        one = CompositeState(amplitudes, state.dicke, state.fock, time=time,
+                             copy=False, validate=False)
         try:
-            if outcome is None:
-                res = PostselectionResult(1.0, reduce_to_electron(ctx.state), "none")
-            elif isinstance(outcome, ParityOutcome):
-                res = parity_postselect(ctx.state, outcome)
-            else:
-                res = quadrature_postselect(ctx.state, outcome, omega=ctx.params.omega)
+            reads.append(_read(one, outcome, omega))
         except ImpossibleOutcomeError:
-            res = None
-        ctx.memo[outcome] = res
+            reads.append(None)
+    possible = np.array([r is not None for r in reads])
+    kept = [r for r in reads if r is not None]
+    if not kept:
+        return possible, None
+    rho = ElectronDensityMatrix(np.array([r.rho.matrix for r in kept]), state.dicke,
+                                copy=False, validate=False)
+    return possible, PostselectionResult(np.array([r.probability for r in kept]), rho,
+                                         kept[0].outcome, kept[0].is_density)
+
+
+def _conditioned(ctx: MonitorContext,
+                 outcome: Outcome) -> tuple[np.ndarray, PostselectionResult | None]:
+    """Electron states after ``outcome`` (None: trace out the field),
+    formed once per block: (mask of the samples where the outcome is
+    possible, their stacked result, or None where it is possible in none)."""
+    if outcome not in ctx.memo:
+        state, omega = ctx.state, ctx.params.omega
+        try:
+            ctx.memo[outcome] = (np.ones(len(state.amplitudes), dtype=bool),
+                                 _read(state, outcome, omega))
+        except ImpossibleOutcomeError:
+            ctx.memo[outcome] = _one_at_a_time(state, outcome, omega)
     return ctx.memo[outcome]
 
 
 def _qfi_density(outcome: Outcome) -> MonitorFn:
-    def fn(ctx: MonitorContext) -> float:
-        res = _conditioned(ctx, outcome)
-        if res is None:
-            return math.nan
-        return qfi_mixed(res.rho).value / ctx.params.n_qubits
+    def fn(ctx: MonitorContext) -> np.ndarray:
+        possible, res = _conditioned(ctx, outcome)
+        out = np.full(possible.size, math.nan)
+        if res is not None:
+            out[possible] = qfi_mixed(res.rho).value / ctx.params.n_qubits
+        return out
     return fn
 
 
 def _parity_prob(outcome: ParityOutcome) -> MonitorFn:
-    def fn(ctx: MonitorContext) -> float:
+    def fn(ctx: MonitorContext) -> np.ndarray:
         if "parity" not in ctx.memo:
             ctx.memo["parity"] = parity_probabilities(ctx.state)
         return ctx.memo["parity"][outcome.offset]
@@ -112,9 +147,12 @@ def build_quadrature_monitors(spec: QuadratureSpec) -> list[tuple[str, MonitorFn
     Returns [(name, fn), ...] for ``run(..., extra_monitors=...)``:
     ``prob_quad`` is the outcome probability (a density for the sharp
     readout; 0 where the outcome is impossible), ``qfi_density_quad`` the
-    conditioned information per qubit.  Both read one readout per sample.
+    conditioned information per qubit.  Both read one readout per block.
     """
-    def prob(ctx: MonitorContext) -> float:
-        res = _conditioned(ctx, spec)
-        return 0.0 if res is None else res.probability
+    def prob(ctx: MonitorContext) -> np.ndarray:
+        possible, res = _conditioned(ctx, spec)
+        out = np.zeros(possible.size)
+        if res is not None:
+            out[possible] = res.probability
+        return out
     return [("prob_quad", prob), ("qfi_density_quad", _qfi_density(spec))]

@@ -2,11 +2,13 @@
 
 Two models are supported on the same (Dicke m) x (Fock n) amplitude layout:
 
-* ``rwa=True`` keeps only co-rotating exchange terms,
-      H = delta*Jz + omega*n - i(gamma/2) (a J+ - a^dag J-).
 * ``rwa=False`` couples the field quadrature to the collective dipole,
       H = delta*Jz + omega*n - E.P  with  E = i*gamma*omega*(a - a^dag)
-      and P = mu*Jx, which adds the counter-rotating exchange terms.
+      and P = mu*Jx, that is
+      H = delta*Jz + omega*n - i(g/2) (a J+ - a^dag J-) - i(g/2) (a J- - a^dag J+)
+      with the exchange rate g = gamma*omega*mu (``ModelParams.coupling``).
+* ``rwa=True`` keeps only its co-rotating part,
+      H = delta*Jz + omega*n - i(g/2) (a J+ - a^dag J-).
 
 Both interactions shift (m, n) by (+-1, -+1) or (+-1, +-1), so H|psi> is a
 handful of shifted-slice multiply-adds; no operator matrix is ever built.
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError
-from .hilbert import CompositeState, DickeSpace, FockSpace
+from .hilbert import CompositeState, DickeSpace, FockSpace, per_sample
 
 OBSERVABLES = ("photon_number", "jz", "jx", "jy", "energy", "excitation_number")
 
@@ -28,9 +30,9 @@ OBSERVABLES = ("photon_number", "jz", "jx", "jy", "energy", "excitation_number")
 class ModelParams:
     """Physical constants of a run.  Units: delta = 1 sets the time scale.
 
-    ``mu`` scales the collective dipole in the non-RWA model only; it is kept
-    as an explicit knob but defaults to 1 and is never varied in the shipped
-    studies.
+    ``mu`` scales the collective dipole, and with it the coupling of both
+    models (``coupling``); it defaults to 1 and is never varied in the
+    shipped studies.
     """
 
     n_qubits: int
@@ -47,6 +49,13 @@ class ModelParams:
             raise ConfigError(f"gamma must be nonnegative, got {self.gamma!r}")
         if self.delta <= 0.0 or self.omega <= 0.0:
             raise ConfigError("delta and omega must be positive")
+
+    @property
+    def coupling(self) -> float:
+        """Exchange rate g = gamma omega mu: both models couple with g/2,
+        and a classical field alpha drives each qubit at Rabi frequency
+        g |alpha| on resonance."""
+        return self.gamma * self.omega * self.mu
 
     def dicke(self) -> DickeSpace:
         return DickeSpace(self.n_qubits)
@@ -85,16 +94,13 @@ class HamiltonianAction:
         # block[k, n-1] multiplies psi[k, n] into the (m, n) -> (m +- 1, n -+ 1)
         # and (m +- 1, n +- 1) destinations; all four share sqrt(n) * s+(m).
         block = np.outer(dicke.raising_coefficients(), np.sqrt(n[1:]))
+        g = 0.5 * params.coupling
+        self._k_absorb = np.asarray(scale * (-1j * g) * block, dtype=np.complex128)
+        self._k_emit = np.asarray(scale * (+1j * g) * block, dtype=np.complex128)
         if params.rwa:
-            g = 0.5 * params.gamma
-            self._k_absorb = np.asarray(scale * (-1j * g) * block, dtype=np.complex128)
-            self._k_emit = np.asarray(scale * (+1j * g) * block, dtype=np.complex128)
             self._k_counter_up = None
             self._k_counter_dn = None
         else:
-            g = 0.5 * params.gamma * params.omega * params.mu
-            self._k_absorb = np.asarray(scale * (-1j * g) * block, dtype=np.complex128)
-            self._k_emit = np.asarray(scale * (+1j * g) * block, dtype=np.complex128)
             self._k_counter_dn = np.asarray(scale * (-1j * g) * block, dtype=np.complex128)
             self._k_counter_up = np.asarray(scale * (+1j * g) * block, dtype=np.complex128)
         self._tmp = np.empty_like(block, dtype=np.complex128)
@@ -135,47 +141,50 @@ class HamiltonianAction:
 
 
 def apply_hamiltonian(state: CompositeState, params: ModelParams) -> np.ndarray:
-    """Return H|psi> as a plain array on the state's grid (not normalized)."""
+    """Return H|psi> as a plain array on the state's grid (not normalized),
+    sample by sample for a stack."""
     action = HamiltonianAction(params, state.dicke, state.fock)
     out = np.empty_like(state.amplitudes)
-    return action.apply(state.amplitudes, out)
+    grid = state.amplitudes.shape[-2:]
+    for psi, hpsi in zip(state.amplitudes.reshape(-1, *grid), out.reshape(-1, *grid)):
+        action.apply(psi, hpsi)
+    return out
 
 
-def _raising_expectation(c: np.ndarray, dicke: DickeSpace) -> complex:
-    """<J+> = sum_{k,n} conj(c[k+1,n]) s+(k) c[k,n]."""
+def _raising_expectation(c: np.ndarray, dicke: DickeSpace) -> np.ndarray:
+    """<J+> = sum_{k,n} conj(c[k+1,n]) s+(k) c[k,n], per sample."""
     s = dicke.raising_coefficients()
-    return complex(np.einsum("kn,k,kn->", c[1:].conj(), s, c[:-1]))
+    return np.einsum("...kn,k,...kn->...", c[..., 1:, :].conj(), s, c[..., :-1, :])
 
 
 def expectation(state: CompositeState, observable: str,
-                params: ModelParams | None = None) -> float:
-    """Expectation value of a named observable in a pure joint state.
+                params: ModelParams | None = None) -> float | np.ndarray:
+    """Expectation value of a named observable in a pure joint state (one
+    value per sample for a stack).
 
     ``energy`` and ``excitation_number`` need the model parameters;
     the others are parameter-free.
     """
+    if observable not in OBSERVABLES:
+        raise ConfigError(f"unknown observable {observable!r}; choose from {OBSERVABLES}")
+    if observable in ("energy", "excitation_number") and params is None:
+        raise ConfigError(f"{observable} expectation requires model parameters")
     c = state.amplitudes
-    w = c.real**2 + c.imag**2
-    if observable == "photon_number":
-        return float(w.sum(axis=0) @ np.arange(state.fock.dim))
-    if observable == "jz":
-        return float(state.dicke.m_values() @ w.sum(axis=1))
     if observable == "jx":
-        return float(_raising_expectation(c, state.dicke).real)
+        return per_sample(_raising_expectation(c, state.dicke).real)
     if observable == "jy":
-        return float(_raising_expectation(c, state.dicke).imag)
+        return per_sample(_raising_expectation(c, state.dicke).imag)
     if observable == "energy":
-        if params is None:
-            raise ConfigError("energy expectation requires model parameters")
         hpsi = apply_hamiltonian(state, params)
-        return float(np.vdot(c, hpsi).real)
-    if observable == "excitation_number":
-        if params is None:
-            raise ConfigError("excitation_number expectation requires model parameters")
-        jz = float(state.dicke.m_values() @ w.sum(axis=1))
-        nph = float(w.sum(axis=0) @ np.arange(state.fock.dim))
-        return jz + params.n_qubits / 2.0 + nph
-    raise ConfigError(f"unknown observable {observable!r}; choose from {OBSERVABLES}")
+        return per_sample(np.einsum("...kn,...kn->...", c.conj(), hpsi).real)
+    w = c.real**2 + c.imag**2
+    jz = w.sum(axis=-1) @ state.dicke.m_values()
+    nph = w.sum(axis=-2) @ np.arange(state.fock.dim)
+    if observable == "photon_number":
+        return per_sample(nph)
+    if observable == "jz":
+        return per_sample(jz)
+    return per_sample(jz + params.n_qubits / 2.0 + nph)
 
 
 def field_expectation(state: CompositeState) -> complex:

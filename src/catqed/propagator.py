@@ -28,8 +28,10 @@ expands H itself in the lab frame.
 The result is exact on the truncated space up to rounding, so ``dt`` only
 fixes the sampling grid.  Each interval ends with renormalization; the
 pre-renormalization norm deviation is kept as a diagnostic.  Monitors are
-evaluated only on the sampling grid, never inside the hot loop, through one
-``MonitorContext`` per sample (see ``monitors``).
+evaluated only on the sampling grid, never inside the hot loop: ``run``
+writes consecutive sampled states into a block of at most
+SAMPLE_BLOCK_BYTES of amplitudes and evaluates every monitor once per
+block, through one ``MonitorContext`` (see ``monitors``).
 """
 
 from __future__ import annotations
@@ -60,6 +62,12 @@ CHEBYSHEV_TOL = 1e-16
 # One expansion spans a whole sample interval with about r * tau terms; past
 # this many the Bessel table alone would take gigabytes.
 MAX_CHEBYSHEV_TERMS = 10_000_000
+
+# Amplitudes of one block of samples read out together (at least one
+# sample).  At N = 8 with 189 Fock levels a block holds 9 samples, which
+# shares the readouts' per-call overhead; a larger budget raises the peak
+# memory of a run without saving more time.
+SAMPLE_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -159,14 +167,14 @@ class _Chebyshev:
         self._cur, self._acc, self._tmp = (np.empty_like(self.psi) for _ in range(3))
         self._expansions: dict[float, tuple[np.ndarray, complex]] = {}
 
-    def lab_amplitudes(self, t: float) -> np.ndarray:
-        """A new array holding the lab-frame state at time ``t``."""
+    def lab_amplitudes(self, t: float, out: np.ndarray) -> None:
+        """Write the lab-frame state at time ``t`` into ``out``."""
         if self._omega_k is None:
-            return self.psi.copy()
+            np.copyto(out, self.psi)
+            return
         omega_m, omega_n = self._omega_k
-        out = np.multiply(self.psi, np.exp(-1j * t * omega_m)[:, None])
+        np.multiply(self.psi, np.exp(-1j * t * omega_m)[:, None], out=out)
         out *= np.exp(-1j * t * omega_n)
-        return out
 
     def advance(self, interval: float) -> float:
         """psi <- exp(-iH interval) psi, renormalized; returns
@@ -236,17 +244,24 @@ def _check_tail(fock: FockSpace, psi: np.ndarray, t: float) -> float:
 
 
 def _evolve(initial: CompositeState, params: ModelParams, steps: Sequence[int],
-            dt: float):
-    """Yield (state, norm drift) at each of the increasing grid ``steps``,
-    guarding the truncation tail at every one."""
+            dt: float, block: int):
+    """Yield (stacked state, norm drifts) for consecutive runs of at most
+    ``block`` of the increasing grid ``steps``, guarding the truncation tail
+    at every step; each sampled state is written straight into its slot."""
     evolver = _Chebyshev(initial, params)
     previous = 0
-    for step in steps:
-        drift = evolver.advance((step - previous) * dt) if step > previous else 0.0
-        previous = step
-        _check_tail(initial.fock, evolver.psi, step * dt)
-        yield CompositeState(evolver.lab_amplitudes(step * dt), initial.dicke,
-                             initial.fock, time=step * dt, copy=False,
+    for start in range(0, len(steps), block):
+        chunk = steps[start:start + block]
+        amplitudes = np.empty((len(chunk),) + evolver.psi.shape, dtype=np.complex128)
+        drift = np.zeros(len(chunk))
+        for i, step in enumerate(chunk):
+            if step > previous:
+                drift[i] = evolver.advance((step - previous) * dt)
+            previous = step
+            _check_tail(initial.fock, evolver.psi, step * dt)
+            evolver.lab_amplitudes(step * dt, amplitudes[i])
+        yield CompositeState(amplitudes, initial.dicke, initial.fock,
+                             time=np.asarray(chunk) * dt, copy=False,
                              validate=False), drift
 
 
@@ -255,7 +270,9 @@ def run(initial: CompositeState, params: ModelParams, plan: PropagationPlan,
     """Propagate and record the plan's monitors on the sampling grid.
 
     ``extra_monitors`` supplements the named set with caller-built monitors
-    (e.g. measurement-conditioned readout needing its own spec).
+    (e.g. measurement-conditioned readout needing its own spec).  Each
+    monitor is called once per block of samples and returns one value per
+    sample of the block.
     """
     monitors = resolve_monitors(plan.monitors) + list(extra_monitors)
     names = [n for n, _ in monitors]
@@ -264,12 +281,13 @@ def run(initial: CompositeState, params: ModelParams, plan: PropagationPlan,
     steps = list(range(0, plan.n_steps + 1, plan.stride()))
     if steps[-1] != plan.n_steps:
         steps.append(plan.n_steps)
-    rows = []
-    for state, drift in _evolve(initial, params, steps, plan.dt):
+    block = max(1, SAMPLE_BLOCK_BYTES // (16 * initial.amplitudes.size))
+    parts: list[list[np.ndarray]] = [[] for _ in monitors]
+    for state, drift in _evolve(initial, params, steps, plan.dt, block):
         ctx = MonitorContext(state=state, params=params, norm_drift=drift)
-        rows.append([fn(ctx) for _, fn in monitors])
-    data = np.asarray(rows, dtype=float)
-    columns = {name: np.ascontiguousarray(data[:, i]) for i, name in enumerate(names)}
+        for part, (_, fn) in zip(parts, monitors):
+            part.append(np.asarray(fn(ctx), dtype=float))
+    columns = {name: np.concatenate(part) for name, part in zip(names, parts)}
     return TimeSeries(times=np.asarray(steps) * plan.dt, columns=columns)
 
 
@@ -280,8 +298,9 @@ def snapshots(initial: CompositeState, params: ModelParams, times: Sequence[floa
         raise ConfigError("snapshot times must be finite and nonnegative")
     steps = [round(t / dt) for t in times]
     grid = sorted(set(steps))
-    captured = {step: state for step, (state, _) in
-                zip(grid, _evolve(initial, params, grid, dt))}
+    captured = {step: CompositeState(state.amplitudes[0], state.dicke, state.fock,
+                                     time=state.time[0], copy=False, validate=False)
+                for step, (state, _) in zip(grid, _evolve(initial, params, grid, dt, 1))}
     return [captured[s] for s in steps]
 
 

@@ -7,7 +7,8 @@ reduces to the top eigenvalue of the 3x3 Fisher matrix
 
 built in the eigenbasis {l_i, |i>} of the density matrix.  Pairs with
 l_i + l_j below a floor are skipped; for pure states the formula reduces to
-4 x the covariance matrix of (Jx, Jy, Jz).
+4 x the covariance matrix of (Jx, Jy, Jz).  ``qfi_mixed`` takes a stack of
+density matrices as well and returns one value per sample.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatchError, StateValidationError
-from .hilbert import DickeSpace, ElectronDensityMatrix
+from .hilbert import DickeSpace, ElectronDensityMatrix, per_sample
 
 PAIR_WEIGHT_FLOOR = 1e-12
 QFI_BOUND_SLACK = 1e-6
@@ -43,61 +44,66 @@ def spin_matrices(n_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class QfiResult:
-    """Optimized QFI value, its generator direction, and the full 3x3 matrix."""
+    """Optimized QFI value, its generator direction, and the full 3x3 matrix
+    (per sample for a stack: values (samples,), directions (samples, 3))."""
 
-    value: float
+    value: float | np.ndarray
     direction: np.ndarray
     matrix: np.ndarray
 
-    def density(self, n_qubits: int) -> float:
+    def density(self, n_qubits: int) -> float | np.ndarray:
         return self.value / n_qubits
 
 
 def _top_direction(fisher: np.ndarray, n_qubits: int) -> QfiResult:
-    fisher = 0.5 * (fisher + fisher.T)
+    fisher = 0.5 * (fisher + fisher.swapaxes(-1, -2))
     evals, evecs = np.linalg.eigh(fisher)
-    value = float(evals[-1])
+    value = evals[..., -1]
     bound = n_qubits * n_qubits + QFI_BOUND_SLACK
-    if value < -QFI_BOUND_SLACK or value > bound:
+    outside = (value < -QFI_BOUND_SLACK) | (value > bound)
+    if np.any(outside):
         raise StateValidationError(
-            f"QFI {value:.6g} outside [0, N^2] within slack (N = {n_qubits})")
-    return QfiResult(value=max(value, 0.0), direction=evecs[:, -1].copy(),
-                     matrix=fisher)
+            f"QFI {value[outside][0]:.6g} outside [0, N^2] within slack (N = {n_qubits})")
+    return QfiResult(value=per_sample(np.maximum(value, 0.0)),
+                     direction=evecs[..., -1].copy(), matrix=fisher)
 
 
 def qfi_mixed(rho: ElectronDensityMatrix, pair_floor: float = PAIR_WEIGHT_FLOOR) -> QfiResult:
     """QFI of a (possibly mixed) electronic state over n . J generators.
 
     Eigenvalues below zero (numerical dust) are clipped and the spectrum is
-    renormalized before the pair sum.
+    renormalized before the pair sum.  A stack takes one batched ``eigh``,
+    one (3, dim^2) contraction for its Fisher matrices and one batched
+    3x3 ``eigh``.
     """
     n_qubits = rho.dicke.n_qubits
-    jx, jy, jz = spin_matrices(n_qubits)
     evals, evecs = np.linalg.eigh(rho.matrix)
     evals = np.clip(evals, 0.0, None)
-    total = evals.sum()
-    if total <= 0.0:
+    total = evals.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0.0):
         raise StateValidationError("density matrix has no positive weight")
     evals = evals / total
 
-    lsum = evals[:, None] + evals[None, :]
-    ldiff = evals[:, None] - evals[None, :]
-    weights = np.zeros_like(lsum)
-    mask = lsum > pair_floor
-    weights[mask] = 2.0 * ldiff[mask] ** 2 / lsum[mask]
+    lsum = evals[..., :, None] + evals[..., None, :]
+    ldiff = evals[..., :, None] - evals[..., None, :]
+    weights = np.divide(2.0 * ldiff**2, lsum, out=np.zeros_like(lsum),
+                        where=lsum > pair_floor)
 
-    basis = [evecs.conj().T @ j @ evecs for j in (jx, jy, jz)]
-    fisher = np.empty((3, 3), dtype=float)
-    for a in range(3):
-        for b in range(a, 3):
-            val = np.sum(weights * basis[a] * basis[b].conj()).real
-            fisher[a, b] = val
-            fisher[b, a] = val
+    # <i|Ja|j> for a = x, y, z, flattened over the pairs (i, j)
+    spins = np.stack(spin_matrices(n_qubits))
+    basis = (evecs.conj().swapaxes(-1, -2)[..., None, :, :] @ spins
+             @ evecs[..., None, :, :]).reshape(*evecs.shape[:-2], 3, -1)
+    weighted = basis * weights.reshape(*weights.shape[:-2], 1, -1)
+    fisher = (weighted @ basis.conj().swapaxes(-1, -2)).real
     return _top_direction(fisher, n_qubits)
 
 
 def qfi_pure(psi: np.ndarray, n_qubits: int) -> QfiResult:
-    """QFI of a pure electronic state: 4x the (Jx, Jy, Jz) covariance."""
+    """QFI of a pure electronic state: 4x the (Jx, Jy, Jz) covariance.
+
+    J+ and J- act through the Dicke raising coefficients, so the cost is
+    O(N) and no (N + 1)^2 matrix is built.
+    """
     psi = np.asarray(psi, dtype=np.complex128)
     space = DickeSpace(n_qubits)
     if psi.shape != (space.dim,):
@@ -106,15 +112,14 @@ def qfi_pure(psi: np.ndarray, n_qubits: int) -> QfiResult:
     nrm = np.linalg.norm(psi)
     if abs(nrm - 1.0) > 1e-10:
         raise StateValidationError(f"pure state norm {nrm!r} is not 1")
-    mats = spin_matrices(n_qubits)
-    jpsi = [j @ psi for j in mats]
-    means = np.array([np.vdot(psi, v).real for v in jpsi])
-    fisher = np.empty((3, 3), dtype=float)
-    for a in range(3):
-        for b in range(a, 3):
-            cov = np.vdot(jpsi[a], jpsi[b]).real - means[a] * means[b]
-            fisher[a, b] = 4.0 * cov
-            fisher[b, a] = fisher[a, b]
+    coeffs = space.raising_coefficients()
+    up = np.zeros_like(psi)
+    down = np.zeros_like(psi)
+    up[1:] = coeffs * psi[:-1]                 # J+ psi
+    down[:-1] = coeffs * psi[1:]               # J- psi
+    jpsi = np.stack([0.5 * (up + down), -0.5j * (up - down), space.m_values() * psi])
+    means = (jpsi @ psi.conj()).real
+    fisher = 4.0 * ((jpsi.conj() @ jpsi.T).real - np.outer(means, means))
     return _top_direction(fisher, n_qubits)
 
 

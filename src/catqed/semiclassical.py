@@ -6,10 +6,12 @@ wave model the co-rotating frame makes that drive static, so the dynamics has
 the closed Rabi form
 
     a(t) = cos(W t / 2) + i ((delta - omega) / W) sin(W t / 2)
-    b(t) = i (mu E_alpha / W) sin(W t / 2),      E_alpha = i gamma omega alpha,
-    W = sqrt((delta - omega)^2 + |mu E_alpha|^2)
+    b(t) = i (D_alpha / W) sin(W t / 2),      D_alpha = i g alpha = mu E_alpha,
+    W = sqrt((delta - omega)^2 + |D_alpha|^2)
 
-with |a|^2 + |b|^2 = 1, and the lab-frame collective state
+where g = gamma omega mu is the exchange rate of both models
+(``ModelParams.coupling``) and E_alpha = i gamma omega alpha the field.
+Then |a|^2 + |b|^2 = 1, and the lab-frame collective state is
 
     |psi_alpha(t)> = sum_m sqrt(C(2J, J+m)) a^{J-m} b^{J+m} e^{-i m omega t} |J,m>.
 
@@ -39,6 +41,10 @@ from .stateprep import PhotonicSpec, coherent_matrix, required_n_max
 DEFAULT_GRID_NODES = 41
 GRID_CONVERGENCE_ATOL = 1e-6
 DEGENERATE_NORM_ATOL = 1e-12
+
+# Coherent-state Fock rows contracted into the expansion at once, so that a
+# grid's footprint stays near this size whatever its node count and |alpha|.
+EXPANSION_BLOCK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -72,12 +78,12 @@ class RabiDrive:
 def _rabi_closed_form(params: ModelParams, alphas, times):
     """(a, b, W) of the module docstring, broadcast over amplitudes and
     times; an undriven resonant qubit (W = 0) stays down."""
-    field = 1j * params.gamma * params.omega * alphas
+    drive = 1j * params.coupling * alphas
     detuning = params.delta - params.omega
-    w = np.hypot(detuning, params.mu * np.abs(field))
+    w = np.hypot(detuning, np.abs(drive))
     half = 0.5 * w * np.asarray(times)
     s = np.sin(half) / np.where(w == 0.0, 1.0, w)
-    return np.cos(half) + 1j * detuning * s, 1j * params.mu * field * s, w
+    return np.cos(half) + 1j * detuning * s, 1j * drive * s, w
 
 
 def _product_state(n_qubits: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -154,7 +160,7 @@ def classically_driven_trajectory(params: ModelParams, alpha: complex,
         return _rabi_states(params, alpha, times)
     from scipy.integrate import solve_ivp  # costly import, needed only here
 
-    g = params.gamma * params.omega * params.mu
+    g = params.coupling
     half_delta = 0.5 * params.delta
 
     def rhs(t, y):
@@ -230,9 +236,12 @@ def expansion_weights(spec: PhotonicSpec, nodes: int = DEFAULT_GRID_NODES):
 def _assemble(params: ModelParams, spec: PhotonicSpec, t: float,
               n_max: int, nodes: int) -> np.ndarray:
     alphas, weights = expansion_weights(spec, nodes)
-    spin = _rabi_states(params, alphas, t)                  # (grid, dim)
-    fock = coherent_matrix(alphas * np.exp(-1j * params.omega * t), n_max)
-    c = (spin * weights[:, None]).T @ fock
+    spin = (_rabi_states(params, alphas, t) * weights[:, None]).T     # (dim, grid)
+    evolved = alphas * np.exp(-1j * params.omega * t)
+    rows = max(1, EXPANSION_BLOCK_BYTES // (16 * (n_max + 1)))
+    c = np.zeros((spin.shape[0], n_max + 1), dtype=np.complex128)
+    for lo in range(0, alphas.size, rows):
+        c += spin[:, lo:lo + rows] @ coherent_matrix(evolved[lo:lo + rows], n_max)
     nrm = np.linalg.norm(c)
     if nrm < DEGENERATE_NORM_ATOL:
         raise StateValidationError("expansion collapsed to the zero state")

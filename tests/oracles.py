@@ -42,22 +42,27 @@ def dense_boson(n_max):
 def dense_hamiltonian(params, n_max):
     """Joint Hamiltonian as one dense matrix, photon index fastest.
 
-    RWA model: coupling gamma/2.  Full model: gamma*omega*mu/2 on both the
-    rotating and counter-rotating parts (the two coincide at omega = mu = 1).
+    Both models couple with gamma*omega*mu/2; the RWA model keeps the
+    co-rotating pair only, the full model adds ``counter_rotating``.
     """
     jx, jy, jz, jp, jm = dense_spin(params.n_qubits)
     a, ad, nph = dense_boson(n_max)
     ie = np.eye(params.n_qubits + 1)
     ip = np.eye(n_max + 1)
     h = params.delta * np.kron(jz, ip) + np.kron(ie, params.omega * nph)
-    if params.rwa:
-        g = 0.5 * params.gamma
-        h += -1j * g * (np.kron(jp, a) - np.kron(jm, ad))
-    else:
-        g = 0.5 * params.gamma * params.omega * params.mu
-        h += -1j * g * (np.kron(jp, a) - np.kron(jm, ad))
-        h += -1j * g * (np.kron(jm, a) - np.kron(jp, ad))
+    g = 0.5 * params.gamma * params.omega * params.mu
+    h += -1j * g * (np.kron(jp, a) - np.kron(jm, ad))
+    if not params.rwa:
+        h += counter_rotating(params, n_max)
     return h
+
+
+def counter_rotating(params, n_max):
+    """-i (gamma*omega*mu/2) (a J- - a^dag J+) as one dense matrix."""
+    jx, jy, jz, jp, jm = dense_spin(params.n_qubits)
+    a, ad, nph = dense_boson(n_max)
+    g = 0.5 * params.gamma * params.omega * params.mu
+    return -1j * g * (np.kron(jm, a) - np.kron(jp, ad))
 
 
 def evolve_exact(h, psi0, t):

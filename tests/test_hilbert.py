@@ -114,3 +114,71 @@ def test_photon_distribution_and_tail(rng):
     s2 = cq.CompositeState(c, state.dicke, state.fock)
     assert s2.tail_population() == pytest.approx(0.0, abs=1e-15)
     assert state.tail_population() > 0.1  # random state fills the window
+
+
+def _corrupt_norm(a):
+    a[2] *= 1.01
+
+
+def _corrupt_finite(a):
+    a[1, 0, 0] = np.nan
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_norm, _corrupt_finite], ids=["norm", "finite"])
+def test_corrupted_sample_in_a_state_stack_is_refused(rng, corrupt):
+    amps = np.stack([random_joint(rng, 2, 6).amplitudes for _ in range(4)])
+    dicke, fock = cq.DickeSpace(2), cq.FockSpace(6)
+    state = cq.CompositeState(amps, dicke, fock, time=[0.0, 0.1, 0.2, 0.3])
+    assert state.norm() == pytest.approx([1.0] * 4, abs=1e-14)
+    corrupt(amps)
+    with pytest.raises(cq.StateValidationError):
+        cq.CompositeState(amps, dicke, fock, time=[0.0, 0.1, 0.2, 0.3])
+
+
+def _non_hermitian(rho):
+    rho[1, 0, 2] += 1e-10
+
+
+def _trace(rho):
+    rho[2, 1, 1] += 1e-10
+
+
+def _non_finite(rho):
+    rho[0, 2, 2] = np.inf
+
+
+def _negative(rho):
+    rho[1] = np.diag([1.1, -0.1, 0.0])
+
+
+@pytest.mark.parametrize("corrupt", [_non_hermitian, _trace, _non_finite, _negative],
+                         ids=["hermiticity", "trace", "finite", "eigenvalue"])
+def test_corrupted_sample_in_a_density_stack_is_refused(rng, corrupt):
+    dicke = cq.DickeSpace(2)
+    rho = cq.reduce_to_electron(
+        cq.CompositeState(np.stack([random_joint(rng, 2, 5).amplitudes for _ in range(3)]),
+                          dicke, cq.FockSpace(5), time=[0.0, 1.0, 2.0])).matrix.copy()
+    cq.ElectronDensityMatrix(rho, dicke)
+    corrupt(rho)
+    with pytest.raises(cq.StateValidationError):
+        cq.ElectronDensityMatrix(rho, dicke)
+
+
+def test_stack_needs_one_time_per_sample(rng):
+    amps = np.stack([random_joint(rng, 1, 4).amplitudes] * 2)
+    with pytest.raises(cq.DimensionMismatchError):
+        cq.CompositeState(amps, cq.DickeSpace(1), cq.FockSpace(4), time=0.0)
+
+
+def test_stacked_reduction_matches_each_sample(rng):
+    states = [random_joint(rng, 3, 7) for _ in range(5)]
+    stack = cq.CompositeState(np.stack([s.amplitudes for s in states]), cq.DickeSpace(3),
+                              cq.FockSpace(7), time=np.arange(5.0))
+    rho = cq.reduce_to_electron(stack)
+    assert rho.matrix.shape == (5, 4, 4)
+    for k, s in enumerate(states):
+        assert np.max(np.abs(rho.matrix[k] - partial_trace_electron(s.amplitudes))) < 1e-14
+    assert stack.tail_population() == pytest.approx([s.tail_population() for s in states],
+                                                    rel=1e-14)
+    assert isinstance(states[0].tail_population(), float)
+    assert stack.time.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]

@@ -196,3 +196,55 @@ def test_window_that_never_settles_raises(monkeypatch, rng):
 def test_negative_window_width_is_config_error():
     with pytest.raises(cq.ConfigError, match="delta_x"):
         cq.QuadratureSpec(x=0.0, delta_x=-0.1)
+
+
+def test_window_samples_of_a_stack_keep_their_own_node_count(monkeypatch):
+    # The default node counts settle every natural sample at the first
+    # doubling, so the rule is coarsened 32-fold: then the alpha = 3 branch
+    # needs one more doubling than the alpha = 4 one.  One doubling more
+    # would move the alpha = 4 sample by 1.4e-12, far above the gate.
+    rule = cq.measurement._window_rule
+    counts = []
+
+    def coarse(x, delta_x, n_max, count):
+        counts.append(count)
+        return rule(x, delta_x, n_max, max(1, count // 32))
+
+    monkeypatch.setattr(cq.measurement, "_window_rule", coarse)
+    n_max = 60
+    dicke, fock = cq.DickeSpace(1), cq.FockSpace(n_max)
+    spec = cq.QuadratureSpec(x=0.5, delta_x=2.0)
+    amplitudes, singles, needed = [], [], []
+    for alpha in (3.0, 4.0):
+        c = np.stack([cq.coherent_vector(0.0, n_max), cq.coherent_vector(alpha, n_max)])
+        amplitudes.append(c / np.linalg.norm(c))
+        counts.clear()
+        singles.append(cq.quadrature_postselect(
+            cq.CompositeState(amplitudes[-1], dicke, fock), spec))
+        needed.append(max(counts))
+    assert needed[0] == 2 * needed[1]
+    for order in ([0, 1], [1, 0]):
+        stack = cq.CompositeState(np.stack([amplitudes[k] for k in order]), dicke, fock,
+                                  time=[0.0, 0.0])
+        res = cq.quadrature_postselect(stack, spec)
+        for slot, k in enumerate(order):
+            assert res.probability[slot] == pytest.approx(singles[k].probability,
+                                                          rel=1e-14, abs=0.0)
+            assert np.max(np.abs(res.rho.matrix[slot] - singles[k].rho.matrix)) <= 1e-14
+
+
+def test_stacked_readouts_keep_single_state_types(rng):
+    state = random_joint(rng, 2, 9)
+    stack = cq.CompositeState(np.stack([state.amplitudes] * 3), state.dicke, state.fock,
+                              time=[0.0, 0.5, 1.0])
+    single = cq.parity_postselect(state, cq.ParityOutcome.ODD)
+    assert isinstance(single.probability, float)
+    assert all(isinstance(p, float) for p in cq.parity_probabilities(state))
+    res = cq.parity_postselect(stack, cq.ParityOutcome.ODD)
+    assert res.probability.shape == (3,) and res.rho.matrix.shape == (3, 3, 3)
+    assert np.max(np.abs(res.rho.matrix - single.rho.matrix)) <= 1e-15
+    assert res.probability == pytest.approx([single.probability] * 3, rel=1e-15)
+    # a fixed readout phase sees the same state at every time
+    quad = cq.quadrature_postselect(stack, cq.QuadratureSpec(x=0.2, delta_x=0.5))
+    alone = cq.quadrature_postselect(state, cq.QuadratureSpec(x=0.2, delta_x=0.5))
+    assert np.max(np.abs(quad.rho.matrix - alone.rho.matrix)) <= 1e-14

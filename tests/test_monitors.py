@@ -1,4 +1,5 @@
-"""Monitors form each reduced or conditioned electron state once per sample."""
+"""Monitors form each reduced or conditioned electron state once per block
+of samples, and every column equals the single-state public calls."""
 
 import math
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import catqed as cq
-from catqed import measurement, monitors
+from catqed import measurement, monitors, propagator
 
 
 def _counted(monkeypatch, module, name, log):
@@ -19,30 +20,39 @@ def _counted(monkeypatch, module, name, log):
     monkeypatch.setattr(module, name, counted)
 
 
-def test_each_state_is_formed_once_per_sample(monkeypatch):
+def _block_bytes(state, samples):
+    """SAMPLE_BLOCK_BYTES that holds exactly ``samples`` samples of ``state``."""
+    return samples * state.amplitudes.nbytes
+
+
+@pytest.mark.parametrize("per_block,blocks", [(None, 1), (4, 3)],
+                         ids=["one-block", "three-blocks"])
+def test_each_state_is_formed_once_per_block(monkeypatch, per_block, blocks):
     params = cq.ModelParams(n_qubits=2, gamma=0.2)
     state = cq.prepare_initial(cq.PhotonicSpec("kitten", 2.0), 2)
     spec = cq.QuadratureSpec(x=0.1, delta_x=0.3, phase_tracking=True)
     plan = cq.PropagationPlan(t_max=1.0, dt=0.1,
                               monitors=("qfi_density", "prob_even", "prob_odd"))
+    if per_block is not None:
+        monkeypatch.setattr(propagator, "SAMPLE_BLOCK_BYTES", _block_bytes(state, per_block))
     measurement._window_rule.cache_clear()
     log = []
     _counted(monkeypatch, monitors, "quadrature_postselect", log)
     _counted(monkeypatch, monitors, "parity_probabilities", log)
+    _counted(monkeypatch, monitors, "reduce_to_electron", log)
     _counted(monkeypatch, measurement, "hermite_functions", log)
     series = cq.run(state, params, plan,
                     extra_monitors=cq.build_quadrature_monitors(spec))
-    samples = series.times.size
-    assert samples == 11
-    assert log.count("quadrature_postselect") == samples
-    assert log.count("parity_probabilities") == samples
-    # the window tables are built inside the first sample's readout only
-    second = [i for i, name in enumerate(log)
-              if name == "quadrature_postselect"][1]
-    assert "hermite_functions" in log[:second]
-    assert "hermite_functions" not in log[second:]
+    assert series.times.size == 11
+    for name in ("quadrature_postselect", "parity_probabilities", "reduce_to_electron"):
+        assert log.count(name) == blocks, name
+    # the window tables are built inside the first block's readout only
+    first, *later = [i for i, name in enumerate(log) if name == "quadrature_postselect"]
+    tables = [i for i, name in enumerate(log) if name == "hermite_functions"]
+    assert tables and first < min(tables)
+    assert all(max(tables) < i for i in later)
 
-    # sharing a sample's states changes no value
+    # sharing a block's states changes no value
     last = cq.snapshots(state, params, [1.0], dt=0.1)[0]
     res = cq.quadrature_postselect(last, spec, omega=params.omega)
     p_even, p_odd = cq.parity_probabilities(last)
@@ -53,6 +63,74 @@ def test_each_state_is_formed_once_per_sample(monkeypatch):
         "prob_even": p_even, "prob_odd": p_odd}
     for name, value in expected.items():
         assert math.isclose(series.column(name)[-1], value, abs_tol=1e-10), name
+
+
+def _single_state_columns(states, params, spec):
+    """Every monitor column from the public single-state calls."""
+    n = params.n_qubits
+
+    def qfi_density(read):
+        try:
+            return cq.qfi_mixed(read().rho).value / n
+        except cq.ImpossibleOutcomeError:
+            return math.nan
+
+    def prob_quad(s):
+        try:
+            return cq.quadrature_postselect(s, spec, omega=params.omega).probability
+        except cq.ImpossibleOutcomeError:
+            return 0.0
+
+    rows = []
+    for s in states:
+        row = {name: cq.expectation(s, name, params) for name in cq.operators.OBSERVABLES}
+        row["tail_population"] = s.tail_population()
+        row["qfi_density"] = cq.qfi_mixed(cq.reduce_to_electron(s)).value / n
+        row["prob_even"], row["prob_odd"] = cq.parity_probabilities(s)
+        for outcome in (cq.ParityOutcome.EVEN, cq.ParityOutcome.ODD):
+            row[f"qfi_density_{outcome.label}"] = qfi_density(
+                lambda: cq.parity_postselect(s, outcome))
+        row["prob_quad"] = prob_quad(s)
+        row["qfi_density_quad"] = qfi_density(
+            lambda: cq.quadrature_postselect(s, spec, omega=params.omega))
+        rows.append(row)
+    return {name: np.array([row[name] for row in rows]) for name in rows[0]}
+
+
+@pytest.mark.parametrize("per_block", [1, 4, None], ids=["blocks-of-one", "4-4-3", "one-block"])
+@pytest.mark.parametrize("rwa", [True, False], ids=["rwa", "full"])
+def test_block_columns_equal_single_state_calls(monkeypatch, per_block, rwa):
+    params = cq.ModelParams(n_qubits=3, gamma=0.3, delta=1.2, rwa=rwa)
+    state = cq.prepare_initial(cq.PhotonicSpec("even_cat", 1.5), 3)
+    spec = cq.QuadratureSpec(x=0.3, delta_x=0.4, phase_tracking=True)
+    if per_block is not None:
+        monkeypatch.setattr(propagator, "SAMPLE_BLOCK_BYTES", _block_bytes(state, per_block))
+    plan = cq.PropagationPlan(t_max=1.0, dt=0.1, monitors=cq.monitor_names())
+    series = cq.run(state, params, plan,
+                    extra_monitors=cq.build_quadrature_monitors(spec))
+    states = cq.snapshots(state, params, series.times.tolist(), dt=0.1)
+    expected = _single_state_columns(states, params, spec)
+    assert set(expected) | {"norm_drift"} == set(series.columns)
+    for name, want in expected.items():
+        got = series.column(name)
+        assert np.array_equal(np.isnan(got), np.isnan(want)), name
+        both = ~np.isnan(want)
+        assert np.all(np.abs(got[both] - want[both])
+                      <= 1e-12 * np.maximum(1.0, np.abs(want[both]))), name
+    # an even cat has odd photon parity only once the field has driven the spins
+    odd = series.column("qfi_density_odd")
+    assert math.isnan(odd[0]) and not np.any(np.isnan(odd[1:]))
+    assert series.column("prob_odd")[0] == 0.0
+
+
+def test_norm_drift_does_not_depend_on_the_blocks(monkeypatch):
+    params = cq.ModelParams(n_qubits=2, gamma=0.3)
+    state = cq.prepare_initial(cq.PhotonicSpec("even_cat", 2.0), 2)
+    plan = cq.PropagationPlan(t_max=1.0, dt=0.1, monitors=("norm_drift",))
+    whole = cq.run(state, params, plan).column("norm_drift")
+    monkeypatch.setattr(propagator, "SAMPLE_BLOCK_BYTES", _block_bytes(state, 3))
+    assert np.array_equal(cq.run(state, params, plan).column("norm_drift"), whole)
+    assert whole[0] == 0.0 and np.all(whole[1:] < 1e-12)
 
 
 def test_impossible_outcome_records_nan_and_zero():

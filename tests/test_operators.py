@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import catqed as cq
-from oracles import dense_boson, dense_hamiltonian, dense_spin
+from oracles import counter_rotating, dense_boson, dense_hamiltonian, dense_spin
 
 
 def random_state(rng, n_qubits, n_max):
@@ -48,6 +48,29 @@ def test_apply_hamiltonian_matches_dense(params, rng):
     radius = np.abs(h).sum(axis=1) - np.abs(centre)
     assert lo == pytest.approx((centre - radius).min(), abs=1e-12)
     assert hi == pytest.approx((centre + radius).max(), abs=1e-12)
+
+
+@pytest.mark.parametrize("omega,mu", [(1.5, 1.0), (0.8, 0.6)])
+def test_full_minus_rwa_is_the_counter_rotating_pair(omega, mu, rng):
+    n_max = 6
+    full = cq.ModelParams(n_qubits=3, gamma=0.2, delta=1.5, omega=omega, mu=mu, rwa=False)
+    rwa = cq.ModelParams(n_qubits=3, gamma=0.2, delta=1.5, omega=omega, mu=mu)
+    state = random_state(rng, 3, n_max)
+    diff = cq.apply_hamiltonian(state, full) - cq.apply_hamiltonian(state, rwa)
+    pair = counter_rotating(full, n_max) @ state.amplitudes.ravel()
+    assert np.abs(diff - pair.reshape(diff.shape)).max() < 1e-14
+
+
+def test_stacked_expectations_match_each_sample(rng):
+    params = cq.ModelParams(n_qubits=2, gamma=0.3, omega=1.2, rwa=False)
+    states = [random_state(rng, 2, 5) for _ in range(3)]
+    stack = cq.CompositeState(np.stack([s.amplitudes for s in states]), cq.DickeSpace(2),
+                              cq.FockSpace(5), time=[0.0, 1.0, 2.0])
+    for name in cq.operators.OBSERVABLES:
+        got = cq.expectation(stack, name, params)
+        want = [cq.expectation(s, name, params) for s in states]
+        assert isinstance(want[0], float)
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-13), name
 
 
 def test_hamiltonian_action_scale(rng):

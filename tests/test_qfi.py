@@ -122,3 +122,65 @@ def test_maximally_mixed_has_zero_qfi():
     n = 3
     rho = np.eye(n + 1) / (n + 1)
     assert cq.qfi_mixed(density(rho, n)).value == pytest.approx(0.0, abs=1e-10)
+
+
+def _dense_pure_fisher(psi, n_qubits):
+    """4x the (Jx, Jy, Jz) covariance from the dense spin matrices."""
+    mats = cq.spin_matrices(n_qubits)
+    means = [np.vdot(psi, j @ psi).real for j in mats]
+    return np.array([[4.0 * (np.vdot(a @ psi, b @ psi).real - ma * mb)
+                      for b, mb in zip(mats, means)] for a, ma in zip(mats, means)])
+
+
+@pytest.mark.parametrize("n_qubits", [8, 64])
+def test_pure_qfi_matches_the_dense_spin_matrices(rng, n_qubits):
+    for _ in range(3):
+        psi = rng.normal(size=n_qubits + 1) + 1j * rng.normal(size=n_qubits + 1)
+        psi /= np.linalg.norm(psi)
+        res = cq.qfi_pure(psi, n_qubits)
+        dense = _dense_pure_fisher(psi, n_qubits)
+        scale = max(1.0, np.max(np.abs(dense)))
+        assert np.max(np.abs(res.matrix - dense)) <= 1e-12 * scale
+        assert res.value == pytest.approx(np.linalg.eigvalsh(dense)[-1], rel=1e-12)
+
+
+def test_pure_qfi_at_ten_thousand_qubits_builds_no_dense_matrix(monkeypatch):
+    import tracemalloc
+
+    def refuse(n_qubits):
+        raise AssertionError("dense spin matrices built")
+
+    monkeypatch.setattr(cq.qfi, "spin_matrices", refuse)
+    n = 10_000
+    ghz = (dicke_vector(n, -n / 2) + dicke_vector(n, n / 2)) / np.sqrt(2)
+    tracemalloc.start()
+    try:
+        res = cq.qfi_pure(ghz, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.value == pytest.approx(float(n) ** 2, rel=1e-12)
+    assert abs(res.direction[2]) == pytest.approx(1.0, abs=1e-12)
+    assert peak < 2_000_000        # one (N + 1)^2 complex matrix is 1.6 GB
+    product = cq.qfi_pure(dicke_vector(n, -n / 2), n)
+    assert product.value == pytest.approx(float(n), rel=1e-12)
+
+
+def test_stacked_mixed_qfi_matches_each_sample(rng):
+    n = 4
+    mats = []
+    for _ in range(6):
+        a = rng.normal(size=(n + 1, 3)) + 1j * rng.normal(size=(n + 1, 3))
+        rho = a @ a.conj().T
+        mats.append(rho / np.trace(rho).real)
+    mats[2] = np.outer(mats[2][:, 0], mats[2][:, 0].conj())
+    mats[2] /= np.trace(mats[2]).real      # pure: pairs at the floor are skipped
+    stacked = cq.qfi_mixed(density(np.array(mats), n))
+    assert stacked.value.shape == (6,) and stacked.direction.shape == (6, 3)
+    jx, jy, jz, _, _ = dense_spin(n)
+    for k, rho in enumerate(mats):
+        single = cq.qfi_mixed(density(rho, n))
+        assert isinstance(single.value, float) and single.direction.shape == (3,)
+        assert stacked.value[k] == pytest.approx(single.value, rel=1e-12, abs=1e-12)
+        assert np.max(np.abs(stacked.matrix[k] - single.matrix)) <= 1e-12
+        assert single.value == pytest.approx(qfi_brute(rho, (jx, jy, jz)), rel=1e-9)

@@ -2,6 +2,7 @@
 coherent-state expansion against the full quantum dynamics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,6 +223,52 @@ def test_expansion_tracks_full_dynamics_at_large_amplitude():
     predicted = cq.coherent_expansion_state(params, spec, 1.0, n_max=n_max)
     assert np.all(np.isfinite(predicted.amplitudes))
     assert abs(np.vdot(predicted.amplitudes, exact.amplitudes)) > 0.9999999
+
+
+def test_expansion_contracts_the_grid_in_blocks(monkeypatch):
+    params = cq.ModelParams(n_qubits=2, gamma=0.01)
+    # alpha 30: the 49-node check grid holds 4802 points of 1123 Fock
+    # levels, 86 MB of coefficients if contracted at once
+    tracemalloc.start()
+    try:
+        cq.coherent_expansion_state(params, cq.PhotonicSpec("even_cat", 30.0), 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    # many uneven blocks against one block holding the whole grid
+    spec = cq.PhotonicSpec("general_cat", 2.0, beta=-1.0, phi_cat=0.3)
+    n_max = 40
+    whole = semiclassical._assemble(params, spec, 1.5, n_max, 21)
+    monkeypatch.setattr(semiclassical, "EXPANSION_BLOCK_BYTES", 7 * 16 * (n_max + 1))
+    blocked = semiclassical._assemble(params, spec, 1.5, n_max, 21)
+    assert np.max(np.abs(blocked - whole)) <= 1e-14
+
+
+def test_rwa_dynamics_approach_the_drive_away_from_unit_frequency():
+    """At omega = delta = 1.5 the even-conditioned QFI approaches the
+    external-field model as 1/|alpha0|^2, as test_06 checks at omega = 1.
+
+    Both the RWA Hamiltonian and the closed-form drive couple at
+    gamma omega mu / 2.  On resonance the rotating-frame dynamics depend
+    on that rate alone, so the largest deviation over one period is the
+    one at omega = 1: 0.128 at alpha0 = 10 and 0.254 at 7.07 (N = 8),
+    slope -1.98.  An RWA rate of gamma / 2 leaves it near 0.87 at both
+    amplitudes (slope 0.03).
+    """
+    params = cq.ModelParams(n_qubits=8, gamma=0.01, delta=1.5, omega=1.5)
+    devs = []
+    for alpha in (10.0, 10.0 / math.sqrt(2.0)):
+        period = cq.RabiDrive(params, alpha).period()
+        state = cq.prepare_initial(cq.PhotonicSpec("even_cat", alpha), 8)
+        plan = cq.PropagationPlan(t_max=period, sample_stride=100,
+                                  monitors=("qfi_density_even",))
+        series = cq.run(state, params, plan)
+        model = np.array([cq.qfi_pure(cq.rabi_cat_state(params, alpha, t), 8).value
+                          for t in series.times])
+        devs.append(np.max(np.abs(8 * series.column("qfi_density_even") - model)) / 64)
+    slope = math.log(devs[0] / devs[1]) / math.log(math.sqrt(2.0))
+    assert -2.2 <= slope <= -1.8, f"deviations {devs}, slope {slope:.3f}"
 
 
 def test_expansion_builds_each_gauss_hermite_rule_once(monkeypatch):
