@@ -35,7 +35,7 @@ _TRUE = frozenset(("1", "true", "yes", "on"))
 _FALSE = frozenset(("0", "false", "no", "off"))
 
 _SCHEMA = {
-    "model": ("n_qubits", "gamma", "delta", "omega", "mu", "rwa"),
+    "model": ("n_qubits", "gamma", "delta", "omega", "rwa"),
     "photonic": ("kind", "alpha", "beta", "phi_cat"),
     "propagation": ("t_max", "dt", "n_max", "sample_stride"),
     "measurement": ("x", "delta_x", "track", "phi"),
@@ -98,7 +98,6 @@ class SimulationConfig:
     gamma: float
     delta: float
     omega: float
-    mu: float
     rwa: bool
     kind: str
     alpha: complex
@@ -122,7 +121,7 @@ class SimulationConfig:
     def model_params(self, n_qubits: int | None = None) -> ModelParams:
         return ModelParams(n_qubits=self.n_qubits if n_qubits is None else n_qubits,
                            gamma=self.gamma, delta=self.delta, omega=self.omega,
-                           mu=self.mu, rwa=self.rwa)
+                           rwa=self.rwa)
 
     def photonic_spec(self, alpha: complex | None = None) -> PhotonicSpec:
         return PhotonicSpec(kind=self.kind,
@@ -179,7 +178,6 @@ def parse_config(text: str) -> SimulationConfig:
     gamma = _parse_float(model["gamma"], "[model] gamma")
     delta = _parse_float(model.get("delta", "1.0"), "[model] delta")
     omega = _parse_float(model.get("omega", "1.0"), "[model] omega")
-    mu = _parse_float(model.get("mu", "1.0"), "[model] mu")
     rwa = _parse_bool(model.get("rwa", "true"), "[model] rwa")
 
     ph = _section(cp, "photonic")
@@ -260,8 +258,8 @@ def parse_config(text: str) -> SimulationConfig:
             sweep_alpha = _parse_complex(raw_sa, "[sweep] alpha")
 
     return SimulationConfig(
-        n_qubits=n_qubits, gamma=gamma, delta=delta, omega=omega, mu=mu,
-        rwa=rwa, kind=kind, alpha=alpha, beta=beta, phi_cat=phi_cat,
+        n_qubits=n_qubits, gamma=gamma, delta=delta, omega=omega, rwa=rwa,
+        kind=kind, alpha=alpha, beta=beta, phi_cat=phi_cat,
         t_max=t_max, dt=dt, n_max=n_max, sample_stride=stride,
         meas_x=meas_x, meas_delta_x=meas_dx, meas_track=meas_track,
         meas_phi=meas_phi, monitors=names, quadrature=quadrature,
@@ -281,7 +279,6 @@ def serialize_config(cfg: SimulationConfig) -> str:
         f"gamma = {format_float(cfg.gamma)}",
         f"delta = {format_float(cfg.delta)}",
         f"omega = {format_float(cfg.omega)}",
-        f"mu = {format_float(cfg.mu)}",
         f"rwa = {'true' if cfg.rwa else 'false'}",
         "",
         "[photonic]",

@@ -70,6 +70,9 @@ class QuadratureSpec:
     phase_tracking: bool = False
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x, self.phi, self.delta_x))):
+            raise ConfigError(f"x, phi and delta_x must be finite, got "
+                              f"{self.x!r}, {self.phi!r}, {self.delta_x!r}")
         if self.delta_x < 0.0:
             raise ConfigError(f"delta_x must be >= 0, got {self.delta_x!r}")
 

@@ -3,19 +3,22 @@
 Two models are supported on the same (Dicke m) x (Fock n) amplitude layout:
 
 * ``rwa=False`` couples the field quadrature to the collective dipole,
-      H = delta*Jz + omega*n - E.P  with  E = i*gamma*omega*(a - a^dag)
-      and P = mu*Jx, that is
+      H = delta*Jz + omega*n - E.Jx  with  E = i*gamma*omega*(a - a^dag),
+  that is
       H = delta*Jz + omega*n - i(g/2) (a J+ - a^dag J-) - i(g/2) (a J- - a^dag J+)
-      with the exchange rate g = gamma*omega*mu (``ModelParams.coupling``).
+  with the exchange rate g = gamma*omega (``ModelParams.coupling``).
 * ``rwa=True`` keeps only its co-rotating part,
       H = delta*Jz + omega*n - i(g/2) (a J+ - a^dag J-).
 
 Both interactions shift (m, n) by (+-1, -+1) or (+-1, +-1), so H|psi> is a
 handful of shifted-slice multiply-adds; no operator matrix is ever built.
+All four shifts share one coefficient array: the two absorbing terms add
+it, the two emitting terms subtract it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,23 +31,20 @@ OBSERVABLES = ("photon_number", "jz", "jx", "jy", "energy", "excitation_number")
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical constants of a run.  Units: delta = 1 sets the time scale.
-
-    ``mu`` scales the collective dipole, and with it the coupling of both
-    models (``coupling``); it defaults to 1 and is never varied in the
-    shipped studies.
-    """
+    """Physical constants of a run.  Units: delta = 1 sets the time scale."""
 
     n_qubits: int
     gamma: float
     delta: float = 1.0
     omega: float = 1.0
-    mu: float = 1.0
     rwa: bool = True
 
     def __post_init__(self):
         if not isinstance(self.n_qubits, (int, np.integer)) or self.n_qubits < 1:
             raise ConfigError(f"n_qubits must be a positive integer, got {self.n_qubits!r}")
+        if not all(map(math.isfinite, (self.gamma, self.delta, self.omega))):
+            raise ConfigError(f"gamma, delta and omega must be finite, got "
+                              f"{self.gamma!r}, {self.delta!r}, {self.omega!r}")
         if self.gamma < 0.0:
             raise ConfigError(f"gamma must be nonnegative, got {self.gamma!r}")
         if self.delta <= 0.0 or self.omega <= 0.0:
@@ -52,92 +52,68 @@ class ModelParams:
 
     @property
     def coupling(self) -> float:
-        """Exchange rate g = gamma omega mu: both models couple with g/2,
-        and a classical field alpha drives each qubit at Rabi frequency
-        g |alpha| on resonance."""
-        return self.gamma * self.omega * self.mu
+        """Exchange rate g = gamma omega: both models couple with g/2, and a
+        classical field alpha drives each qubit at Rabi frequency g |alpha|
+        on resonance."""
+        return self.gamma * self.omega
 
     def dicke(self) -> DickeSpace:
         return DickeSpace(self.n_qubits)
 
 
 class HamiltonianAction:
-    """Precomputed H|psi> (optionally pre-scaled by a constant).
+    """Precomputed H|psi> on one grid.
 
-    Holds one scratch buffer, so a single instance must not be shared by
-    concurrent callers.  ``scale`` folds a constant into every coefficient
-    (the propagator folds in the inverse half-width of the spectrum);
-    expectation values use the default scale of 1.
-
-    ``_rotating`` is the propagator's frame for the RWA model: it leaves
-    omega K, K = Jz + n, out of the diagonal, so the action is that of
-    H' = H - omega K = (delta - omega) Jz + V.  Only under the RWA does K
-    commute with H, so only there is this frame exact.
+    ``diag`` holds delta m + omega n and ``coupling`` the coefficient
+    -i (g/2) sqrt(n) s+(m) shared by the four exchange terms.  Both are
+    plain arrays that a caller may rewrite in place; ``apply`` and
+    ``spectral_bounds`` read what they hold then (the propagator maps them
+    onto its normalized operator).  Holds one scratch buffer, so a single
+    instance must not be shared by concurrent callers.
     """
 
-    def __init__(self, params: ModelParams, dicke: DickeSpace, fock: FockSpace,
-                 scale: complex = 1.0, *, _rotating: bool = False):
+    def __init__(self, params: ModelParams, dicke: DickeSpace, fock: FockSpace):
         if dicke.n_qubits != params.n_qubits:
             raise DimensionMismatchError("params.n_qubits does not match dicke space")
         self.params = params
-        self.dicke = dicke
-        self.fock = fock
-        self.scale = scale
         m = dicke.m_values()
         n = np.arange(fock.dim, dtype=float)
-        if _rotating:
-            diag = np.broadcast_to((params.delta - params.omega) * m[:, None],
-                                   (dicke.dim, fock.dim))
-        else:
-            diag = params.delta * m[:, None] + params.omega * n[None, :]
-        self._diag = np.asarray(scale * diag, dtype=np.complex128)
-        # block[k, n-1] multiplies psi[k, n] into the (m, n) -> (m +- 1, n -+ 1)
+        self.diag = (params.delta * m[:, None] + params.omega * n[None, :]).astype(np.complex128)
+        # coupling[k, n-1] multiplies psi[k, n] into the (m +- 1, n -+ 1)
         # and (m +- 1, n +- 1) destinations; all four share sqrt(n) * s+(m).
-        block = np.outer(dicke.raising_coefficients(), np.sqrt(n[1:]))
         g = 0.5 * params.coupling
-        self._k_absorb = np.asarray(scale * (-1j * g) * block, dtype=np.complex128)
-        self._k_emit = np.asarray(scale * (+1j * g) * block, dtype=np.complex128)
-        if params.rwa:
-            self._k_counter_up = None
-            self._k_counter_dn = None
-        else:
-            self._k_counter_dn = np.asarray(scale * (-1j * g) * block, dtype=np.complex128)
-            self._k_counter_up = np.asarray(scale * (+1j * g) * block, dtype=np.complex128)
-        self._tmp = np.empty_like(block, dtype=np.complex128)
+        self.coupling = (-1j * g) * np.outer(dicke.raising_coefficients(), np.sqrt(n[1:]))
+        self._tmp = np.empty_like(self.coupling)
 
     def apply(self, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out <- (scale * H) psi.  ``psi`` and ``out`` must be distinct."""
-        t = self._tmp
-        np.multiply(self._diag, psi, out=out)
-        np.multiply(self._k_absorb, psi[:-1, 1:], out=t)   # a J+
+        """out <- H psi.  ``psi`` and ``out`` must be distinct."""
+        k, t = self.coupling, self._tmp
+        np.multiply(self.diag, psi, out=out)
+        np.multiply(k, psi[:-1, 1:], out=t)        # a J+
         out[1:, :-1] += t
-        np.multiply(self._k_emit, psi[1:, :-1], out=t)     # a^dag J-
-        out[:-1, 1:] += t
-        if self._k_counter_up is not None:
-            np.multiply(self._k_counter_dn, psi[1:, 1:], out=t)    # a J-
+        np.multiply(k, psi[1:, :-1], out=t)        # a^dag J-
+        out[:-1, 1:] -= t
+        if not self.params.rwa:
+            np.multiply(k, psi[1:, 1:], out=t)     # a J-
             out[:-1, :-1] += t
-            np.multiply(self._k_counter_up, psi[:-1, :-1], out=t)  # a^dag J+
-            out[1:, 1:] += t
+            np.multiply(k, psi[:-1, :-1], out=t)   # a^dag J+
+            out[1:, 1:] -= t
         return out
 
     def spectral_bounds(self) -> tuple[float, float]:
-        """Gershgorin interval [lo, hi] holding every eigenvalue of H (of H'
-        with ``_rotating``).
-
-        Bounds the unscaled operator: each row's disc is its diagonal entry
-        widened by the summed magnitudes of the couplings that land in that
-        row.
-        """
-        s = abs(self.scale)
-        radius = np.zeros(self._diag.shape)
-        radius[1:, :-1] += np.abs(self._k_absorb)
-        radius[:-1, 1:] += np.abs(self._k_emit)
-        if self._k_counter_up is not None:
-            radius[:-1, :-1] += np.abs(self._k_counter_dn)
-            radius[1:, 1:] += np.abs(self._k_counter_up)
-        center = (self._diag / self.scale).real
-        return (float(np.min(center - radius / s)),
-                float(np.max(center + radius / s)))
+        """Gershgorin interval [lo, hi] holding every eigenvalue of the
+        operator the action now holds: each row's disc is its diagonal
+        entry widened by the summed magnitudes of the couplings that land
+        in that row."""
+        k = np.abs(self.coupling)
+        radius = np.zeros(self.diag.shape)
+        radius[1:, :-1] += k
+        radius[:-1, 1:] += k
+        if not self.params.rwa:
+            radius[:-1, :-1] += k
+            radius[1:, 1:] += k
+        center = self.diag.real
+        return float(np.min(center - radius)), float(np.max(center + radius))
 
 
 def apply_hamiltonian(state: CompositeState, params: ModelParams) -> np.ndarray:

@@ -25,6 +25,12 @@ Fock ladder, and applies exp(-i omega K t) as an exact elementwise phase
 when it hands out a sampled state.  The full model has no conserved K and
 expands H itself in the lab frame.
 
+The evolver builds one ``HamiltonianAction`` per run and owns everything
+about expanding it: under the RWA it forms H' by taking omega K off the
+action's diagonal, and it then maps the action in place onto 2 H_n, so
+each term T_{k+1} = 2 H_n T_k - T_{k-1} of the recurrence is one apply and
+one subtraction.
+
 The result is exact on the truncated space up to rounding, so ``dt`` only
 fixes the sampling grid.  Each interval ends with renormalization; the
 pre-renormalization norm deviation is kept as a diagnostic.  Monitors are
@@ -144,26 +150,32 @@ class _Chebyshev:
 
     ``psi`` is the state in the frame rotating with omega K for the RWA
     model (where only H' is expanded) and in the lab frame otherwise;
-    ``lab_amplitudes`` hands out the lab-frame state.
+    ``lab_amplitudes`` hands out the lab-frame state.  ``action`` is the
+    one ``HamiltonianAction`` of the run, rewritten in place so that its
+    ``apply`` yields 2 H_n psi.
     """
 
     def __init__(self, initial: CompositeState, params: ModelParams):
         self.psi = np.array(initial.amplitudes, dtype=np.complex128, order="C")
-        spaces = (params, initial.dicke, initial.fock)
-        rotating = params.rwa
-        lo, hi = HamiltonianAction(*spaces, _rotating=rotating).spectral_bounds()
+        self.action = action = HamiltonianAction(params, initial.dicke, initial.fock)
+        # omega K = omega m + omega n, one factor per axis; None in the lab frame
+        self._omega_k = None
+        if params.rwa:
+            m = initial.dicke.m_values()
+            n = np.arange(initial.fock.dim, dtype=float)
+            self._omega_k = (params.omega * m, params.omega * n)
+            # H' = H - omega K taken off one axis at a time: (delta - omega) m
+            # on the Dicke axis, and omega n - omega n = 0 on the Fock axis
+            action.diag[...] = ((params.delta - params.omega) * m)[:, None]
+        lo, hi = action.spectral_bounds()
         self._center, self._half_width = 0.5 * (hi + lo), 0.5 * (hi - lo)
         # A zero-width H' (RWA on resonance without coupling) is the constant
         # c: each expansion is the one term e^{-i c tau} and H is never
-        # applied, so any positive width serves for the scaled action.
+        # applied, so any positive width serves for the mapped action.
         width = self._half_width or 1.0
-        # apply() yields 2 H_n psi + shift psi
-        self.action = HamiltonianAction(*spaces, scale=2.0 / width, _rotating=rotating)
-        self._shift = 2.0 * self._center / width
-        # omega K = omega m + omega n, one factor per axis; None in the lab frame
-        self._omega_k = ((params.omega * initial.dicke.m_values(),
-                          params.omega * np.arange(initial.fock.dim, dtype=float))
-                         if rotating else None)
+        action.diag -= self._center
+        action.diag *= 2.0 / width
+        action.coupling *= 2.0 / width
         self._cur, self._acc, self._tmp = (np.empty_like(self.psi) for _ in range(3))
         self._expansions: dict[float, tuple[np.ndarray, complex]] = {}
 
@@ -184,21 +196,17 @@ class _Chebyshev:
                 _chebyshev_coefficients(self._half_width * interval),
                 np.exp(-1j * self._center * interval))
         coeffs, phase = self._expansions[interval]
-        apply, shift, tmp, acc = self.action.apply, self._shift, self._tmp, self._acc
+        apply, tmp, acc = self.action.apply, self._tmp, self._acc
         prev, cur = self.psi, self._cur
         np.multiply(prev, coeffs[0], out=acc)
         if coeffs.size > 1:
-            apply(prev, cur)                   # T_1 psi = H_n psi
-            np.multiply(prev, shift, out=tmp)
-            cur -= tmp
+            apply(prev, cur)                   # 2 H_n psi, halved to T_1 psi
             cur *= 0.5
             np.multiply(cur, coeffs[1], out=tmp)
             acc += tmp
         for c in coeffs[2:]:
             apply(cur, tmp)                    # T_{k+1} = 2 H_n T_k - T_{k-1}
             np.subtract(tmp, prev, out=prev)
-            np.multiply(cur, shift, out=tmp)
-            prev -= tmp
             prev, cur = cur, prev
             np.multiply(cur, c, out=tmp)
             acc += tmp

@@ -6,11 +6,12 @@ wave model the co-rotating frame makes that drive static, so the dynamics has
 the closed Rabi form
 
     a(t) = cos(W t / 2) + i ((delta - omega) / W) sin(W t / 2)
-    b(t) = i (D_alpha / W) sin(W t / 2),      D_alpha = i g alpha = mu E_alpha,
+    b(t) = i (D_alpha / W) sin(W t / 2),      D_alpha = i g alpha = E_alpha,
     W = sqrt((delta - omega)^2 + |D_alpha|^2)
 
-where g = gamma omega mu is the exchange rate of both models
-(``ModelParams.coupling``) and E_alpha = i gamma omega alpha the field.
+where g = gamma omega is the exchange rate of both models
+(``ModelParams.coupling``), so the drive D_alpha is the field
+E_alpha = i gamma omega alpha itself.
 Then |a|^2 + |b|^2 = 1, and the lab-frame collective state is
 
     |psi_alpha(t)> = sum_m sqrt(C(2J, J+m)) a^{J-m} b^{J+m} e^{-i m omega t} |J,m>.
@@ -250,23 +251,20 @@ def _assemble(params: ModelParams, spec: PhotonicSpec, t: float,
 
 def coherent_expansion_state(params: ModelParams, spec: PhotonicSpec,
                              t: float, n_max: int | None = None,
-                             nodes: int = DEFAULT_GRID_NODES,
-                             check: bool = True) -> CompositeState:
+                             nodes: int = DEFAULT_GRID_NODES) -> CompositeState:
     """Composite state predicted by superposing classical-drive branches
     over the coherent-state expansion of the initial photonic state.
 
     The expansion integral is discretized on displaced Gauss-Hermite
-    grids; with check=True a refined grid must agree to 1e-6.
+    grids; a grid refined by 8 nodes must agree to 1e-6.
     """
     if n_max is None:
         n_max = required_n_max(spec.max_amplitude(), params.n_qubits)
     c = _assemble(params, spec, t, n_max, nodes)
-    if check:
-        finer = _assemble(params, spec, t, n_max, nodes + 8)
-        err = float(np.max(np.abs(finer - c)))
-        if err > GRID_CONVERGENCE_ATOL:
-            raise GridConvergenceError(
-                f"expansion grid not converged: {nodes} vs {nodes + 8} nodes "
-                f"differ by {err:.3e}")
-        c = finer
-    return CompositeState(c, params.dicke(), FockSpace(n_max), time=t)
+    finer = _assemble(params, spec, t, n_max, nodes + 8)
+    err = float(np.max(np.abs(finer - c)))
+    if err > GRID_CONVERGENCE_ATOL:
+        raise GridConvergenceError(
+            f"expansion grid not converged: {nodes} vs {nodes + 8} nodes "
+            f"differ by {err:.3e}")
+    return CompositeState(finer, params.dicke(), FockSpace(n_max), time=t)

@@ -42,6 +42,10 @@ class PhotonicSpec:
     def __post_init__(self):
         if self.kind not in PHOTONIC_KINDS:
             raise ConfigError(f"unknown photonic kind {self.kind!r}; choose from {PHOTONIC_KINDS}")
+        beta = 0.0 if self.beta is None else self.beta
+        if not np.isfinite([self.alpha, beta, self.phi_cat]).all():
+            raise ConfigError(f"alpha, beta and phi_cat must be finite, got "
+                              f"{self.alpha!r}, {self.beta!r}, {self.phi_cat!r}")
         if self.kind == "general_cat":
             if self.beta is None:
                 raise ConfigError("general_cat requires beta")
@@ -127,14 +131,10 @@ def check_truncation(alpha: complex, n_max: int) -> None:
             f"raise the cutoff")
 
 
-def coherent_vector(alpha: complex, n_max: int, enforce_cutoff: bool = True) -> np.ndarray:
-    """Fock coefficients <n|alpha>, one row of ``coherent_matrix``.
-
-    ``enforce_cutoff=False`` skips the tail precondition for callers that
-    deliberately truncate negligible-weight branches.
-    """
-    if enforce_cutoff:
-        check_truncation(alpha, n_max)
+def coherent_vector(alpha: complex, n_max: int) -> np.ndarray:
+    """Fock coefficients <n|alpha>, one row of ``coherent_matrix``, after
+    ``check_truncation`` has accepted the cutoff."""
+    check_truncation(alpha, n_max)
     return coherent_matrix([alpha], n_max)[0]
 
 

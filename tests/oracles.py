@@ -42,7 +42,7 @@ def dense_boson(n_max):
 def dense_hamiltonian(params, n_max):
     """Joint Hamiltonian as one dense matrix, photon index fastest.
 
-    Both models couple with gamma*omega*mu/2; the RWA model keeps the
+    Both models couple with gamma*omega/2; the RWA model keeps the
     co-rotating pair only, the full model adds ``counter_rotating``.
     """
     jx, jy, jz, jp, jm = dense_spin(params.n_qubits)
@@ -50,7 +50,7 @@ def dense_hamiltonian(params, n_max):
     ie = np.eye(params.n_qubits + 1)
     ip = np.eye(n_max + 1)
     h = params.delta * np.kron(jz, ip) + np.kron(ie, params.omega * nph)
-    g = 0.5 * params.gamma * params.omega * params.mu
+    g = 0.5 * params.gamma * params.omega
     h += -1j * g * (np.kron(jp, a) - np.kron(jm, ad))
     if not params.rwa:
         h += counter_rotating(params, n_max)
@@ -58,10 +58,10 @@ def dense_hamiltonian(params, n_max):
 
 
 def counter_rotating(params, n_max):
-    """-i (gamma*omega*mu/2) (a J- - a^dag J+) as one dense matrix."""
+    """-i (gamma*omega/2) (a J- - a^dag J+) as one dense matrix."""
     jx, jy, jz, jp, jm = dense_spin(params.n_qubits)
     a, ad, nph = dense_boson(n_max)
-    g = 0.5 * params.gamma * params.omega * params.mu
+    g = 0.5 * params.gamma * params.omega
     return -1j * g * (np.kron(jm, a) - np.kron(jp, ad))
 
 

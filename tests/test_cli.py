@@ -182,6 +182,12 @@ def test_wigner_non_finite_times_are_usage_errors(tmp_path, capsys, times):
     assert "config error" in capsys.readouterr().err
 
 
+def test_removed_mu_key_is_usage_error(tmp_path, capsys):
+    path = write_config(tmp_path, SMOKE.replace("gamma = 0.2", "gamma = 0.2\nmu = 1"))
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "unknown key 'mu'" in capsys.readouterr().err
+
+
 def test_non_finite_config_value_is_usage_error(tmp_path, capsys):
     path = write_config(tmp_path, SMOKE.replace("t_max = 2", "t_max = nan"))
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
@@ -225,5 +231,6 @@ def test_echo_config_is_canonical(tmp_path, capsys):
     assert main(["echo-config", "--config", path]) == 0
     printed = capsys.readouterr().out
     assert printed == serialize_config(parse_config(SMOKE))
+    assert "\nmu =" not in printed
     reparsed = parse_config(printed)
     assert reparsed == parse_config(SMOKE)

@@ -25,7 +25,7 @@ def test_minimal_config_resolves_defaults():
     cfg = parse_config(MINIMAL)
     assert cfg.n_qubits == 8
     assert cfg.gamma == 0.01
-    assert cfg.delta == 1.0 and cfg.omega == 1.0 and cfg.mu == 1.0
+    assert cfg.delta == 1.0 and cfg.omega == 1.0
     assert cfg.rwa is True
     assert cfg.kind == "even_cat" and cfg.alpha == 2.0 + 0.0j
     assert cfg.beta is None and cfg.phi_cat == 0.0
@@ -88,6 +88,7 @@ def test_complex_values_tolerate_spaces():
 @pytest.mark.parametrize("mangle,fragment", [
     (lambda s: s + "\n[extta]\nfoo = 1\n", "unknown section"),
     (lambda s: s + "\n[output]\ncolor = red\n", "unknown key"),
+    (lambda s: s.replace("gamma = 0.01", "gamma = 0.01\nmu = 1"), "unknown key 'mu'"),
     (lambda s: s.replace("[model]\nn_qubits = 8\ngamma = 0.01\n\n", ""),
      "missing required section"),
     (lambda s: s.replace("n_qubits = 8\n", ""), "requires n_qubits"),
@@ -111,7 +112,7 @@ def test_complex_values_tolerate_spaces():
     (lambda s: s.replace("gamma = 0.01", "gamma = -inf"), "finite"),
     (lambda s: s.replace("alpha = 2", "alpha = nan+1j"), "finite"),
     (lambda s: s.replace("alpha = 2", "alpha = 2+infj"), "finite"),
-], ids=["section", "key", "missing-section", "missing-key", "bad-float",
+], ids=["section", "key", "mu", "missing-section", "missing-key", "bad-float",
         "bad-complex", "bad-bool", "t_max", "dt", "n_max", "stride",
         "monitor", "kind", "delta_x", "prefix", "sweep-missing",
         "sweep-dupes", "malformed", "t_max-nan", "dt-inf", "gamma-inf",
@@ -119,6 +120,27 @@ def test_complex_values_tolerate_spaces():
 def test_rejects_bad_input(mangle, fragment):
     with pytest.raises(cq.ConfigError, match=fragment):
         parse_config(mangle(MINIMAL))
+
+
+@pytest.mark.parametrize("field", [
+    lambda bad: cq.ModelParams(n_qubits=2, gamma=bad),
+    lambda bad: cq.ModelParams(n_qubits=2, gamma=0.1, delta=bad),
+    lambda bad: cq.ModelParams(n_qubits=2, gamma=0.1, omega=bad),
+    lambda bad: cq.PhotonicSpec("coherent", bad),
+    lambda bad: cq.PhotonicSpec("kitten", complex(1.0, bad)),
+    lambda bad: cq.PhotonicSpec("general_cat", 1.0, beta=bad),
+    lambda bad: cq.PhotonicSpec("general_cat", 1.0, beta=-1.0, phi_cat=bad),
+    lambda bad: cq.QuadratureSpec(x=bad),
+    lambda bad: cq.QuadratureSpec(phi=bad),
+    lambda bad: cq.QuadratureSpec(delta_x=bad),
+], ids=["gamma", "delta", "omega", "alpha", "alpha-imag", "beta", "phi_cat",
+        "x", "phi", "delta_x"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_value_types_reject_non_finite_fields(field, bad):
+    # the library API refuses what the INI parser refuses, instead of
+    # failing later in propagation or readout
+    with pytest.raises(cq.ConfigError, match="finite"):
+        field(bad)
 
 
 def test_builder_methods():

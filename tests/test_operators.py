@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import catqed as cq
+from catqed.propagator import _Chebyshev
 from oracles import counter_rotating, dense_boson, dense_hamiltonian, dense_spin
 
 
@@ -12,6 +13,13 @@ def random_state(rng, n_qubits, n_max):
     c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     c /= np.linalg.norm(c)
     return cq.CompositeState(c, cq.DickeSpace(n_qubits), cq.FockSpace(n_max))
+
+
+def gershgorin(h):
+    """Dense Gershgorin interval (lo, hi), row discs read off the matrix."""
+    centre = np.diag(h).real
+    radius = np.abs(h).sum(axis=1) - np.abs(centre)
+    return (centre - radius).min(), (centre + radius).max()
 
 
 def test_spin_matrices_match_dense_loops():
@@ -31,30 +39,39 @@ def test_spin_commutator():
 @pytest.mark.parametrize("params", [
     cq.ModelParams(n_qubits=3, gamma=0.2),
     cq.ModelParams(n_qubits=3, gamma=0.2, delta=1.3, omega=0.8),
-    cq.ModelParams(n_qubits=2, gamma=0.15, mu=0.7, rwa=False),
+    cq.ModelParams(n_qubits=2, gamma=0.15 * 0.7, rwa=False),
     cq.ModelParams(n_qubits=1, gamma=0.05, delta=0.9, omega=1.1, rwa=False),
 ])
 def test_apply_hamiltonian_matches_dense(params, rng):
     n_max = 7
     state = random_state(rng, params.n_qubits, n_max)
-    out = cq.apply_hamiltonian(state, params)
+    psi = state.amplitudes.ravel()
     h = dense_hamiltonian(params, n_max)
-    ref = (h @ state.amplitudes.ravel()).reshape(state.amplitudes.shape)
-    assert np.abs(out - ref).max() < 1e-13
-    # Gershgorin interval of the unscaled H, row discs read off the dense H
-    lo, hi = cq.HamiltonianAction(params, state.dicke, state.fock,
-                                  scale=0.25).spectral_bounds()
-    centre = np.diag(h).real
-    radius = np.abs(h).sum(axis=1) - np.abs(centre)
-    assert lo == pytest.approx((centre - radius).min(), abs=1e-12)
-    assert hi == pytest.approx((centre + radius).max(), abs=1e-12)
+    out = cq.apply_hamiltonian(state, params)
+    assert np.abs(out.ravel() - h @ psi).max() < 1e-13
+    lo, hi = cq.HamiltonianAction(params, state.dicke, state.fock).spectral_bounds()
+    assert (lo, hi) == pytest.approx(gershgorin(h), abs=1e-12)
+    # the propagator's one action, mapped onto 2 (H' - c) / r, where the RWA
+    # model expands H' = H - omega K in the frame rotating with K = Jz + n
+    _, _, jz, _, _ = dense_spin(params.n_qubits)
+    _, _, nph = dense_boson(n_max)
+    k = np.kron(jz, np.eye(n_max + 1)) + np.kron(np.eye(params.n_qubits + 1), nph)
+    expanded = h - params.rwa * params.omega * k
+    lo, hi = gershgorin(expanded)
+    centre, half_width = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    evolver = _Chebyshev(state, params)
+    assert evolver._center == pytest.approx(centre, abs=1e-12)
+    assert evolver._half_width == pytest.approx(half_width, abs=1e-12)
+    mapped = evolver.action.apply(state.amplitudes, np.empty_like(state.amplitudes))
+    ref = 2.0 / half_width * (expanded @ psi - centre * psi)
+    assert np.abs(mapped.ravel() - ref).max() < 1e-13
 
 
-@pytest.mark.parametrize("omega,mu", [(1.5, 1.0), (0.8, 0.6)])
-def test_full_minus_rwa_is_the_counter_rotating_pair(omega, mu, rng):
+@pytest.mark.parametrize("omega,gamma", [(1.5, 0.2), (0.8, 0.2 * 0.6)])
+def test_full_minus_rwa_is_the_counter_rotating_pair(omega, gamma, rng):
     n_max = 6
-    full = cq.ModelParams(n_qubits=3, gamma=0.2, delta=1.5, omega=omega, mu=mu, rwa=False)
-    rwa = cq.ModelParams(n_qubits=3, gamma=0.2, delta=1.5, omega=omega, mu=mu)
+    full = cq.ModelParams(n_qubits=3, gamma=gamma, delta=1.5, omega=omega, rwa=False)
+    rwa = cq.ModelParams(n_qubits=3, gamma=gamma, delta=1.5, omega=omega)
     state = random_state(rng, 3, n_max)
     diff = cq.apply_hamiltonian(state, full) - cq.apply_hamiltonian(state, rwa)
     pair = counter_rotating(full, n_max) @ state.amplitudes.ravel()
@@ -71,16 +88,6 @@ def test_stacked_expectations_match_each_sample(rng):
         want = [cq.expectation(s, name, params) for s in states]
         assert isinstance(want[0], float)
         assert got == pytest.approx(want, rel=1e-13, abs=1e-13), name
-
-
-def test_hamiltonian_action_scale(rng):
-    params = cq.ModelParams(n_qubits=2, gamma=0.1)
-    state = random_state(rng, 2, 5)
-    action = cq.HamiltonianAction(params, state.dicke, state.fock, scale=-0.5j)
-    out = np.empty_like(state.amplitudes)
-    action.apply(state.amplitudes, out)
-    ref = -0.5j * cq.apply_hamiltonian(state, params)
-    assert np.abs(out - ref).max() < 1e-14
 
 
 def test_hermiticity_of_action(rng):

