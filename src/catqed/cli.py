@@ -15,6 +15,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -27,8 +28,8 @@ from .fileio import atomic_write_text, format_float
 from .hilbert import reduce_to_electron
 from .measurement import ParityOutcome, parity_postselect
 from .monitors import build_quadrature_monitors
-from .propagator import PropagationPlan, peak_and_fwhm, run, snapshots
-from .stateprep import prepare_initial, required_n_max
+from .propagator import peak_and_fwhm, run, snapshots
+from .stateprep import prepare_initial
 from .validation import run_checks
 from .wigner import check_grid_size, wigner_function
 
@@ -111,15 +112,11 @@ def _sweep_point(cfg: SimulationConfig, n_qubits: int) -> dict:
     alpha = cfg.sweep_alpha
     if alpha is None:
         alpha = complex(math.sqrt(n_qubits / 2.0))
-    spec = cfg.photonic_spec(alpha=alpha)
-    state = prepare_initial(spec, n_qubits,
-                            n_max=required_n_max(spec, n_qubits))
+    state = prepare_initial(cfg.photonic_spec(alpha=alpha), n_qubits)
     params = cfg.model_params(n_qubits=n_qubits)
     plan = cfg.plan()
     if "qfi_density" not in plan.monitors:
-        plan = PropagationPlan(t_max=plan.t_max, dt=plan.dt,
-                               sample_stride=plan.sample_stride,
-                               monitors=plan.monitors + ("qfi_density",))
+        plan = replace(plan, monitors=plan.monitors + ("qfi_density",))
     series = run(state, params, plan)
     row = {"n_qubits": n_qubits, "alpha": abs(alpha),
            "t_peak": math.nan, "peak": math.nan, "fwhm": math.nan,

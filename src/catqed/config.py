@@ -1,8 +1,11 @@
 """INI run description: one file fixes the model, the initial photonic
 state, the integration window, and what gets recorded.
 
-Parsing is strict: unknown sections or keys are errors, every value is
-validated, and ``auto`` placeholders (cutoff, step, sampling) are resolved
+Parsing is strict: unknown sections or keys are errors.  The parser
+checks syntax and finiteness; each setting's range is checked once, by
+the library value type it becomes (``ModelParams``, ``PhotonicSpec``,
+``PropagationPlan``, ``QuadratureSpec``), so a config that parses is one a
+run accepts.  ``auto`` placeholders (cutoff, step, sampling) are resolved
 immediately so a parsed config is always concrete.  ``serialize_config``
 emits a canonical file; parse(serialize(parse(text))) == parse(text).
 """
@@ -12,15 +15,14 @@ from __future__ import annotations
 import cmath
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 from .fileio import format_float
 from .hilbert import CompositeState
 from .operators import ModelParams
 from .measurement import QuadratureSpec
-from .monitors import monitor_names
-from .propagator import DEFAULT_DT, PropagationPlan
+from .propagator import DEFAULT_DT, DEFAULT_MONITORS, PropagationPlan
 from .stateprep import PhotonicSpec, prepare_initial, required_n_max
 
 # `dt = auto` sampling grid: propagation is exact on any grid, so from this
@@ -28,8 +30,6 @@ from .stateprep import PhotonicSpec, prepare_initial, required_n_max
 # finely; kept so that `auto` configs resolve to the same sample times
 FINE_STEP_AMPLITUDE = 30.0
 FINE_DT = 1e-4
-
-DEFAULT_MONITORS = ("qfi_density", "photon_number")
 
 _TRUE = frozenset(("1", "true", "yes", "on"))
 _FALSE = frozenset(("0", "false", "no", "off"))
@@ -94,53 +94,43 @@ def format_complex(z: complex) -> str:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    n_qubits: int
-    gamma: float
-    delta: float
-    omega: float
-    rwa: bool
-    kind: str
-    alpha: complex
-    beta: complex | None
-    phi_cat: float
-    t_max: float
-    dt: float
+    """A parsed run: the library's four value types, one per INI section,
+    plus the settings only a run has (cutoff, quadrature monitors, output
+    and sweep).  Every setting is validated by the type that holds it."""
+
+    model: ModelParams
+    photonic: PhotonicSpec
+    propagation: PropagationPlan
+    measurement: QuadratureSpec
     n_max: int
-    sample_stride: int | None
-    meas_x: float
-    meas_delta_x: float
-    meas_track: bool
-    meas_phi: float
-    monitors: tuple[str, ...]
     quadrature: bool
     out_dir: str
     prefix: str
     sweep_qubits: tuple[int, ...] = ()
-    sweep_alpha: complex | None = field(default=None)
+    sweep_alpha: complex | None = None
+
+    @property
+    def alpha(self) -> complex:
+        return self.photonic.alpha
+
+    @property
+    def dt(self) -> float:
+        return self.propagation.dt
 
     def model_params(self, n_qubits: int | None = None) -> ModelParams:
-        return ModelParams(n_qubits=self.n_qubits if n_qubits is None else n_qubits,
-                           gamma=self.gamma, delta=self.delta, omega=self.omega,
-                           rwa=self.rwa)
+        return self.model if n_qubits is None else replace(self.model, n_qubits=n_qubits)
 
     def photonic_spec(self, alpha: complex | None = None) -> PhotonicSpec:
-        return PhotonicSpec(kind=self.kind,
-                            alpha=self.alpha if alpha is None else alpha,
-                            beta=self.beta, phi_cat=self.phi_cat)
+        return self.photonic if alpha is None else replace(self.photonic, alpha=alpha)
 
     def plan(self) -> PropagationPlan:
-        return PropagationPlan(t_max=self.t_max, dt=self.dt,
-                               sample_stride=self.sample_stride,
-                               monitors=self.monitors)
+        return self.propagation
 
     def quadrature_spec(self) -> QuadratureSpec:
-        return QuadratureSpec(x=self.meas_x, phi=self.meas_phi,
-                              delta_x=self.meas_delta_x,
-                              phase_tracking=self.meas_track)
+        return self.measurement
 
     def initial_state(self) -> CompositeState:
-        return prepare_initial(self.photonic_spec(), self.n_qubits,
-                               n_max=self.n_max)
+        return prepare_initial(self.photonic, self.model.n_qubits, n_max=self.n_max)
 
 
 def _section(cp: configparser.ConfigParser, name: str) -> dict:
@@ -168,72 +158,58 @@ def parse_config(text: str) -> SimulationConfig:
         if not cp.has_section(required):
             raise ConfigError(f"missing required section [{required}]")
 
-    model = _section(cp, "model")
+    sec = _section(cp, "model")
     for key in ("n_qubits", "gamma"):
-        if key not in model:
+        if key not in sec:
             raise ConfigError(f"[model] requires {key}")
-    n_qubits = _parse_int(model["n_qubits"], "[model] n_qubits")
-    if n_qubits < 1:
-        raise ConfigError("[model] n_qubits must be >= 1")
-    gamma = _parse_float(model["gamma"], "[model] gamma")
-    delta = _parse_float(model.get("delta", "1.0"), "[model] delta")
-    omega = _parse_float(model.get("omega", "1.0"), "[model] omega")
-    rwa = _parse_bool(model.get("rwa", "true"), "[model] rwa")
+    model = ModelParams(
+        n_qubits=_parse_int(sec["n_qubits"], "[model] n_qubits"),
+        gamma=_parse_float(sec["gamma"], "[model] gamma"),
+        delta=_parse_float(sec.get("delta", "1.0"), "[model] delta"),
+        omega=_parse_float(sec.get("omega", "1.0"), "[model] omega"),
+        rwa=_parse_bool(sec.get("rwa", "true"), "[model] rwa"))
 
-    ph = _section(cp, "photonic")
+    sec = _section(cp, "photonic")
     for key in ("kind", "alpha"):
-        if key not in ph:
+        if key not in sec:
             raise ConfigError(f"[photonic] requires {key}")
-    kind = ph["kind"].strip()
-    alpha = _parse_complex(ph["alpha"], "[photonic] alpha")
-    beta = _parse_complex(ph["beta"], "[photonic] beta") if "beta" in ph else None
-    phi_cat = _parse_float(ph.get("phi_cat", "0.0"), "[photonic] phi_cat")
-    spec = PhotonicSpec(kind=kind, alpha=alpha, beta=beta, phi_cat=phi_cat)
+    photonic = PhotonicSpec(
+        kind=sec["kind"].strip(),
+        alpha=_parse_complex(sec["alpha"], "[photonic] alpha"),
+        beta=_parse_complex(sec["beta"], "[photonic] beta") if "beta" in sec else None,
+        phi_cat=_parse_float(sec.get("phi_cat", "0.0"), "[photonic] phi_cat"))
 
-    prop = _section(cp, "propagation")
-    if "t_max" not in prop:
+    sec = _section(cp, "propagation")
+    if "t_max" not in sec:
         raise ConfigError("[propagation] requires t_max")
-    t_max = _parse_float(prop["t_max"], "[propagation] t_max")
-    if t_max <= 0.0:
-        raise ConfigError("[propagation] t_max must be > 0")
-    raw_dt = prop.get("dt", "auto").strip().lower()
+    t_max = _parse_float(sec["t_max"], "[propagation] t_max")
+    raw_dt = sec.get("dt", "auto").strip().lower()
     if raw_dt == "auto":
-        dt = FINE_DT if spec.max_amplitude() >= FINE_STEP_AMPLITUDE else DEFAULT_DT
+        dt = FINE_DT if photonic.max_amplitude() >= FINE_STEP_AMPLITUDE else DEFAULT_DT
     else:
         dt = _parse_float(raw_dt, "[propagation] dt")
-        if dt <= 0.0:
-            raise ConfigError("[propagation] dt must be > 0")
-    raw_nmax = prop.get("n_max", "auto").strip().lower()
+    raw_nmax = sec.get("n_max", "auto").strip().lower()
     if raw_nmax == "auto":
-        n_max = required_n_max(spec, n_qubits)
+        n_max = required_n_max(photonic, model.n_qubits)
     else:
         n_max = _parse_int(raw_nmax, "[propagation] n_max")
         if n_max < 1:
             raise ConfigError("[propagation] n_max must be >= 1")
-    raw_stride = prop.get("sample_stride", "auto").strip().lower()
-    if raw_stride == "auto":
-        stride = None
-    else:
-        stride = _parse_int(raw_stride, "[propagation] sample_stride")
-        if stride < 1:
-            raise ConfigError("[propagation] sample_stride must be >= 1")
-
-    meas = _section(cp, "measurement")
-    meas_x = _parse_float(meas.get("x", "0.0"), "[measurement] x")
-    meas_dx = _parse_float(meas.get("delta_x", "0.0"), "[measurement] delta_x")
-    if meas_dx < 0.0:
-        raise ConfigError("[measurement] delta_x must be >= 0")
-    meas_track = _parse_bool(meas.get("track", "true"), "[measurement] track")
-    meas_phi = _parse_float(meas.get("phi", "0.0"), "[measurement] phi")
-
+    raw_stride = sec.get("sample_stride", "auto").strip().lower()
+    stride = (None if raw_stride == "auto"
+              else _parse_int(raw_stride, "[propagation] sample_stride"))
     mon = _section(cp, "monitors")
-    names = tuple(mon.get("names", " ".join(DEFAULT_MONITORS)).split())
-    known = monitor_names()
-    for name in names:
-        if name not in known:
-            raise ConfigError(f"unknown monitor {name!r}; known: "
-                              f"{', '.join(known)}")
+    names = tuple(mon["names"].split()) if "names" in mon else DEFAULT_MONITORS
     quadrature = _parse_bool(mon.get("quadrature", "false"), "[monitors] quadrature")
+    propagation = PropagationPlan(t_max=t_max, dt=dt, sample_stride=stride,
+                                  monitors=names)
+
+    sec = _section(cp, "measurement")
+    measurement = QuadratureSpec(
+        x=_parse_float(sec.get("x", "0.0"), "[measurement] x"),
+        phi=_parse_float(sec.get("phi", "0.0"), "[measurement] phi"),
+        delta_x=_parse_float(sec.get("delta_x", "0.0"), "[measurement] delta_x"),
+        phase_tracking=_parse_bool(sec.get("track", "true"), "[measurement] track"))
 
     out = _section(cp, "output")
     out_dir = out.get("directory", ".").strip()
@@ -258,11 +234,8 @@ def parse_config(text: str) -> SimulationConfig:
             sweep_alpha = _parse_complex(raw_sa, "[sweep] alpha")
 
     return SimulationConfig(
-        n_qubits=n_qubits, gamma=gamma, delta=delta, omega=omega, rwa=rwa,
-        kind=kind, alpha=alpha, beta=beta, phi_cat=phi_cat,
-        t_max=t_max, dt=dt, n_max=n_max, sample_stride=stride,
-        meas_x=meas_x, meas_delta_x=meas_dx, meas_track=meas_track,
-        meas_phi=meas_phi, monitors=names, quadrature=quadrature,
+        model=model, photonic=photonic, propagation=propagation,
+        measurement=measurement, n_max=n_max, quadrature=quadrature,
         out_dir=out_dir, prefix=prefix, sweep_qubits=sweep_qubits,
         sweep_alpha=sweep_alpha)
 
@@ -273,39 +246,41 @@ def load_config(path: str) -> SimulationConfig:
 
 
 def serialize_config(cfg: SimulationConfig) -> str:
+    model, photonic = cfg.model, cfg.photonic
+    plan, meas = cfg.propagation, cfg.measurement
     lines = [
         "[model]",
-        f"n_qubits = {cfg.n_qubits}",
-        f"gamma = {format_float(cfg.gamma)}",
-        f"delta = {format_float(cfg.delta)}",
-        f"omega = {format_float(cfg.omega)}",
-        f"rwa = {'true' if cfg.rwa else 'false'}",
+        f"n_qubits = {model.n_qubits}",
+        f"gamma = {format_float(model.gamma)}",
+        f"delta = {format_float(model.delta)}",
+        f"omega = {format_float(model.omega)}",
+        f"rwa = {'true' if model.rwa else 'false'}",
         "",
         "[photonic]",
-        f"kind = {cfg.kind}",
-        f"alpha = {format_complex(cfg.alpha)}",
+        f"kind = {photonic.kind}",
+        f"alpha = {format_complex(photonic.alpha)}",
     ]
-    if cfg.beta is not None:
-        lines.append(f"beta = {format_complex(cfg.beta)}")
-    if cfg.phi_cat != 0.0:
-        lines.append(f"phi_cat = {format_float(cfg.phi_cat)}")
+    if photonic.beta is not None:
+        lines.append(f"beta = {format_complex(photonic.beta)}")
+    if photonic.phi_cat != 0.0:
+        lines.append(f"phi_cat = {format_float(photonic.phi_cat)}")
     lines += [
         "",
         "[propagation]",
-        f"t_max = {format_float(cfg.t_max)}",
-        f"dt = {format_float(cfg.dt)}",
+        f"t_max = {format_float(plan.t_max)}",
+        f"dt = {format_float(plan.dt)}",
         f"n_max = {cfg.n_max}",
-        "sample_stride = auto" if cfg.sample_stride is None
-        else f"sample_stride = {cfg.sample_stride}",
+        "sample_stride = auto" if plan.sample_stride is None
+        else f"sample_stride = {plan.sample_stride}",
         "",
         "[measurement]",
-        f"x = {format_float(cfg.meas_x)}",
-        f"delta_x = {format_float(cfg.meas_delta_x)}",
-        f"track = {'true' if cfg.meas_track else 'false'}",
-        f"phi = {format_float(cfg.meas_phi)}",
+        f"x = {format_float(meas.x)}",
+        f"delta_x = {format_float(meas.delta_x)}",
+        f"track = {'true' if meas.phase_tracking else 'false'}",
+        f"phi = {format_float(meas.phi)}",
         "",
         "[monitors]",
-        f"names = {' '.join(cfg.monitors)}",
+        f"names = {' '.join(plan.monitors)}",
         f"quadrature = {'true' if cfg.quadrature else 'false'}",
         "",
         "[output]",

@@ -28,7 +28,7 @@ from .hilbert import CompositeState, ElectronDensityMatrix, reduce_to_electron
 from .measurement import (ParityOutcome, PostselectionResult, QuadratureSpec,
                           parity_postselect, parity_probabilities,
                           quadrature_postselect)
-from .operators import ModelParams, expectation
+from .operators import OBSERVABLES, ModelParams, expectation
 from .qfi import qfi_mixed
 
 
@@ -119,8 +119,7 @@ def _expectation(name: str) -> MonitorFn:
 MONITORS: dict[str, MonitorFn] = {
     "norm_drift": lambda ctx: ctx.norm_drift,
     "tail_population": lambda ctx: ctx.state.tail_population(),
-    **{name: _expectation(name) for name in
-       ("photon_number", "jz", "jx", "jy", "energy", "excitation_number")},
+    **{name: _expectation(name) for name in OBSERVABLES},
     "qfi_density": _qfi_density(None),
     "prob_even": _parity_prob(ParityOutcome.EVEN),
     "prob_odd": _parity_prob(ParityOutcome.ODD),

@@ -163,8 +163,10 @@ def expectation(state: CompositeState, observable: str,
     return per_sample(jz + params.n_qubits / 2.0 + nph)
 
 
-def field_expectation(state: CompositeState) -> complex:
-    """<a> of the photon mode; the quadrature field is i*gamma*omega*(a - a^dag)."""
+def field_expectation(state: CompositeState) -> complex | np.ndarray:
+    """<a> of the photon mode (one complex value per sample for a stack);
+    the quadrature field is i*gamma*omega*(a - a^dag)."""
     c = state.amplitudes
     sqn = np.sqrt(np.arange(1, state.fock.dim, dtype=float))
-    return complex(np.einsum("mn,n,mn->", c[:, :-1].conj(), sqn, c[:, 1:]))
+    value = np.einsum("...mn,n,...mn->...", c[..., :-1].conj(), sqn, c[..., 1:])
+    return complex(value) if value.ndim == 0 else value

@@ -60,6 +60,8 @@ MAX_AUTO_SAMPLES = 5000
 
 DEFAULT_DT = 1e-3
 
+DEFAULT_MONITORS = ("qfi_density", "photon_number")
+
 # Bessel coefficients below this bound end the Chebyshev sum; they decay
 # faster than exponentially beyond order r * tau, so the dropped tail is
 # smaller still.
@@ -83,7 +85,7 @@ class PropagationPlan:
     t_max: float
     dt: float = DEFAULT_DT
     sample_stride: int | None = None
-    monitors: tuple[str, ...] = ("qfi_density", "photon_number")
+    monitors: tuple[str, ...] = DEFAULT_MONITORS
 
     def __post_init__(self):
         if not 0.0 < self.t_max < math.inf:
@@ -92,6 +94,7 @@ class PropagationPlan:
             raise ConfigError(f"dt must lie in (0, t_max], got {self.dt!r}")
         if self.sample_stride is not None and self.sample_stride < 1:
             raise ConfigError("sample_stride must be >= 1")
+        resolve_monitors(self.monitors)
 
     @property
     def n_steps(self) -> int:

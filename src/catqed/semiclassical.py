@@ -89,10 +89,19 @@ def _rabi_closed_form(params: ModelParams, alphas, times):
 
 def _product_state(n_qubits: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dicke amplitudes sqrt(C(N, k)) a^{N-k} b^k of N copies of
-    a|down> + b|up>, k counting flipped qubits; one row per (a, b) pair."""
-    k = np.arange(n_qubits + 1)
-    comb = np.sqrt([math.comb(n_qubits, i) for i in k])
-    return comb * np.power(a[:, None], n_qubits - k) * np.power(b[:, None], k)
+    a|down> + b|up>, k counting flipped qubits; one row per (a, b) pair.
+
+    For |a|^2 + |b|^2 = 1 this is the N-quantum part of the two-mode
+    coherent state |sqrt(N) b>|sqrt(N) a> (Arecchi et al., Phys. Rev. A 6,
+    2211 (1972)): <k|sqrt(N) b><N-k|sqrt(N) a> is the amplitude times a
+    positive factor independent of k, which normalizing the row removes.
+    Both factors are rows of one ``coherent_matrix``, so no binomial or
+    power is formed and the state is accurate at any N.
+    """
+    rows = coherent_matrix(math.sqrt(n_qubits) * np.concatenate([b, a]), n_qubits)
+    out = rows[:b.size] * rows[b.size:, ::-1]
+    out /= np.linalg.norm(out, axis=1, keepdims=True)
+    return out
 
 
 def _rabi_states(params: ModelParams, alphas, times) -> np.ndarray:

@@ -129,6 +129,33 @@ def coherent_amplitudes_mpmath(alpha, n_max, dps=60):
     return np.array(out, dtype=complex)
 
 
+def spin_coherent_mpmath(n_qubits, a, b, dps=60):
+    """sqrt(C(N, k)) a^{N-k} b^k at high precision, (a, b) first scaled to
+    |a|^2 + |b|^2 = 1; returns complex128 after rounding."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a, b = mpmath.mpmathify(complex(a)), mpmath.mpmathify(complex(b))
+        scale = mpmath.sqrt(abs(a) ** 2 + abs(b) ** 2)
+        a, b = a / scale, b / scale
+        out = [complex(mpmath.sqrt(mpmath.binomial(n_qubits, k))
+                       * a ** (n_qubits - k) * b ** k)
+               for k in range(n_qubits + 1)]
+    return np.array(out, dtype=complex)
+
+
+def dense_drive_state(params, alpha, t):
+    """Lab-frame collective state under the rotating wave drive: the drive is
+    static in the co-rotating frame, so one dense matrix exponential there,
+    then the free rotation back to the lab frame."""
+    _, _, jz, jp, jm = dense_spin(params.n_qubits)
+    coeff = -0.5j * params.gamma * params.omega * alpha
+    h = (params.delta - params.omega) * jz + coeff * jp + np.conj(coeff) * jm
+    down = np.zeros(params.n_qubits + 1, dtype=complex)
+    down[0] = 1.0
+    return np.exp(-1j * params.omega * t * np.diag(jz).real) * (expm(-1j * t * h) @ down)
+
+
 def hermite_psi_mpmath(x, n, dps=60):
     """psi_n(x) = H_n(x) e^{-x^2/2} / sqrt(2^n n! sqrt(pi)) at high precision."""
     import mpmath

@@ -234,3 +234,16 @@ def test_echo_config_is_canonical(tmp_path, capsys):
     assert "\nmu =" not in printed
     reparsed = parse_config(printed)
     assert reparsed == parse_config(SMOKE)
+
+
+@pytest.mark.parametrize("old,new", [
+    ("gamma = 0.2", "gamma = -1"),
+    ("gamma = 0.2", "gamma = 0.2\ndelta = 0"),
+    ("t_max = 2", "t_max = 1\ndt = 5"),
+], ids=["gamma", "delta", "dt-above-t_max"])
+def test_echo_config_refuses_what_simulate_refuses(tmp_path, capsys, old, new):
+    path = write_config(tmp_path, SMOKE.replace(old, new))
+    assert main(["echo-config", "--config", path]) == 2
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("config error") == 2

@@ -23,19 +23,12 @@ t_max = 50
 
 def test_minimal_config_resolves_defaults():
     cfg = parse_config(MINIMAL)
-    assert cfg.n_qubits == 8
-    assert cfg.gamma == 0.01
-    assert cfg.delta == 1.0 and cfg.omega == 1.0
-    assert cfg.rwa is True
-    assert cfg.kind == "even_cat" and cfg.alpha == 2.0 + 0.0j
-    assert cfg.beta is None and cfg.phi_cat == 0.0
-    assert cfg.t_max == 50.0
-    assert cfg.dt == 1e-3
+    assert cfg.model == cq.ModelParams(8, 0.01)
+    assert cfg.photonic == cq.PhotonicSpec("even_cat", 2.0 + 0.0j)
+    assert cfg.propagation == cq.PropagationPlan(
+        t_max=50.0, dt=1e-3, monitors=("qfi_density", "photon_number"))
+    assert cfg.measurement == cq.QuadratureSpec(phase_tracking=True)
     assert cfg.n_max == cq.required_n_max(2.0, 8)
-    assert cfg.sample_stride is None
-    assert cfg.meas_x == 0.0 and cfg.meas_delta_x == 0.0
-    assert cfg.meas_track is True and cfg.meas_phi == 0.0
-    assert cfg.monitors == ("qfi_density", "photon_number")
     assert cfg.quadrature is False
     assert cfg.out_dir == "." and cfg.prefix == "run"
     assert cfg.sweep_qubits == () and cfg.sweep_alpha is None
@@ -76,7 +69,7 @@ def test_round_trip_preserves_general_cat_fields():
     text = MINIMAL.replace("kind = even_cat\nalpha = 2",
                            "kind = general_cat\nalpha = 2\nbeta = -2\nphi_cat = 3.14")
     cfg = parse_config(text)
-    assert cfg.beta == -2.0 + 0.0j and cfg.phi_cat == 3.14
+    assert cfg.photonic == cq.PhotonicSpec("general_cat", 2.0, beta=-2.0, phi_cat=3.14)
     assert parse_config(serialize_config(cfg)) == cfg
 
 
@@ -95,8 +88,14 @@ def test_complex_values_tolerate_spaces():
     (lambda s: s.replace("gamma = 0.01", "gamma = small"), "real number"),
     (lambda s: s.replace("alpha = 2", "alpha = two"), "number like"),
     (lambda s: s + "\n[monitors]\nquadrature = maybe\n", "boolean"),
-    (lambda s: s.replace("t_max = 50", "t_max = -1"), "t_max must be > 0"),
-    (lambda s: s.replace("t_max = 50", "t_max = 50\ndt = 0"), "dt must be > 0"),
+    (lambda s: s.replace("t_max = 50", "t_max = -1"), "t_max must be positive"),
+    (lambda s: s.replace("t_max = 50", "t_max = 50\ndt = 0"), r"dt must lie in \(0, t_max\]"),
+    (lambda s: s.replace("t_max = 50", "t_max = 1\ndt = 5"), r"dt must lie in \(0, t_max\]"),
+    (lambda s: s.replace("gamma = 0.01", "gamma = -1"), "gamma must be nonnegative"),
+    (lambda s: s.replace("gamma = 0.01", "gamma = 0.01\ndelta = 0"),
+     "delta and omega must be positive"),
+    (lambda s: s.replace("gamma = 0.01", "gamma = 0.01\nomega = 0"),
+     "delta and omega must be positive"),
     (lambda s: s.replace("t_max = 50", "t_max = 50\nn_max = 0"), "n_max"),
     (lambda s: s.replace("t_max = 50", "t_max = 50\nsample_stride = 0"),
      "sample_stride"),
@@ -113,7 +112,8 @@ def test_complex_values_tolerate_spaces():
     (lambda s: s.replace("alpha = 2", "alpha = nan+1j"), "finite"),
     (lambda s: s.replace("alpha = 2", "alpha = 2+infj"), "finite"),
 ], ids=["section", "key", "mu", "missing-section", "missing-key", "bad-float",
-        "bad-complex", "bad-bool", "t_max", "dt", "n_max", "stride",
+        "bad-complex", "bad-bool", "t_max", "dt", "dt-above-t_max", "gamma",
+        "delta", "omega", "n_max", "stride",
         "monitor", "kind", "delta_x", "prefix", "sweep-missing",
         "sweep-dupes", "malformed", "t_max-nan", "dt-inf", "gamma-inf",
         "alpha-nan", "alpha-infj"])

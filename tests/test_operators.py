@@ -144,11 +144,18 @@ def test_energy_requires_params(rng):
 
 
 def test_field_expectation_matches_dense(rng):
-    state = random_state(rng, 2, 6)
     a, _, _ = dense_boson(6)
-    ref = np.vdot(state.amplitudes.ravel(),
-                  np.kron(np.eye(3), a) @ state.amplitudes.ravel())
-    assert abs(cq.field_expectation(state) - ref) < 1e-13
+    states = [random_state(rng, 2, 6) for _ in range(3)]
+    refs = [np.vdot(s.amplitudes.ravel(), np.kron(np.eye(3), a) @ s.amplitudes.ravel())
+            for s in states]
+    assert isinstance(cq.field_expectation(states[0]), complex)
+    assert abs(cq.field_expectation(states[0]) - refs[0]) < 1e-13
+    # a stack gives one complex value per sample
+    stack = cq.CompositeState(np.stack([s.amplitudes for s in states]), cq.DickeSpace(2),
+                              cq.FockSpace(6), time=[0.0, 1.0, 2.0])
+    got = cq.field_expectation(stack)
+    assert got.shape == (3,) and got.dtype == np.complex128
+    assert np.abs(got - refs).max() < 1e-13
 
 
 def test_model_params_validation():

@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
 import catqed as cq
 from catqed import semiclassical
-from oracles import dense_spin
+from oracles import dense_drive_state, dense_spin, spin_coherent_mpmath
 
 RES = cq.ModelParams(n_qubits=3, gamma=0.7)
 DET = cq.ModelParams(n_qubits=3, gamma=0.4, delta=1.4)
@@ -60,18 +59,33 @@ def test_rabi_solution_alpha_zero_free_phase():
     (cq.ModelParams(n_qubits=4, gamma=0.3 * 0.6, delta=0.8), 1.0 + 1.0j),
 ], ids=["resonant", "detuned", "detuned-complex"])
 def test_rabi_solution_matches_numerical_drive(params, alpha):
-    # the rotating wave drive is static in the co-rotating frame: one dense
-    # matrix exponential there, then the free rotation back to the lab frame
     t = 3.0
-    _, _, jz, jp, jm = dense_spin(params.n_qubits)
-    coeff = -0.5j * params.gamma * params.omega * alpha
-    h = (params.delta - params.omega) * jz + coeff * jp + np.conj(coeff) * jm
-    down = np.zeros(params.n_qubits + 1, dtype=complex)
-    down[0] = 1.0
-    numeric = np.exp(-1j * params.omega * t * np.diag(jz).real) \
-        * (expm(-1j * t * h) @ down)
     closed = cq.rabi_solution(params, alpha, t)
-    assert np.max(np.abs(closed - numeric)) < 1e-12
+    assert np.max(np.abs(closed - dense_drive_state(params, alpha, t))) < 1e-12
+
+
+@pytest.mark.parametrize("n_qubits", [68, 200, 1000])
+def test_product_state_matches_mpmath(n_qubits):
+    # C(68, 34) is past 2^64, where a binomial table turns into Python ints;
+    # p = |b|^2 spans both poles, phases are random
+    rng = np.random.default_rng(n_qubits)
+    p = np.array([0.0, 1e-3, 0.02, 0.3, 0.5, 0.77, 0.999, 1.0])
+    a = np.sqrt(1.0 - p) * np.exp(2j * math.pi * rng.uniform(size=p.size))
+    b = np.sqrt(p) * np.exp(2j * math.pi * rng.uniform(size=p.size))
+    rows = semiclassical._product_state(n_qubits, a, b)
+    for row, ai, bi in zip(rows, a, b):
+        ref = spin_coherent_mpmath(n_qubits, ai, bi)
+        kept = np.abs(ref) > 1e-280
+        assert np.all(np.abs(row[kept] - ref[kept]) <= 1e-12 * np.abs(ref[kept]))
+        assert np.all(np.abs(row[~kept]) <= 1e-280)
+
+
+def test_rabi_cat_state_at_128_qubits_matches_dense_drive():
+    params = cq.ModelParams(n_qubits=128, gamma=0.01, delta=1.2)
+    alpha, t = 10.0 + 3.0j, 17.0
+    ref = dense_drive_state(params, alpha, t) + dense_drive_state(params, -alpha, t)
+    ref /= np.linalg.norm(ref)
+    assert np.max(np.abs(cq.rabi_cat_state(params, alpha, t) - ref)) < 1e-12
 
 
 def jz_expectation(params, psi):
