@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, StateValidationError
+from .errors import DimensionMismatchError, StateValidationError, TruncationError
 
 NORM_ATOL = 1e-10
 HERMITICITY_ATOL = 1e-12
@@ -98,6 +98,15 @@ class FockSpace:
         lo = max(0, self.n_max - TAIL_WIDTH)
         tail = amplitudes[..., lo:]
         return per_sample(np.sum(tail.real**2 + tail.imag**2, axis=(-2, -1)))
+
+    def check_tail(self, amplitudes: np.ndarray, t: float) -> None:
+        """Refuse a joint state at time t whose tail population exceeds
+        ``tail_tolerance``: the cutoff no longer holds it."""
+        tail = self.tail_population(amplitudes)
+        if tail > self.tail_tolerance:
+            raise TruncationError(
+                f"tail population {tail:.3e} exceeds {self.tail_tolerance:.1e} at "
+                f"t = {t:.6g} for n_max = {self.n_max}; raise the cutoff")
 
 
 class CompositeState:

@@ -48,9 +48,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, PeakError, TruncationError
+from .errors import ConfigError, NumericalError, PeakError
 from .fileio import atomic_write_text, format_float
-from .hilbert import CompositeState, FockSpace
+from .hilbert import CompositeState
 from .monitors import MonitorContext, MonitorFn, resolve_monitors
 from .operators import HamiltonianAction, ModelParams
 
@@ -130,18 +130,21 @@ def _bessel_j(x: float, count: int) -> np.ndarray:
     return vals / (vals[0] + 2.0 * vals[2::2].sum())
 
 
-def _chebyshev_coefficients(x: float) -> np.ndarray:
-    """(2 - delta_k0) (-i)^k J_k(x), cut where |J_k(x)| < CHEBYSHEV_TOL.
-
-    The Bessel values come from ``_bessel_j``, started where J_k has decayed
-    far below the cut (about 15 x^(1/3) orders past the turning point k = x).
-    """
-    start = x + 15.0 * x ** (1.0 / 3.0)
-    if not start + 25 <= MAX_CHEBYSHEV_TERMS:
+def bessel_cut(x: float, limit: int, context: str) -> int:
+    """Orders past which J_k(x), x >= 0, is negligible: about 15 x^(1/3) past
+    the turning point k = x, plus 25.  Raises past ``limit``; ``context`` names x."""
+    count = np.floor(x + 15.0 * x ** (1.0 / 3.0)) + 25.0
+    if not count <= limit:
         raise NumericalError(
-            f"a sample interval of r * tau = {x:.3g} needs {start + 25:.3g} Chebyshev "
-            f"terms, more than {MAX_CHEBYSHEV_TERMS}; sample that interval more finely")
-    bessel = _bessel_j(x, int(start) + 25)
+            f"{context} {x:.3g} needs {count:.3g} Bessel orders, more than {limit}")
+    return int(count)
+
+
+def _chebyshev_coefficients(x: float) -> np.ndarray:
+    """(2 - delta_k0) (-i)^k J_k(x), cut where |J_k(x)| < CHEBYSHEV_TOL; the
+    values come from ``_bessel_j``, started at ``bessel_cut``."""
+    bessel = _bessel_j(x, bessel_cut(x, MAX_CHEBYSHEV_TERMS,
+                                     "sample that interval more finely: its r * tau ="))
     keep = int(np.flatnonzero(np.abs(bessel) >= CHEBYSHEV_TOL)[-1]) + 1
     coeffs = np.array([1, -1j, -1, 1j])[np.arange(keep) % 4] * bessel[:keep]
     coeffs[1:] *= 2.0
@@ -245,15 +248,6 @@ class TimeSeries:
         atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _check_tail(fock: FockSpace, psi: np.ndarray, t: float) -> float:
-    tail = fock.tail_population(psi)
-    if tail > fock.tail_tolerance:
-        raise TruncationError(
-            f"tail population {tail:.3e} exceeds {fock.tail_tolerance:.1e} at "
-            f"t = {t:.6g} for n_max = {fock.n_max}; raise the cutoff")
-    return tail
-
-
 def _evolve(initial: CompositeState, params: ModelParams, steps: Sequence[int],
             dt: float, block: int):
     """Yield (stacked state, norm drifts) for consecutive runs of at most
@@ -269,7 +263,7 @@ def _evolve(initial: CompositeState, params: ModelParams, steps: Sequence[int],
             if step > previous:
                 drift[i] = evolver.advance((step - previous) * dt)
             previous = step
-            _check_tail(initial.fock, evolver.psi, step * dt)
+            initial.fock.check_tail(evolver.psi, step * dt)
             evolver.lab_amplitudes(step * dt, amplitudes[i])
         yield CompositeState(amplitudes, initial.dicke, initial.fock,
                              time=np.asarray(chunk) * dt, copy=False,

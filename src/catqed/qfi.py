@@ -51,9 +51,6 @@ class QfiResult:
     direction: np.ndarray
     matrix: np.ndarray
 
-    def density(self, n_qubits: int) -> float | np.ndarray:
-        return self.value / n_qubits
-
 
 def _top_direction(fisher: np.ndarray, n_qubits: int) -> QfiResult:
     fisher = 0.5 * (fisher + fisher.swapaxes(-1, -2))

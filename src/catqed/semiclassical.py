@@ -18,11 +18,11 @@ Then |a|^2 + |b|^2 = 1, and the lab-frame collective state is
 
 Superpositions of field amplitudes map to superpositions of these spin
 trajectories; overlaps between the branches decide the normalization.
-Without the rotating wave approximation the drive is a real oscillating
-field. The N qubits still evolve independently, so one qubit is integrated
-numerically (adaptive eighth-order Runge-Kutta) and raised to the same
-symmetric N-fold product; this exposes the 2 omega micromotion absent from
-the closed form.
+Without the rotating wave approximation the drive is a real field
+oscillating at omega. The N qubits still evolve independently, so one qubit
+is propagated exactly through Shirley's Floquet matrix and raised to the
+same symmetric N-fold product; this exposes the 2 omega micromotion absent
+from the closed form.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from numpy.polynomial.hermite import hermgauss
 from .errors import GridConvergenceError, NumericalError, StateValidationError
 from .hilbert import CompositeState, DickeSpace, FockSpace
 from .operators import ModelParams
+from .propagator import bessel_cut
 from .stateprep import PhotonicSpec, coherent_matrix, required_n_max
 
 DEFAULT_GRID_NODES = 41
@@ -46,6 +47,11 @@ DEGENERATE_NORM_ATOL = 1e-12
 # Coherent-state Fock rows contracted into the expansion at once, so that a
 # grid's footprint stays near this size whatever its node count and |alpha|.
 EXPANSION_BLOCK_BYTES = 1 << 22
+
+# The full drive fails loudly with more than FLOQUET_EDGE_TOL on its edge
+# harmonics, or with a cut whose Floquet matrix would pass 64 MiB.
+FLOQUET_EDGE_TOL = 1e-13
+MAX_FLOQUET_ORDER = 1000
 
 
 @dataclass(frozen=True)
@@ -57,8 +63,7 @@ class RabiDrive:
 
     @property
     def field_amplitude(self) -> complex:
-        p = self.params
-        return 1j * p.gamma * p.omega * self.alpha
+        return 1j * self.params.coupling * self.alpha
 
     @property
     def rabi_frequency(self) -> float:
@@ -160,35 +165,34 @@ def classically_driven_trajectory(params: ModelParams, alpha: complex,
     per sample time.
 
     Rotating wave drive: the closed form ``rabi_solution``. Full drive: one
-    qubit integrated with DOP853 in the lab frame, then raised to the
-    symmetric N-fold product.
+    qubit started down, raised to the symmetric N-fold product.  Its
+    h(t) = h_0 + h_{+1} e^{i omega t} + h.c. on (down, up), with h_0 =
+    diag(-delta/2, delta/2) and h_{+1} = (i g conj(alpha) / 2) sigma_x, gives
+    U(t)|down> = sum_k e^{i k omega t} <k| exp(-i H_F t) |0, down> through
+    Shirley's H_F[k, k'] = h_{k-k'} + k omega delta_{kk'}, cut at |k| = K by
+    the Bessel tail J_k(g |alpha| / omega).  h_{+-1} flip the qubit, so only
+    (even k, down) and (odd k, up) enter, where H_F is tridiagonal in k.
     """
     times = np.asarray(times, dtype=float)
     if times.size and (times[0] < 0.0 or np.any(np.diff(times) < 0.0)):
         raise StateValidationError("sample times must be nonnegative and nondecreasing")
     if params.rwa:
         return _rabi_states(params, alpha, times)
-    from scipy.integrate import solve_ivp  # costly import, needed only here
-
-    g = params.coupling
-    half_delta = 0.5 * params.delta
-
-    def rhs(t, y):
-        # i d/dt (a, b) = h (a, b), h = delta sz / 2 - field sx / 2
-        half_field = -g * np.imag(alpha * np.exp(-1j * params.omega * t))
-        return -1j * np.array([-half_delta * y[0] - half_field * y[1],
-                               half_delta * y[1] - half_field * y[0]])
-
-    grid, rows = np.unique(times, return_inverse=True)
-    amps = np.zeros((grid.size, 2), dtype=complex)
-    amps[:, 0] = 1.0
-    if grid.size and grid[-1] > 0.0:
-        sol = solve_ivp(rhs, (0.0, grid[-1]), amps[0], method="DOP853",
-                        t_eval=grid, rtol=1e-13, atol=1e-14)
-        if not sol.success:
-            raise NumericalError(f"classical drive integration failed: {sol.message}")
-        amps = sol.y.T
-    return _product_state(params.n_qubits, amps[rows, 0], amps[rows, 1])
+    k_max = bessel_cut(abs(params.coupling * alpha) / params.omega, MAX_FLOQUET_ORDER,
+                       "the full drive's g |alpha| / omega =")
+    ks = np.arange(-k_max, k_max + 1)
+    down = ks % 2 == 0
+    hop = np.full(2 * k_max, 0.5j * params.coupling * np.conj(alpha))    # h_{+1}
+    h_f = (np.diag(params.omega * ks + np.where(down, -0.5, 0.5) * params.delta)
+           + np.diag(hop, -1) + np.diag(hop.conj(), 1))
+    energies, vecs = np.linalg.eigh(h_f)
+    phi = (np.exp(-1j * np.outer(times, energies)) * vecs[k_max].conj()) @ vecs.T
+    edge = float(np.max(np.abs(phi[:, [0, -1]]), initial=0.0))
+    if edge > FLOQUET_EDGE_TOL:
+        raise NumericalError(f"the full drive holds {edge:.3e} in its edge harmonics "
+                             f"k = +-{k_max}, more than {FLOQUET_EDGE_TOL:.0e}")
+    terms = np.exp(1j * params.omega * np.outer(times, ks)) * phi
+    return _product_state(params.n_qubits, terms[:, down].sum(1), terms[:, ~down].sum(1))
 
 
 def classically_driven_state(params: ModelParams, alpha: complex,

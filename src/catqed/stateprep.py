@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, TruncationError
-from .hilbert import CompositeState, DickeSpace, FockSpace
+from .hilbert import TAIL_WIDTH, CompositeState, DickeSpace, FockSpace
 
 PHOTONIC_KINDS = ("coherent", "general_cat", "even_cat", "kitten")
 
@@ -99,7 +99,7 @@ def _poisson_tails(mean: float, lo: int) -> np.ndarray:
 
 def required_n_max(spec_or_amplitude, n_qubits: int) -> int:
     """Cutoff heuristic: |alpha|^2 + 7|alpha| covers the Poisson tail, plus
-    room for up to N emitted photons and the 10-wide watch window.
+    room for up to N emitted photons and the TAIL_WIDTH-wide watch window.
 
     At small amplitudes the 7|alpha| margin alone is too thin: the watch
     window would start inside the still-populated Poisson tail and the
@@ -114,7 +114,7 @@ def required_n_max(spec_or_amplitude, n_qubits: int) -> int:
     mean = a * a
     lo = max(1, math.ceil(mean))
     floor = lo + int(np.argmax(_poisson_tails(mean, lo) <= STATIC_TAIL_ATOL))
-    return n_qubits + 10 + max(math.ceil(mean + 7.0 * a), floor)
+    return n_qubits + TAIL_WIDTH + max(math.ceil(mean + 7.0 * a), floor)
 
 
 def check_truncation(alpha: complex, n_max: int) -> None:
@@ -204,21 +204,16 @@ def photonic_vector(spec: PhotonicSpec, n_max: int) -> np.ndarray:
     return v / nrm
 
 
-def prepare_initial(spec: PhotonicSpec, n_qubits: int, n_max: int | None = None,
-                    tail_tolerance: float = 1e-8) -> CompositeState:
+def prepare_initial(spec: PhotonicSpec, n_qubits: int,
+                    n_max: int | None = None) -> CompositeState:
     """All emitters down, photons in ``spec``; cutoff chosen automatically
     when ``n_max`` is None."""
     if n_max is None:
         n_max = required_n_max(spec, n_qubits)
     dicke = DickeSpace(n_qubits)
-    fock = FockSpace(n_max, tail_tolerance=tail_tolerance)
+    fock = FockSpace(n_max)
     vec = photonic_vector(spec, n_max)
     c = np.zeros((dicke.dim, fock.dim), dtype=np.complex128)
     c[0, :] = vec
-    state = CompositeState(c, dicke, fock, time=0.0, copy=False)
-    tail = state.tail_population()
-    if tail > tail_tolerance:
-        raise TruncationError(
-            f"initial state already has tail population {tail:.3e} > "
-            f"{tail_tolerance:.1e} at n_max = {n_max}")
-    return state
+    fock.check_tail(c, 0.0)
+    return CompositeState(c, dicke, fock, time=0.0, copy=False)

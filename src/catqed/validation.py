@@ -87,7 +87,7 @@ def _check_propagation_norm() -> tuple[bool, str]:
 
 
 def _check_rabi_consistency() -> tuple[bool, str]:
-    # one qubit, so the closed form and the integrated full drive share no
+    # one qubit, so the closed form and the Floquet full drive share no
     # arithmetic; at gamma = 0.01 the counter-rotating terms only dress the
     # rotation (pi/4 here) with small 2 omega micromotion
     alpha, t = 5.0, 5.0 * math.pi

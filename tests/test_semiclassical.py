@@ -168,6 +168,62 @@ def test_full_drive_matches_collective_integration():
     assert np.max(np.abs(got - ref)) < 1e-9
 
 
+# One qubit under the full drive: the points the other tests and `validate`
+# use, a detuned complex drive, and a strong one (g |alpha| = 30, K = 101).
+FULL_DRIVES = {
+    "trajectory": (cq.ModelParams(n_qubits=1, gamma=0.4, rwa=False), 1.1),
+    "collective": (cq.ModelParams(n_qubits=1, gamma=0.4, rwa=False), 1.1 + 0.3j),
+    "weak": (cq.ModelParams(n_qubits=1, gamma=0.01, rwa=False), 2.0),
+    "validate": (cq.ModelParams(n_qubits=1, gamma=0.01, rwa=False), 5.0),
+    "detuned-complex": (cq.ModelParams(n_qubits=1, gamma=0.3, delta=1.4, omega=0.8,
+                                       rwa=False), 1.2 - 0.7j),
+    "strong": (cq.ModelParams(n_qubits=1, gamma=1.0, rwa=False), 30.0),
+}
+
+
+def _dop853_propagator(params, alpha, times):
+    """U(t) of one qubit under the full drive, one 2 x 2 matrix per time."""
+    def rhs(t, y):
+        q = params.coupling * np.imag(alpha * np.exp(-1j * params.omega * t))
+        h = np.array([[-0.5 * params.delta, q], [q, 0.5 * params.delta]])
+        return -1j * (h @ y.reshape(2, 2)).ravel()
+
+    sol = solve_ivp(rhs, (0.0, times[-1]), np.eye(2, dtype=complex).ravel(),
+                    method="DOP853", t_eval=times, rtol=3e-14, atol=1e-16)
+    return sol.y.T.reshape(-1, 2, 2)
+
+
+@pytest.mark.parametrize("params,alpha", FULL_DRIVES.values(), ids=FULL_DRIVES.keys())
+def test_floquet_full_drive_matches_dop853(params, alpha):
+    # Worst measured over these drives: 2.9e-13 for t <= 63 and 3.3e-11 at
+    # t = 10^3 T + s (2.3e-12 without the strong drive), the strong drive
+    # worst in both.  The long-time reference is U(s) U(T)^1000 with U(s)
+    # and U(T) from DOP853.  Loosening DOP853 to rtol 1e-13 triples both
+    # deviations, so the reference carries much of them; the Floquet
+    # eigenphase rounding, about 1e-16 |H_F| t, is of the same order.
+    times = np.linspace(0.0, 63.0, 64)
+    got = cq.classically_driven_trajectory(params, alpha, times)
+    ref = _dop853_propagator(params, alpha, times)[:, :, 0]
+    assert np.max(np.abs(got - ref)) < 1e-12
+    period = 2.0 * math.pi / params.omega
+    s = 0.37 * period
+    u_s, u_period = _dop853_propagator(params, alpha, [s, period])
+    ref = u_s @ np.linalg.matrix_power(u_period, 1000)[:, 0]
+    got = cq.classically_driven_state(params, alpha, 1000 * period + s)
+    assert np.max(np.abs(got - ref)) < 1e-10
+
+
+def test_full_drive_fails_loudly_past_its_floquet_cut(monkeypatch):
+    params = cq.ModelParams(n_qubits=2, gamma=0.4, rwa=False)
+    monkeypatch.setattr(semiclassical, "FLOQUET_EDGE_TOL", -1.0)
+    with pytest.raises(cq.NumericalError, match="edge harmonics"):
+        cq.classically_driven_trajectory(params, 1.1, [0.5, 2.0])
+    monkeypatch.undo()
+    # a cut past MAX_FLOQUET_ORDER is refused before any matrix is built
+    with pytest.raises(cq.NumericalError, match="Bessel orders"):
+        cq.classically_driven_state(params, 1e4, 1.0)
+
+
 def test_trajectory_rejects_decreasing_times():
     with pytest.raises(cq.StateValidationError):
         cq.classically_driven_trajectory(RES, 1.1, [1.0, 0.5])
