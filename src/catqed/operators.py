@@ -14,6 +14,13 @@ Both interactions shift (m, n) by (+-1, -+1) or (+-1, +-1), so H|psi> is a
 handful of shifted-slice multiply-adds; no operator matrix is ever built.
 All four shifts share one coefficient array: the two absorbing terms add
 it, the two emitting terms subtract it.
+
+Under the RWA the excitation number K = Jz + J + n commutes with H
+(Tavis and Cummings, Phys. Rev. 170, 379 (1968)), and ``to_band`` moves an
+action onto a list of sectors: row s of the band holds the cells
+(k, K_s - k), k = 0 .. N, of sector K_s, and H is tridiagonal along that
+row.  Laid out flat, each co-rotating pair is two neighbouring cells, so
+the same shifted-slice code serves the grid and the band.
 """
 
 from __future__ import annotations
@@ -62,20 +69,28 @@ class ModelParams:
 
 
 class HamiltonianAction:
-    """Precomputed H|psi> on one grid.
+    """Precomputed H|psi> on one grid, or on a band of excitation sectors.
 
     ``diag`` holds delta m + omega n and ``coupling`` the coefficient
     -i (g/2) sqrt(n) s+(m) shared by the four exchange terms.  Both are
     plain arrays that a caller may rewrite in place; ``apply`` and
     ``spectral_bounds`` read what they hold then (the propagator maps them
-    onto its normalized operator).  Holds one scratch buffer, so a single
-    instance must not be shared by concurrent callers.
+    onto its normalized operator).  A band action may hold ``diag = None``
+    for an identically zero diagonal, which ``apply`` then skips.  Holds
+    one scratch buffer, so a single instance must not be shared by
+    concurrent callers.
+
+    ``sectors`` is None on the (m, n) grid of shape ``shape``; after
+    ``to_band`` it lists the sectors K of the (sector, k) band, and
+    ``coupling`` holds one coefficient per pair of flat neighbours.
     """
 
     def __init__(self, params: ModelParams, dicke: DickeSpace, fock: FockSpace):
         if dicke.n_qubits != params.n_qubits:
             raise DimensionMismatchError("params.n_qubits does not match dicke space")
         self.params = params
+        self.sectors = None
+        self.shape = (dicke.dim, fock.dim)
         m = dicke.m_values()
         n = np.arange(fock.dim, dtype=float)
         self.diag = (params.delta * m[:, None] + params.omega * n[None, :]).astype(np.complex128)
@@ -85,14 +100,57 @@ class HamiltonianAction:
         self.coupling = (-1j * g) * np.outer(dicke.raising_coefficients(), np.sqrt(n[1:]))
         self._tmp = np.empty_like(self.coupling)
 
+    def to_band(self, sectors) -> np.ndarray:
+        """Move the RWA action in place onto the band of the increasing
+        sectors ``sectors`` (values of K = k + n); no grid-sized array is
+        kept.  Returns the flat (m, n)-grid index of each band cell, -1 for
+        the padding cells of a sector that lacks that k (n < 0 or
+        n > n_max).  Padding takes no coupling, so it exchanges no
+        amplitude with the real cells, and the diagonal of its sector's
+        nearest real cell, so the Gershgorin interval stays theirs."""
+        if not self.params.rwa:
+            raise ConfigError("only the RWA model conserves the excitation number")
+        sectors = np.asarray(sectors)[:, None]
+        width, n_max = self.shape[0], self.shape[1] - 1
+        k = np.arange(width)
+        n = sectors - k
+        inside = (n >= 0) & (n <= n_max)
+        nearest = np.clip(k, sectors - n_max, sectors)
+        self.diag = self.diag[nearest, sectors - nearest]
+        # the pair (k, n) -- (k + 1, n - 1) sits at band cell k
+        pair = inside & (n >= 1) & (k < width - 1)
+        coupling = np.zeros(n.shape, dtype=np.complex128)
+        coupling[pair] = self.coupling[np.broadcast_to(k, n.shape)[pair], n[pair] - 1]
+        self.coupling = coupling.reshape(-1)[:-1]
+        self._tmp = np.empty_like(self.coupling)
+        self.sectors = sectors[:, 0]
+        self.shape = n.shape
+        return np.where(inside, k * (n_max + 1) + n, -1)
+
+    def _pairs(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Views of ``a`` on the cells (k, n) and (k + 1, n - 1) of every
+        co-rotating pair: shifted slices of the grid, flat neighbours of
+        the band."""
+        if self.sectors is None:
+            return a[:-1, 1:], a[1:, :-1]
+        flat = a.reshape(-1)
+        return flat[:-1], flat[1:]
+
     def apply(self, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out <- H psi.  ``psi`` and ``out`` must be distinct."""
         k, t = self.coupling, self._tmp
-        np.multiply(self.diag, psi, out=out)
-        np.multiply(k, psi[:-1, 1:], out=t)        # a J+
-        out[1:, :-1] += t
-        np.multiply(k, psi[1:, :-1], out=t)        # a^dag J-
-        out[:-1, 1:] -= t
+        lower, upper = self._pairs(psi)
+        out_lower, out_upper = self._pairs(out)
+        if self.diag is None:
+            # band only: the a J+ term writes every flat cell but the first
+            np.multiply(k, lower, out=out_upper)
+            out.reshape(-1)[0] = 0.0
+        else:
+            np.multiply(self.diag, psi, out=out)
+            np.multiply(k, lower, out=t)           # a J+
+            out_upper += t
+        np.multiply(k, upper, out=t)               # a^dag J-
+        out_lower -= t
         if not self.params.rwa:
             np.multiply(k, psi[1:, 1:], out=t)     # a J-
             out[:-1, :-1] += t
@@ -106,13 +164,14 @@ class HamiltonianAction:
         entry widened by the summed magnitudes of the couplings that land
         in that row."""
         k = np.abs(self.coupling)
-        radius = np.zeros(self.diag.shape)
-        radius[1:, :-1] += k
-        radius[:-1, 1:] += k
+        radius = np.zeros(self.shape)
+        lower, upper = self._pairs(radius)
+        upper += k
+        lower += k
         if not self.params.rwa:
             radius[:-1, :-1] += k
             radius[1:, 1:] += k
-        center = self.diag.real
+        center = 0.0 if self.diag is None else self.diag.real
         return float(np.min(center - radius)), float(np.max(center + radius))
 
 

@@ -21,15 +21,28 @@ In the RWA model K = Jz + n commutes with H, so
 
 and the evolver keeps psi in the frame rotating with omega K: it expands
 only H', whose half-width is set by the coupling V instead of the fast
-Fock ladder, and applies exp(-i omega K t) as an exact elementwise phase
-when it hands out a sampled state.  The full model has no conserved K and
-expands H itself in the lab frame.
+Fock ladder, and applies exp(-i omega K t), one phase per sector, when it
+hands out a sampled state.  The full model has no conserved K and expands
+H itself in the lab frame.
+
+Conserved K also fixes the population of each excitation sector for all
+time, so under the RWA psi lives on a band of the live sectors only.  With
+k the Dicke index, sector K_s = k + n holds K = K_s - N/2, and it is live
+when its initial population exceeds LIVE_SECTOR_POPULATION.  Row s of the
+band holds the cells (k, K_s - k), k = 0 .. N, and H' is tridiagonal along
+it (``HamiltonianAction.to_band``).  The sectors left out stay exactly as
+empty as they start, so the norm dropped with them is constant in time
+and below LIVE_SECTOR_POPULATION per sector.  An even cat fills only the
+even sectors, and a large amplitude only those inside the Poisson tails; a
+kitten fills two islands, which is why the live set is a list rather than
+an interval.  Each sample is scattered onto the (m, n) grid.
 
 The evolver builds one ``HamiltonianAction`` per run and owns everything
 about expanding it: under the RWA it forms H' by taking omega K off the
-action's diagonal, and it then maps the action in place onto 2 H_n, so
-each term T_{k+1} = 2 H_n T_k - T_{k-1} of the recurrence is one apply and
-one subtraction.
+action's diagonal and moves the action onto the band, and it then maps the
+action in place onto 2 H_n, so each term T_{k+1} = 2 H_n T_k - T_{k-1} of
+the recurrence is one apply and one subtraction.  On resonance the mapped
+diagonal of H' vanishes and the apply skips it.
 
 The result is exact on the truncated space up to rounding, so ``dt`` only
 fixes the sampling grid.  Each interval ends with renormalization; the
@@ -76,6 +89,10 @@ MAX_CHEBYSHEV_TERMS = 10_000_000
 # shares the readouts' per-call overhead; a larger budget raises the peak
 # memory of a run without saving more time.
 SAMPLE_BLOCK_BYTES = 1 << 18
+
+# Excitation sectors of the RWA model holding at most this initial
+# population are left out of the band; they stay exactly that small.
+LIVE_SECTOR_POPULATION = 1e-30
 
 
 @dataclass(frozen=True)
@@ -151,28 +168,42 @@ def _chebyshev_coefficients(x: float) -> np.ndarray:
     return coeffs
 
 
+def _live_sectors(amplitudes: np.ndarray) -> np.ndarray:
+    """Sectors K = k + n whose population exceeds LIVE_SECTOR_POPULATION."""
+    weight = amplitudes.real**2 + amplitudes.imag**2
+    sector = np.add.outer(np.arange(weight.shape[0]), np.arange(weight.shape[1]))
+    population = np.bincount(sector.ravel(), weights=weight.ravel())
+    return np.flatnonzero(population > LIVE_SECTOR_POPULATION)
+
+
 class _Chebyshev:
     """Owns the working buffers and the per-interval expansions of one run.
 
-    ``psi`` is the state in the frame rotating with omega K for the RWA
-    model (where only H' is expanded) and in the lab frame otherwise;
-    ``lab_amplitudes`` hands out the lab-frame state.  ``action`` is the
-    one ``HamiltonianAction`` of the run, rewritten in place so that its
-    ``apply`` yields 2 H_n psi.
+    ``psi`` is the state in the frame rotating with omega K on the band of
+    live sectors for the RWA model (where only H' is expanded), and on the
+    (m, n) grid in the lab frame otherwise; ``lab_amplitudes`` hands out
+    the lab-frame grid state.  ``action`` is the one ``HamiltonianAction``
+    of the run, rewritten in place so that its ``apply`` yields 2 H_n psi.
     """
 
     def __init__(self, initial: CompositeState, params: ModelParams):
-        self.psi = np.array(initial.amplitudes, dtype=np.complex128, order="C")
         self.action = action = HamiltonianAction(params, initial.dicke, initial.fock)
-        # omega K = omega m + omega n, one factor per axis; None in the lab frame
+        # omega (Jz + n) of each band row; None in the lab frame
         self._omega_k = None
         if params.rwa:
+            # H' = H - omega K leaves (delta - omega) m on the diagonal
             m = initial.dicke.m_values()
-            n = np.arange(initial.fock.dim, dtype=float)
-            self._omega_k = (params.omega * m, params.omega * n)
-            # H' = H - omega K taken off one axis at a time: (delta - omega) m
-            # on the Dicke axis, and omega n - omega n = 0 on the Fock axis
             action.diag[...] = ((params.delta - params.omega) * m)[:, None]
+            sectors = _live_sectors(initial.amplitudes)
+            # flat band and grid indices of the band's real (unpadded) cells
+            cells = action.to_band(sectors).ravel()
+            self._band_cells = np.flatnonzero(cells >= 0)
+            self._grid_cells = cells[self._band_cells]
+            self.psi = np.zeros(action.shape, dtype=np.complex128)
+            self.psi.flat[self._band_cells] = initial.amplitudes.flat[self._grid_cells]
+            self._omega_k = params.omega * (sectors - initial.dicke.j)
+        else:
+            self.psi = np.array(initial.amplitudes, dtype=np.complex128, order="C")
         lo, hi = action.spectral_bounds()
         self._center, self._half_width = 0.5 * (hi + lo), 0.5 * (hi - lo)
         # A zero-width H' (RWA on resonance without coupling) is the constant
@@ -182,17 +213,19 @@ class _Chebyshev:
         action.diag -= self._center
         action.diag *= 2.0 / width
         action.coupling *= 2.0 / width
+        if params.rwa and not action.diag.any():
+            action.diag = None
         self._cur, self._acc, self._tmp = (np.empty_like(self.psi) for _ in range(3))
         self._expansions: dict[float, tuple[np.ndarray, complex]] = {}
 
     def lab_amplitudes(self, t: float, out: np.ndarray) -> None:
-        """Write the lab-frame state at time ``t`` into ``out``."""
+        """Write the lab-frame state at time ``t`` into ``out``, an (m, n)
+        grid that holds zeros."""
         if self._omega_k is None:
             np.copyto(out, self.psi)
             return
-        omega_m, omega_n = self._omega_k
-        np.multiply(self.psi, np.exp(-1j * t * omega_m)[:, None], out=out)
-        out *= np.exp(-1j * t * omega_n)
+        band = self.psi * np.exp(-1j * t * self._omega_k)[:, None]
+        out.reshape(-1)[self._grid_cells] = band.reshape(-1)[self._band_cells]
 
     def advance(self, interval: float) -> float:
         """psi <- exp(-iH interval) psi, renormalized; returns
@@ -257,14 +290,14 @@ def _evolve(initial: CompositeState, params: ModelParams, steps: Sequence[int],
     previous = 0
     for start in range(0, len(steps), block):
         chunk = steps[start:start + block]
-        amplitudes = np.empty((len(chunk),) + evolver.psi.shape, dtype=np.complex128)
+        amplitudes = np.zeros((len(chunk),) + initial.amplitudes.shape, dtype=np.complex128)
         drift = np.zeros(len(chunk))
         for i, step in enumerate(chunk):
             if step > previous:
                 drift[i] = evolver.advance((step - previous) * dt)
             previous = step
-            initial.fock.check_tail(evolver.psi, step * dt)
             evolver.lab_amplitudes(step * dt, amplitudes[i])
+            initial.fock.check_tail(amplitudes[i], step * dt)
         yield CompositeState(amplitudes, initial.dicke, initial.fock,
                              time=np.asarray(chunk) * dt, copy=False,
                              validate=False), drift

@@ -162,7 +162,8 @@ def rabi_kitten_state(params: ModelParams, alpha: complex, t: float) -> np.ndarr
 def classically_driven_trajectory(params: ModelParams, alpha: complex,
                                   times) -> np.ndarray:
     """Lab-frame collective spin state under the classical drive, one row
-    per sample time.
+    per sample time; each time is evaluated on its own, so the times may
+    come in any order, but each must be finite and nonnegative.
 
     Rotating wave drive: the closed form ``rabi_solution``. Full drive: one
     qubit started down, raised to the symmetric N-fold product.  Its
@@ -174,8 +175,8 @@ def classically_driven_trajectory(params: ModelParams, alpha: complex,
     (even k, down) and (odd k, up) enter, where H_F is tridiagonal in k.
     """
     times = np.asarray(times, dtype=float)
-    if times.size and (times[0] < 0.0 or np.any(np.diff(times) < 0.0)):
-        raise StateValidationError("sample times must be nonnegative and nondecreasing")
+    if not np.all((times >= 0.0) & (times < math.inf)):
+        raise StateValidationError("sample times must be finite and nonnegative")
     if params.rwa:
         return _rabi_states(params, alpha, times)
     k_max = bessel_cut(abs(params.coupling * alpha) / params.omega, MAX_FLOQUET_ORDER,

@@ -62,9 +62,24 @@ def test_apply_hamiltonian_matches_dense(params, rng):
     evolver = _Chebyshev(state, params)
     assert evolver._center == pytest.approx(centre, abs=1e-12)
     assert evolver._half_width == pytest.approx(half_width, abs=1e-12)
-    mapped = evolver.action.apply(state.amplitudes, np.empty_like(state.amplitudes))
+    # under the RWA the evolver holds psi on the band of excitation sectors
+    # (every sector of a random state); at t = 0 ``lab_amplitudes`` puts a
+    # band array back onto the grid unchanged
+    mapped = evolver.action.apply(evolver.psi, np.empty_like(evolver.psi))
+    if params.rwa:
+        assert not np.delete(mapped.ravel(), evolver._band_cells).any()
+    evolver.psi = mapped
+    on_grid = np.zeros_like(state.amplitudes)
+    evolver.lab_amplitudes(0.0, on_grid)
     ref = 2.0 / half_width * (expanded @ psi - centre * psi)
-    assert np.abs(mapped.ravel() - ref).max() < 1e-13
+    assert np.abs(on_grid.ravel() - ref).max() < 1e-13
+
+
+def test_only_the_rwa_action_moves_onto_sectors():
+    params = cq.ModelParams(n_qubits=2, gamma=0.1, rwa=False)
+    action = cq.HamiltonianAction(params, cq.DickeSpace(2), cq.FockSpace(5))
+    with pytest.raises(cq.ConfigError, match="RWA"):
+        action.to_band([0, 2, 4])
 
 
 @pytest.mark.parametrize("omega,gamma", [(1.5, 0.2), (0.8, 0.2 * 0.6)])

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import catqed as cq
-from catqed.propagator import MAX_AUTO_SAMPLES
+from catqed import propagator
+from catqed.propagator import MAX_AUTO_SAMPLES, _Chebyshev
 from catqed.stateprep import coherent_matrix
 from oracles import dense_hamiltonian, evolve_exact
 
@@ -69,6 +70,70 @@ def test_rwa_model_expands_only_the_coupling(monkeypatch):
     # 700 applies against 3400; the full model stays in the lab frame
     assert _count_applies(monkeypatch, rwa=True) <= 1000
     assert _count_applies(monkeypatch, rwa=False) == 3400
+
+
+def _spins_not_all_down():
+    # m = -2 and m = 0 of N = 4 times an even cat: only even sectors again
+    spins = np.array([0.6, 0.0, 0.8j, 0.0, 0.0])
+    photons = cq.prepare_initial(cq.PhotonicSpec("even_cat", 2.0), 4).amplitudes[0]
+    n_max = photons.size - 1
+    return cq.product_state(spins, photons, cq.DickeSpace(4), cq.FockSpace(n_max))
+
+
+BAND_CASES = {
+    "even_cat": (cq.ModelParams(n_qubits=3, gamma=0.2),
+                 lambda: cq.prepare_initial(cq.PhotonicSpec("even_cat", 2.5), 3)),
+    # two islands: the vacuum sector K = 0 and the coherent branch
+    "kitten": (cq.ModelParams(n_qubits=2, gamma=0.05, delta=1.3),
+               lambda: cq.prepare_initial(cq.PhotonicSpec("kitten", 10.0), 2)),
+    # no K parity; the lower Poisson tail leaves K < 10 empty
+    "general_cat": (cq.ModelParams(n_qubits=2, gamma=0.05, omega=0.8),
+                    lambda: cq.prepare_initial(cq.PhotonicSpec(
+                        "general_cat", 10.0, beta=6.0 + 8.0j, phi_cat=0.7), 2)),
+    "spins_not_all_down": (cq.ModelParams(n_qubits=4, gamma=0.2), _spins_not_all_down),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAND_CASES))
+def test_band_matches_the_full_grid_and_the_oracle(case, monkeypatch):
+    # the live band drops sectors the state leaves empty; with the live
+    # threshold below zero every sector is kept, which is the whole grid
+    params, make = BAND_CASES[case]
+    initial = make()
+    times = [0.0, 1.3, 4.0]
+    live = _Chebyshev(initial, params).psi.size
+    band = cq.snapshots(initial, params, times)
+    monkeypatch.setattr(propagator, "LIVE_SECTOR_POPULATION", -1.0)
+    assert _Chebyshev(initial, params).psi.size > live
+    grid = cq.snapshots(initial, params, times)
+    h = dense_hamiltonian(params, initial.fock.n_max)
+    for b, g in zip(band, grid):
+        ref = evolve_exact(h, initial.amplitudes.ravel(), b.time)
+        assert np.abs(b.amplitudes - g.amplitudes).max() < 1e-12
+        assert np.abs(b.amplitudes.ravel() - ref).max() < 1e-12
+
+
+def test_flagship_band_holds_at_most_half_the_grid():
+    # even cat alpha 10, N = 8: the even sectors inside the Poisson tails,
+    # 90 x 9 amplitudes against 9 x 189; a silent fallback to the grid fails
+    params = cq.ModelParams(n_qubits=8, gamma=0.01)
+    initial = cq.prepare_initial(cq.PhotonicSpec("even_cat", 10.0), 8, n_max=188)
+    evolver = _Chebyshev(initial, params)
+    assert evolver.psi.size <= 0.5 * initial.amplitudes.size
+    assert np.all(evolver.action.sectors % 2 == 0)
+
+
+@pytest.mark.parametrize("delta", [1.0, 1.3])
+def test_detuned_rwa_run_keeps_its_diagonal(delta):
+    # on resonance the mapped diagonal of H' is zero and the apply skips
+    # it; detuned it stays, and the run matches the dense oracle
+    params = cq.ModelParams(n_qubits=3, gamma=0.2, delta=delta)
+    initial = cq.prepare_initial(cq.PhotonicSpec("even_cat", 2.0), 3)
+    assert (_Chebyshev(initial, params).action.diag is None) == (delta == 1.0)
+    h = dense_hamiltonian(params, initial.fock.n_max)
+    for state in cq.snapshots(initial, params, [0.9, 6.1]):
+        ref = evolve_exact(h, initial.amplitudes.ravel(), state.time)
+        assert np.abs(state.amplitudes.ravel() - ref).max() < 1e-12
 
 
 def test_result_is_independent_of_the_sampling_step():

@@ -224,9 +224,24 @@ def test_full_drive_fails_loudly_past_its_floquet_cut(monkeypatch):
         cq.classically_driven_state(params, 1e4, 1.0)
 
 
-def test_trajectory_rejects_decreasing_times():
-    with pytest.raises(cq.StateValidationError):
-        cq.classically_driven_trajectory(RES, 1.1, [1.0, 0.5])
+@pytest.mark.parametrize("params", [RES, cq.ModelParams(n_qubits=3, gamma=0.7, rwa=False)])
+def test_trajectory_takes_times_in_any_order(params):
+    # both paths evaluate each time on its own: shuffled times give the
+    # sorted rows, shuffled
+    times = np.array([0.0, 0.3, 1.7, 2.2, 5.0])
+    order = np.array([3, 0, 4, 1, 2])
+    sorted_rows = cq.classically_driven_trajectory(params, 1.1, times)
+    shuffled = cq.classically_driven_trajectory(params, 1.1, times[order])
+    assert np.abs(shuffled - sorted_rows[order]).max() < 1e-14
+
+
+@pytest.mark.parametrize("rwa", [True, False])
+@pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+def test_trajectory_refuses_a_bad_time_anywhere(rwa, bad):
+    params = cq.ModelParams(n_qubits=3, gamma=0.7, rwa=rwa)
+    for times in ([bad, 1.0, 2.0], [1.0, bad, 2.0], [1.0, 2.0, bad]):
+        with pytest.raises(cq.StateValidationError, match="finite and nonnegative"):
+            cq.classically_driven_trajectory(params, 1.1, times)
 
 
 def test_counter_rotating_terms_negligible_when_weak():
