@@ -97,15 +97,45 @@ class WignerGrid:
         return float(np.trapezoid(per_theta, self.theta) * (2 * j + 1) / (4 * math.pi))
 
     def to_file(self, path: str) -> None:
+        """Write a "# J= n_theta= n_phi=" header, then one "theta phi W" line
+        per grid point, theta-major, every float as ``FLOAT_FORMAT``.
+
+        When the rows repeat with a column period s < n_phi (exact equality;
+        see ``wigner_function``), each row's first s values are formatted once
+        and their strings reused in every period.  The bytes are the same as
+        formatting each value.
+        """
         j = self.n_qubits / 2.0
-        header = f"# J={j:g} n_theta={self.theta.size} n_phi={self.phi.size}"
+        n_phi = self.phi.size
+        header = f"# J={j:g} n_theta={self.theta.size} n_phi={n_phi}"
+        period = _column_period(self.values)
         # Each phi is formatted once into a line template, and each theta row
-        # is rendered by one %-format of its values.  Converting one row at a
-        # time keeps the peak memory near the size of the text.
-        phis = [f" {format_float(ph)} {FLOAT_FORMAT}" for ph in self.phi]
-        rows = ((th + ("\n" + th).join(phis)) % tuple(row.tolist())
-                for th, row in zip(map(format_float, self.theta), self.values))
+        # is rendered by one %-format.  Converting one row at a time keeps the
+        # peak memory near the size of the text.  Reusing strings costs more
+        # than formatting when no value repeats, so aperiodic rows format
+        # every value.
+        if period == n_phi:
+            slot = FLOAT_FORMAT
+            cells = (tuple(row.tolist()) for row in self.values)
+        else:
+            slot = "%s"
+            period_format = "\n".join([FLOAT_FORMAT] * period)
+            cells = (tuple((period_format % tuple(row[:period].tolist())).split("\n")
+                           * (n_phi // period)) for row in self.values)
+        phis = [f" {format_float(ph)} {slot}" for ph in self.phi]
+        rows = ((th + ("\n" + th).join(phis)) % row
+                for th, row in zip(map(format_float, self.theta), cells))
         atomic_write_text(path, "\n".join([header, *rows, ""]))
+
+
+def _column_period(values: np.ndarray) -> int:
+    """Smallest s dividing the column count such that every row repeats
+    exactly after s columns."""
+    n_cols = values.shape[1]
+    for s in range(1, n_cols):
+        if n_cols % s == 0 and np.array_equal(values[:, s:], values[:, :-s]):
+            return s
+    return n_cols
 
 
 def check_grid_size(n_theta: int, n_phi: int) -> None:
@@ -123,10 +153,19 @@ def wigner_function(rho: ElectronDensityMatrix, n_theta: int = 181,
     W(theta, phi) = sum_k e^{i phi k} sum_{m' - m = k} g_{mm'} rho_{mm'}:
     phi enters only through the diagonal offset k.  Per block, one stack of
     d matrices, one batched product for g, one sum of g o rho along its
-    diagonals and one (rows, 2 dim - 1) x (2 dim - 1, n_phi) phase product
+    diagonals and one (rows, 2 dim - 1) x (2 dim - 1, period) phase product
     give every row.  Blocks, not one stack over all theta, keep the working
-    set small.  The largest imaginary part over the whole grid must stay
-    within ``IMAG_RESIDUE_ATOL``.
+    set small.
+
+    If every nonzero entry of rho lies on an offset k that is a multiple of
+    q (exact test; q = 0 for a diagonal rho), W has period 2 pi / q in phi.
+    Only the first period = n_phi / gcd(q, n_phi) columns are evaluated and
+    the rest of each row copies them.  A state of definite photon-plus-
+    excitation parity, as a cat drive leaves it (q = 2), evaluates half the
+    columns of an even n_phi; the diagonal all-down state evaluates one.
+    The copies differ from a direct evaluation only by rounding.  The
+    largest imaginary part over the evaluated columns must stay within
+    ``IMAG_RESIDUE_ATOL``.
     """
     check_grid_size(n_theta, n_phi)
     n_qubits = rho.dicke.n_qubits
@@ -134,9 +173,13 @@ def wigner_function(rho: ElectronDensityMatrix, n_theta: int = 181,
     weights = kernel_weights(n_qubits)
     thetas = np.linspace(0.0, math.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+    rows_nz, cols_nz = np.nonzero(rho.matrix)
+    step = int(np.gcd.reduce(cols_nz - rows_nz))
+    period = n_phi // math.gcd(step, n_phi)
     offsets = np.arange(-(dim - 1), dim)
-    phase = np.exp(1j * np.outer(offsets, phis))   # (2 dim - 1, n_phi)
+    phase = np.exp(1j * np.outer(offsets, phis[:period]))   # (2 dim - 1, period)
     values = np.empty((n_theta, n_phi))
+    tiled = values.reshape(n_theta, n_phi // period, period)
     worst_imag = 0.0
     # Rows of width 2 dim read back with width 2 dim - 1 shift row r right
     # by r.  With the rows of g o rho stored in reverse order, entry (m, m')
@@ -152,7 +195,7 @@ def wigner_function(rho: ElectronDensityMatrix, n_theta: int = 181,
         diagonals = skewed.reshape(rows, dim, 2 * dim - 1).sum(axis=1)
         block = diagonals @ phase
         worst_imag = max(worst_imag, float(np.max(np.abs(block.imag))))
-        values[start:start + rows] = block.real
+        tiled[start:start + rows] = block.real[:, None, :]
     if worst_imag > IMAG_RESIDUE_ATOL:
         raise NumericalError(
             f"Wigner imaginary residue {worst_imag:.3e} exceeds {IMAG_RESIDUE_ATOL}")

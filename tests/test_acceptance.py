@@ -3,7 +3,8 @@
 Ordered by scenario: bare trace-out readout at small, intermediate and large
 drive amplitude, then measurement-conditioned readout, width and scaling
 sweeps, the counter-rotating beat, an invariant bundle, the phase-space
-fringes, and the fixed-depletion ladder toward the thermodynamic limit.
+fringes, the fixed-depletion ladder toward the thermodynamic limit, and
+the window scaling carried to N = 64.
 Each test prints the measured numbers next to the gate it is held
 to, so a bare ``pytest -v`` gives one verdict line per claim and the captured
 output carries the values.  The large-amplitude run is shared through a
@@ -428,3 +429,40 @@ def test_13_fixed_depletion_keeps_the_cat_as_n_grows():
         assert trace_max <= 1.05
     print(f"deviation ratios to N = 8: {devs[1] / devs[0]:.3f}, {devs[2] / devs[0]:.3f}")
     assert max(devs[1:]) <= 1.1 * devs[0]
+
+
+def test_14_window_scaling_holds_to_64_emitters():
+    """The ultrashort window of ``test_09`` (|alpha0|^2 = N/2, stride 100)
+    carried to N = 32 and 64: fwhm ~ N^-1 and t_peak ~ N^-1/2 over
+    N = 16, 32, 64.
+
+    Measured: t_peak 92.6, 65.6, 46.4 and fwhm 20.25, 10.32, 5.19 (N = 64
+    runs in about 2 s); the log-log slopes are -0.982 (fwhm) and -0.498
+    (t_peak).  The law is asymptotic: the fwhm slope per doubling moves
+    toward -1 with N (-0.972, then -0.993), and over N = 4, 8, 16
+    ``test_09`` measures -0.915 and -0.489 against gates of +-0.15 and
+    +-0.1.  Here the gates are +-0.05 and +-0.025, five percent of each
+    exponent: about three times the measured offset for fwhm (0.018) and
+    fifteen times for t_peak (0.0016), which is read off the 0.1 sample
+    grid.
+    """
+    sizes = (16, 32, 64)
+    windows = {16: 150.0, 32: 100.0, 64: 70.0}  # brackets each peak
+    t_peaks, fwhms = [], []
+    for n in sizes:
+        alpha = math.sqrt(n / 2.0)
+        params = cq.ModelParams(n_qubits=n, gamma=GAMMA)
+        state = cq.prepare_initial(cq.PhotonicSpec("even_cat", alpha), n)
+        plan = cq.PropagationPlan(t_max=windows[n], sample_stride=100,
+                                  monitors=("qfi_density",))
+        series = cq.run(state, params, plan)
+        info = cq.peak_and_fwhm(series.times, series.column("qfi_density"))
+        t_peaks.append(info.t_peak)
+        fwhms.append(info.fwhm)
+    logs = np.log(np.asarray(sizes, dtype=float))
+    slope_fwhm = float(np.polyfit(logs, np.log(fwhms), 1)[0])
+    slope_t = float(np.polyfit(logs, np.log(t_peaks), 1)[0])
+    print(f"t_peak {np.round(t_peaks, 1)} fwhm {np.round(fwhms, 2)};"
+          f" log-log slopes fwhm {slope_fwhm:.4f}, t_peak {slope_t:.4f}")
+    assert -1.05 <= slope_fwhm <= -0.95
+    assert -0.525 <= slope_t <= -0.475

@@ -90,6 +90,25 @@ def test_wigner_writes_grids(tmp_path, capsys):
         assert target.read_text().startswith("# J=1 n_theta=41 n_phi=24")
 
 
+@pytest.mark.parametrize("kind", ["even_cat", "kitten"])
+def test_wigner_files_read_back_to_the_grids(tmp_path, capsys, kind):
+    # both t = 0 grids (emitters down) have column period 1; at t = 1.5 the
+    # even cat's has n_phi / 2 and the kitten's none, so every branch of
+    # the writer is read back
+    text = SMOKE.replace("kind = even_cat", f"kind = {kind}")
+    path = write_config(tmp_path, text)
+    out = tmp_path / "w"
+    assert main(["wigner", "--config", path, "--times", "0,1.5", "--n-theta", "19",
+                 "--n-phi", "24", "--out", str(out)]) == 0
+    capsys.readouterr()
+    cfg = parse_config(text)
+    states = cq.snapshots(cfg.initial_state(), cfg.model_params(), [0.0, 1.5], cfg.dt)
+    for state in states:
+        grid = cq.wigner_function(cq.reduce_to_electron(state), n_theta=19, n_phi=24)
+        data = np.loadtxt(out / f"run_wigner_none_t{state.time:g}.dat")
+        assert np.array_equal(data[:, 2].reshape(19, 24), grid.values)
+
+
 def test_wigner_impossible_outcome_exit_code(tmp_path, capsys):
     # the even cat has strictly zero odd-parity weight at t = 0
     path = write_config(tmp_path)

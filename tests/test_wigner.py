@@ -14,7 +14,9 @@ import pytest
 
 import catqed as cq
 from catqed.fileio import format_float
-from oracles import cg_exact, cg_ladder, kernel_weights_exact, rotation_expm
+from catqed.wigner import _column_period
+from oracles import (cg_exact, cg_ladder, kernel_weights_exact, rotation_expm,
+                     wigner_d_expm)
 
 SQ2 = 1.0 / math.sqrt(2.0)
 SQ3 = 1.0 / math.sqrt(3.0)
@@ -266,13 +268,120 @@ def test_wigner_grid_to_file(tmp_path):
     assert data.shape == (20, 3)
     assert data[:, 2].reshape(5, 4) == pytest.approx(grid.values, abs=1e-15)
 
-    # byte for byte the per-value rendering, on negative, non-round values
+    # byte for byte the per-value rendering, on negative, non-round values,
+    # for rows of column period 2 and 1, whose repeated values are formatted
+    # once, and for aperiodic grids: random, with a constant pole row, with
+    # the last column equal to the first (3 is no period of 4 columns), and
+    # period 2 but for one value moved by one ulp
     theta = np.linspace(0.0, math.pi, 3)
     phi = np.linspace(0.0, 2.0 * math.pi, 4, endpoint=False)
     values = np.random.default_rng(7).normal(size=(3, 4)) * [[1.0], [-1e-7], [3e5]]
-    grid = cq.WignerGrid(theta=theta, phi=phi, values=values, n_qubits=3)
-    grid.to_file(str(path))
-    expected = ["# J=1.5 n_theta=3 n_phi=4"] + [
-        f"{format_float(th)} {format_float(ph)} {format_float(values[i, k])}"
-        for i, th in enumerate(theta) for k, ph in enumerate(phi)]
-    assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+    pole = values.copy()
+    pole[0] = values[0, 0]
+    wrap = values.copy()
+    wrap[:, 3] = values[:, 0]
+    ulp = np.tile(values[:, :2], 2)
+    ulp[1, 3] = np.nextafter(ulp[1, 3], np.inf)
+    for cells, period in ((values, 4), (np.tile(values[:, :2], 2), 2),
+                          (np.tile(values[:, :1], 4), 1), (pole, 4), (wrap, 4),
+                          (ulp, 4)):
+        assert _column_period(cells) == period
+        grid = cq.WignerGrid(theta=theta, phi=phi, values=cells, n_qubits=3)
+        grid.to_file(str(path))
+        expected = ["# J=1.5 n_theta=3 n_phi=4"] + [
+            f"{format_float(th)} {format_float(ph)} {format_float(cells[i, k])}"
+            for i, th in enumerate(theta) for k, ph in enumerate(phi)]
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
+def full_phi_values(rho, n_theta, n_phi):
+    """The grid with the phase product taken over every phi column, one
+    diagonal sum per offset: the evaluation before the period rule."""
+    n = rho.dicke.n_qubits
+    thetas = np.linspace(0.0, math.pi, n_theta)
+    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+    d = cq.wigner._small_d(n, thetas)
+    g = (d.conj() * cq.kernel_weights(n)) @ d.swapaxes(1, 2)
+    offsets = np.arange(-n, n + 1)
+    diagonals = np.array([[np.trace(row, offset=k) for k in offsets]
+                          for row in g * rho.matrix])
+    return (diagonals @ np.exp(1j * np.outer(offsets, phis))).real
+
+
+def expm_values(rho, grid):
+    """W at every grid point from expm rotations and the exact kernel:
+    W = sum_{m m'} rho_{m m'} K(theta)_{m' m} e^{i phi (m' - m)}."""
+    n = grid.n_qubits
+    d = np.diag(kernel_weights_exact(n))
+    m = np.arange(n + 1) - n / 2.0
+    phases = np.exp(1j * np.multiply.outer(grid.phi, m[None, :] - m[:, None]))
+    want = np.empty_like(grid.values)
+    for it, th in enumerate(grid.theta):
+        tilt = wigner_d_expm(n, th)
+        kernel = tilt @ d @ tilt.conj().T
+        want[it] = np.einsum("pij,ij,ji->p", phases, rho.matrix, kernel).real
+    return want
+
+
+def evolved_rho(kind, rwa, readout="none", n_qubits=8):
+    """Electron state of a cat or kitten, emitters down, after t = 3."""
+    spec = {"even_cat": cq.PhotonicSpec("even_cat", 1.5),
+            "kitten": cq.PhotonicSpec("kitten", 1.5),
+            "general_cat": cq.PhotonicSpec("general_cat", 1.5, beta=-1.2j,
+                                           phi_cat=0.4)}[kind]
+    params = cq.ModelParams(n_qubits=n_qubits, gamma=0.1, rwa=rwa)
+    (snap,) = cq.snapshots(cq.prepare_initial(spec, n_qubits), params, [3.0])
+    if readout == "none":
+        return cq.reduce_to_electron(snap)
+    return cq.parity_postselect(snap, cq.ParityOutcome.EVEN).rho
+
+
+def ghz_density(n_qubits):
+    psi = np.zeros(n_qubits + 1, dtype=complex)
+    psi[0] = psi[-1] = math.sqrt(0.5)
+    return cq.ElectronDensityMatrix(np.outer(psi, psi.conj()), cq.DickeSpace(n_qubits))
+
+
+@pytest.mark.parametrize("make, period", [
+    (lambda: evolved_rho("even_cat", rwa=True), 180),
+    (lambda: evolved_rho("even_cat", rwa=False), 180),
+    (lambda: evolved_rho("even_cat", rwa=True, readout="even"), 180),
+    (lambda: all_down_density(8), 1),
+    (lambda: ghz_density(4), 90),                  # period 2 pi / N
+], ids=["even_cat_rwa", "even_cat_full", "even_cat_rwa_even", "all_down", "ghz4"])
+def test_wigner_period_grid_matches_full_phi_evaluation(make, period):
+    rho = make()
+    grid = cq.wigner_function(rho)
+    assert _column_period(grid.values) == period
+    assert np.abs(grid.values - full_phi_values(rho, 181, 360)).max() <= 1e-12
+    assert np.abs(grid.values - expm_values(rho, grid)).max() <= 1e-12
+
+
+def test_wigner_even_cat_halves_repeat_exactly():
+    # every offset of an even-cat state is even, so W(phi + pi) = W(phi)
+    # holds bit for bit on the default grid
+    grid = cq.wigner_function(evolved_rho("even_cat", rwa=True))
+    assert np.array_equal(grid.values[:, 180:], grid.values[:, :180])
+
+
+def off_pole_coherence_density(n_qubits):
+    """Half all-down, half (|1> + |2>)/sqrt 2: the odd offset lies off row 0."""
+    rho = np.zeros((n_qubits + 1, n_qubits + 1), dtype=complex)
+    rho[0, 0] = 0.5
+    rho[1:3, 1:3] = 0.25
+    return cq.ElectronDensityMatrix(rho, cq.DickeSpace(n_qubits))
+
+
+@pytest.mark.parametrize("make, n_phi", [
+    (lambda: evolved_rho("kitten", rwa=True), 360),
+    (lambda: evolved_rho("general_cat", rwa=True), 360),
+    (lambda: evolved_rho("even_cat", rwa=True), 7),
+    (lambda: evolved_rho("even_cat", rwa=True), 181),
+    (lambda: off_pole_coherence_density(4), 360),
+], ids=["kitten", "general_cat", "even_cat_7", "even_cat_181", "off_pole"])
+def test_wigner_without_a_column_period_evaluates_every_column(make, n_phi):
+    rho = make()
+    grid = cq.wigner_function(rho, n_theta=61, n_phi=n_phi)
+    assert _column_period(grid.values) == n_phi
+    assert np.abs(grid.values - full_phi_values(rho, 61, n_phi)).max() <= 1e-12
+    assert np.abs(grid.values - expm_values(rho, grid)).max() <= 1e-12
