@@ -100,10 +100,10 @@ class WignerGrid:
         """Write a "# J= n_theta= n_phi=" header, then one "theta phi W" line
         per grid point, theta-major, every float as ``FLOAT_FORMAT``.
 
-        When the rows repeat with a column period s < n_phi (exact equality;
-        see ``wigner_function``), each row's first s values are formatted once
-        and their strings reused in every period.  The bytes are the same as
-        formatting each value.
+        Each row's first s values are formatted once, s being the smallest
+        column period of the grid (bitwise equality; see ``wigner_function``),
+        and their strings are reused in every period.  The bytes are the same
+        as formatting each value.
         """
         j = self.n_qubits / 2.0
         n_phi = self.phi.size
@@ -111,18 +111,11 @@ class WignerGrid:
         period = _column_period(self.values)
         # Each phi is formatted once into a line template, and each theta row
         # is rendered by one %-format.  Converting one row at a time keeps the
-        # peak memory near the size of the text.  Reusing strings costs more
-        # than formatting when no value repeats, so aperiodic rows format
-        # every value.
-        if period == n_phi:
-            slot = FLOAT_FORMAT
-            cells = (tuple(row.tolist()) for row in self.values)
-        else:
-            slot = "%s"
-            period_format = "\n".join([FLOAT_FORMAT] * period)
-            cells = (tuple((period_format % tuple(row[:period].tolist())).split("\n")
-                           * (n_phi // period)) for row in self.values)
-        phis = [f" {format_float(ph)} {slot}" for ph in self.phi]
+        # peak memory near the size of the text.
+        period_format = "\n".join([FLOAT_FORMAT] * period)
+        cells = (tuple((period_format % tuple(row[:period].tolist())).split("\n")
+                       * (n_phi // period)) for row in self.values)
+        phis = [f" {format_float(ph)} %s" for ph in self.phi]
         rows = ((th + ("\n" + th).join(phis)) % row
                 for th, row in zip(map(format_float, self.theta), cells))
         atomic_write_text(path, "\n".join([header, *rows, ""]))
@@ -130,10 +123,12 @@ class WignerGrid:
 
 def _column_period(values: np.ndarray) -> int:
     """Smallest s dividing the column count such that every row repeats
-    exactly after s columns."""
+    bit for bit after s columns.  Bits, not values, are compared: 0.0 and
+    -0.0 are equal but format differently."""
     n_cols = values.shape[1]
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
     for s in range(1, n_cols):
-        if n_cols % s == 0 and np.array_equal(values[:, s:], values[:, :-s]):
+        if n_cols % s == 0 and np.array_equal(bits[:, s:], bits[:, :-s]):
             return s
     return n_cols
 

@@ -271,8 +271,9 @@ def test_wigner_grid_to_file(tmp_path):
     # byte for byte the per-value rendering, on negative, non-round values,
     # for rows of column period 2 and 1, whose repeated values are formatted
     # once, and for aperiodic grids: random, with a constant pole row, with
-    # the last column equal to the first (3 is no period of 4 columns), and
-    # period 2 but for one value moved by one ulp
+    # the last column equal to the first (3 is no period of 4 columns),
+    # period 2 but for one value moved by one ulp, and period 2 but for a
+    # 0.0 where the period holds -0.0 (equal values, different strings)
     theta = np.linspace(0.0, math.pi, 3)
     phi = np.linspace(0.0, 2.0 * math.pi, 4, endpoint=False)
     values = np.random.default_rng(7).normal(size=(3, 4)) * [[1.0], [-1e-7], [3e5]]
@@ -282,9 +283,12 @@ def test_wigner_grid_to_file(tmp_path):
     wrap[:, 3] = values[:, 0]
     ulp = np.tile(values[:, :2], 2)
     ulp[1, 3] = np.nextafter(ulp[1, 3], np.inf)
+    zeros = np.tile(values[:, :2], 2)
+    zeros[:, 1] = -0.0
+    zeros[2, 3] = 0.0
     for cells, period in ((values, 4), (np.tile(values[:, :2], 2), 2),
                           (np.tile(values[:, :1], 4), 1), (pole, 4), (wrap, 4),
-                          (ulp, 4)):
+                          (ulp, 4), (zeros, 4), (np.tile(zeros[:, :2], 2), 2)):
         assert _column_period(cells) == period
         grid = cq.WignerGrid(theta=theta, phi=phi, values=cells, n_qubits=3)
         grid.to_file(str(path))
