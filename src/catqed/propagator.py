@@ -1,19 +1,30 @@
 """Time evolution by a Chebyshev expansion of exp(-iHt).
 
-The state moves from one sample time straight to the next (Tal-Ezer and
-Kosloff, J. Chem. Phys. 81, 3967 (1984)).  The Gershgorin interval
-[lo, hi] of ``HamiltonianAction.spectral_bounds`` maps the expanded
-operator onto H_n = (H - c) / r in [-1, 1], with c the centre and r the
-half-width, and
+The Gershgorin interval [lo, hi] of ``HamiltonianAction.spectral_bounds``
+maps the expanded operator onto H_n = (H - c) / r in [-1, 1], with c the
+centre and r the half-width, and
 
     exp(-iH tau) = e^{-i c tau} sum_k (2 - delta_k0) (-i)^k J_k(r tau) T_k(H_n)
 
 is summed by the three-term Chebyshev recurrence until the Bessel
-coefficients fall below double precision.  The sum needs about r tau
-terms, so the cost of an interval grows with the half-width.  The Bessel
-values J_k come from Miller's backward recurrence, normalized by
-J_0 + 2 sum J_2k = 1 (Gautschi, SIAM Rev. 9, 24 (1967)), which is accurate
-relative to each value in the decaying tail where the sum is cut.
+coefficients fall below double precision (Tal-Ezer and Kosloff, J. Chem.
+Phys. 81, 3967 (1984)).  The sum needs about r tau terms plus a tail of
+order (r tau)^(1/3) + 25 past the turning point.  The Bessel values J_k come
+from Miller's backward recurrence, normalized by J_0 + 2 sum J_2k = 1
+(Gautschi, SIAM Rev. 9, 24 (1967)), which is accurate relative to each
+value in the decaying tail where the sum is cut.
+
+The vectors T_k(H_n) psi0 do not depend on tau, so one recurrence from a
+block's start state psi0 serves every sample of the block:
+psi_j = sum_k c_k(tau_j) T_k psi0, summed to the terms of the last sample.
+The terms pass through a ring of one vector per sample (at least three),
+and each full ring is folded into the block's states by one matrix
+product of the coefficient table with the ring.  A block of samples tau
+apart thus costs about r times its span in terms, where expanding each
+interval on its own pays the Bessel tail once per sample: at the
+full-model kitten (r = 52, tau = 0.01) 18 samples take 35 terms instead of
+18 x 13.  The recurrence restarts inside a block only where one
+coefficient table would pass MAX_CHEBYSHEV_TERMS.
 
 In the RWA model K = Jz + n commutes with H, so
 
@@ -45,12 +56,12 @@ the recurrence is one apply and one subtraction.  On resonance the mapped
 diagonal of H' vanishes and the apply skips it.
 
 The result is exact on the truncated space up to rounding, so ``dt`` only
-fixes the sampling grid.  Each interval ends with renormalization; the
-pre-renormalization norm deviation is kept as a diagnostic.  Monitors are
-evaluated only on the sampling grid, never inside the hot loop: ``run``
-writes consecutive sampled states into a block of at most
-SAMPLE_BLOCK_BYTES of amplitudes and evaluates every monitor once per
-block, through one ``MonitorContext`` (see ``monitors``).
+fixes the sampling grid.  Each sample is renormalized; its
+pre-renormalization norm deviation is kept as a diagnostic.  ``_evolve``
+writes consecutive sampled states into blocks of at most
+SAMPLE_BLOCK_BYTES of amplitudes, for ``run`` and ``snapshots`` alike, and
+``run`` evaluates every monitor once per block, through one
+``MonitorContext`` (see ``monitors``), never inside the recurrence.
 """
 
 from __future__ import annotations
@@ -80,14 +91,16 @@ DEFAULT_MONITORS = ("qfi_density", "photon_number")
 # smaller still.
 CHEBYSHEV_TOL = 1e-16
 
-# One expansion spans a whole sample interval with about r * tau terms; past
-# this many the Bessel table alone would take gigabytes.
+# Bessel values one coefficient table may hold, samples times orders: one
+# recurrence spans its samples with about r * span terms.  A table takes 16
+# bytes a value (24 while it is built) and the evolver keeps only the last
+# one, so at this limit it holds at most 160 MB of coefficients.
 MAX_CHEBYSHEV_TERMS = 10_000_000
 
-# Amplitudes of one block of samples read out together (at least one
-# sample).  At N = 8 with 189 Fock levels a block holds 9 samples, which
-# shares the readouts' per-call overhead; a larger budget raises the peak
-# memory of a run without saving more time.
+# Amplitudes of one block of samples evaluated and read out together (at
+# least one sample).  At N = 8 with 189 Fock levels a block holds 9
+# samples, which shares one recurrence and the readouts' per-call
+# overhead; a larger budget raises the peak memory of a run.
 SAMPLE_BLOCK_BYTES = 1 << 18
 
 # Excitation sectors of the RWA model holding at most this initial
@@ -125,26 +138,23 @@ class PropagationPlan:
 
 def _bessel_j(x: float, count: int) -> np.ndarray:
     """J_0(x) .. J_{count-1}(x) for x >= 0 by Miller's backward recurrence
-    J_{k-1} = (2k / x) J_k - J_{k+1}, normalized by J_0 + 2 sum J_2k = 1
-    (Gautschi, SIAM Rev. 9, 24 (1967)).  ``count`` must reach far enough
-    past x that J_count is negligible against the values kept."""
-    if x < 1e-20:
-        # the series to double precision; covers x = 0, the zero-width H'
-        out = np.zeros(count)
-        out[0], out[1] = 1.0, 0.5 * x
-        return out
-    vals = np.empty(count)
+    J_{k-1} = (2k / x) J_k - J_{k+1} from J_count = 0, normalized by
+    J_0 + 2 sum J_2k = 1 (Gautschi, SIAM Rev. 9, 24 (1967)).  From a
+    ``bessel_cut`` count the values stay below 1e223 for x >= 1e-8, so none
+    needs rescaling; below 1e-8 the series J_0 = 1, J_1 = x / 2 holds to
+    double precision, which covers the zero-width H'."""
+    vals = np.zeros(count)
+    if x < 1e-8:
+        vals[0], vals[1] = 1.0, 0.5 * x
+        return vals
     vals[-1] = cur = 1.0                       # J_{count-1}, up to scale
     nxt = 0.0                                  # J_count, taken as 0
     two_over_x = 2.0 / x
     for k in range(count - 1, 0, -1):
         nxt, cur = cur, k * two_over_x * cur - nxt
         vals[k - 1] = cur
-        if abs(cur) > 1e250:                   # rescale before overflow
-            vals[k - 1:] *= 1e-250
-            nxt *= 1e-250
-            cur *= 1e-250
-    return vals / (vals[0] + 2.0 * vals[2::2].sum())
+    vals /= vals[0] + 2.0 * vals[2::2].sum()
+    return vals
 
 
 def bessel_cut(x: float, limit: int, context: str) -> int:
@@ -157,15 +167,23 @@ def bessel_cut(x: float, limit: int, context: str) -> int:
     return int(count)
 
 
-def _chebyshev_coefficients(x: float) -> np.ndarray:
-    """(2 - delta_k0) (-i)^k J_k(x), cut where |J_k(x)| < CHEBYSHEV_TOL; the
-    values come from ``_bessel_j``, started at ``bessel_cut``."""
-    bessel = _bessel_j(x, bessel_cut(x, MAX_CHEBYSHEV_TERMS,
-                                     "sample that interval more finely: its r * tau ="))
-    keep = int(np.flatnonzero(np.abs(bessel) >= CHEBYSHEV_TOL)[-1]) + 1
-    coeffs = np.array([1, -1j, -1, 1j])[np.arange(keep) % 4] * bessel[:keep]
-    coeffs[1:] *= 2.0
-    return coeffs
+def _chebyshev_coefficients(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row j: (2 - delta_k0) (-i)^k J_k(x_j) for each x_j of ``x``, cut
+    after the last order where |J_k(x_j)| >= CHEBYSHEV_TOL and zero from
+    there on; returns the table and each row's term count.  The values come
+    from ``_bessel_j``, started at ``bessel_cut``."""
+    rows = []
+    for v in x.tolist():
+        bessel = _bessel_j(v, bessel_cut(v, MAX_CHEBYSHEV_TERMS, "x ="))
+        rows.append(bessel[:np.flatnonzero(np.abs(bessel) >= CHEBYSHEV_TOL)[-1] + 1])
+    keeps = np.array([row.size for row in rows])
+    table = np.zeros((len(rows), keeps.max()), dtype=np.complex128)
+    for out, row in zip(table, rows):
+        out[:row.size] = row
+    for k, factor in enumerate((2.0, -2j, -2.0, 2j)):
+        table[:, k::4] *= factor
+    table[:, 0] *= 0.5
+    return table, keeps
 
 
 def _live_sectors(amplitudes: np.ndarray) -> np.ndarray:
@@ -177,16 +195,17 @@ def _live_sectors(amplitudes: np.ndarray) -> np.ndarray:
 
 
 class _Chebyshev:
-    """Owns the working buffers and the per-interval expansions of one run.
+    """Owns the expansion of one run and the state it has reached.
 
-    ``psi`` is the state in the frame rotating with omega K on the band of
-    live sectors for the RWA model (where only H' is expanded), and on the
-    (m, n) grid in the lab frame otherwise; ``lab_amplitudes`` hands out
-    the lab-frame grid state.  ``action`` is the one ``HamiltonianAction``
-    of the run, rewritten in place so that its ``apply`` yields 2 H_n psi.
+    ``psi`` is the state at grid step ``step`` (of ``dt``), in the frame
+    rotating with omega K on the band of live sectors for the RWA model
+    (where only H' is expanded), and on the (m, n) grid in the lab frame
+    otherwise; ``lab_amplitudes`` puts band states back onto the grid.
+    ``action`` is the one ``HamiltonianAction`` of the run, rewritten in
+    place so that its ``apply`` yields 2 H_n psi.
     """
 
-    def __init__(self, initial: CompositeState, params: ModelParams):
+    def __init__(self, initial: CompositeState, params: ModelParams, dt: float):
         self.action = action = HamiltonianAction(params, initial.dicke, initial.fock)
         # omega (Jz + n) of each band row; None in the lab frame
         self._omega_k = None
@@ -199,11 +218,15 @@ class _Chebyshev:
             cells = action.to_band(sectors).ravel()
             self._band_cells = np.flatnonzero(cells >= 0)
             self._grid_cells = cells[self._band_cells]
-            self.psi = np.zeros(action.shape, dtype=np.complex128)
-            self.psi.flat[self._band_cells] = initial.amplitudes.flat[self._grid_cells]
             self._omega_k = params.omega * (sectors - initial.dicke.j)
+        # the vectors T_k of ``_expand``, at least three; slot 0 holds psi
+        # between blocks
+        self._ring = np.zeros((3,) + action.shape, dtype=np.complex128)
+        self._slots = list(self._ring)
+        if params.rwa:
+            self.psi.flat[self._band_cells] = initial.amplitudes.flat[self._grid_cells]
         else:
-            self.psi = np.array(initial.amplitudes, dtype=np.complex128, order="C")
+            self.psi[...] = initial.amplitudes
         lo, hi = action.spectral_bounds()
         self._center, self._half_width = 0.5 * (hi + lo), 0.5 * (hi - lo)
         # A zero-width H' (RWA on resonance without coupling) is the constant
@@ -215,48 +238,127 @@ class _Chebyshev:
         action.coupling *= 2.0 / width
         if params.rwa and not action.diag.any():
             action.diag = None
-        self._cur, self._acc, self._tmp = (np.empty_like(self.psi) for _ in range(3))
-        self._expansions: dict[float, tuple[np.ndarray, complex]] = {}
+        self.dt, self.step = dt, 0
+        # the last block's step offsets from psi with its ``_segments``, and
+        # the last segment's offsets with its ``_coefficients``: one of each
+        # serves every block of a regular grid
+        self._plan: tuple = ((), [])
+        self._table: tuple = ((), None, [])
 
-    def lab_amplitudes(self, t: float, out: np.ndarray) -> None:
-        """Write the lab-frame state at time ``t`` into ``out``, an (m, n)
-        grid that holds zeros."""
-        if self._omega_k is None:
-            np.copyto(out, self.psi)
-            return
-        band = self.psi * np.exp(-1j * t * self._omega_k)[:, None]
-        out.reshape(-1)[self._grid_cells] = band.reshape(-1)[self._band_cells]
+    @property
+    def psi(self) -> np.ndarray:
+        return self._ring[0]
 
-    def advance(self, interval: float) -> float:
-        """psi <- exp(-iH interval) psi, renormalized; returns
+    def lab_amplitudes(self, times: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+        """Write the lab-frame states at ``times`` of the band states
+        ``rows`` (one flat row each) into ``out``, a stack of (m, n) grids
+        that holds zeros."""
+        shape = self.psi.shape
+        for t, row, grid in zip(times, rows, out.reshape(len(times), -1)):
+            band = row.reshape(shape) * np.exp(-1j * t * self._omega_k)[:, None]
+            grid[self._grid_cells] = band.reshape(-1)[self._band_cells]
+
+    def sample(self, steps: Sequence[int], out: np.ndarray) -> np.ndarray:
+        """Write the lab-frame states at the increasing grid ``steps``, none
+        before ``step``, into ``out``, a stack that holds zeros, and move
+        psi to the last of them.  Each segment of ``_segments`` is read off
+        one recurrence from the state it starts at; returns every sample's
         |pre-renorm norm - 1|."""
-        if interval not in self._expansions:
-            self._expansions[interval] = (
-                _chebyshev_coefficients(self._half_width * interval),
-                np.exp(-1j * self._center * interval))
-        coeffs, phase = self._expansions[interval]
-        apply, tmp, acc = self.action.apply, self._tmp, self._acc
-        prev, cur = self.psi, self._cur
-        np.multiply(prev, coeffs[0], out=acc)
-        if coeffs.size > 1:
-            apply(prev, cur)                   # 2 H_n psi, halved to T_1 psi
-            cur *= 0.5
-            np.multiply(cur, coeffs[1], out=tmp)
-            acc += tmp
-        for c in coeffs[2:]:
-            apply(cur, tmp)                    # T_{k+1} = 2 H_n T_k - T_{k-1}
-            np.subtract(tmp, prev, out=prev)
-            prev, cur = cur, prev
-            np.multiply(cur, c, out=tmp)
-            acc += tmp
-        acc *= phase
-        nrm2 = np.vdot(acc, acc).real
-        if not np.isfinite(nrm2) or nrm2 == 0.0:
-            raise NumericalError(f"state norm became {nrm2!r} during propagation")
-        nrm = math.sqrt(nrm2)
-        acc *= 1.0 / nrm
-        self.psi, self._acc = acc, self.psi
-        return abs(nrm - 1.0)
+        count = len(steps)
+        rows = (out.reshape(count, -1) if self._omega_k is None
+                else np.empty((count, self.psi.size), dtype=np.complex128))
+        drift = np.zeros(count)
+        offsets = tuple(s - self.step for s in steps)
+        if offsets != self._plan[0]:
+            self._plan = offsets, self._segments(offsets)
+        if offsets[0] == 0:                       # psi itself, unchanged
+            rows[0] = self.psi.reshape(-1)
+        for start, stop, segment in self._plan[1]:
+            self._expand(segment, rows[start:stop], drift[start:stop])
+            self.psi[...] = rows[stop - 1].reshape(self.psi.shape)
+        self.step = steps[-1]
+        if self._omega_k is not None:
+            self.lab_amplitudes(np.asarray(steps) * self.dt, rows, out)
+        return drift
+
+    def _segments(self, offsets: tuple[int, ...]) -> list[tuple[int, int, tuple[int, ...]]]:
+        """(start, stop, step offsets from the segment's start state) of the
+        segments that split the samples ``offsets`` steps past psi, leaving
+        out a zero first offset.  A segment ends before the sample that
+        would take its coefficient table, samples times Bessel orders, past
+        MAX_CHEBYSHEV_TERMS, and the next one starts from its last sample; a
+        sample interval that passes the limit alone is refused."""
+        def r_tau(j: int) -> float:
+            return self._half_width * ((offsets[j] - base) * self.dt)
+
+        spans, first, base = [], int(offsets[0] == 0), 0
+        for j in range(first, len(offsets)):
+            if j > first and (j + 1 - first) * bessel_cut(r_tau(j), math.inf, "") \
+                    > MAX_CHEBYSHEV_TERMS:
+                spans.append((first, j, base))
+                first, base = j, offsets[j - 1]
+            if j == first:
+                bessel_cut(r_tau(j), MAX_CHEBYSHEV_TERMS,
+                           "sample that interval more finely: its r * tau =")
+        if first < len(offsets):
+            spans.append((first, len(offsets), base))
+        return [(a, b, tuple(o - base for o in offsets[a:b])) for a, b, base in spans]
+
+    def _coefficients(self, offsets: tuple[int, ...]) -> tuple[np.ndarray, list]:
+        """Coefficients of the samples ``offsets`` steps past psi, each row
+        times its phase e^{-i c tau}, and the folds of ``_expand``: (first
+        term, end, first row whose sum still runs) for each ring of terms."""
+        if offsets != self._table[0]:
+            tau = np.array(offsets) * self.dt
+            coeffs, keeps = _chebyshev_coefficients(self._half_width * tau)
+            coeffs *= np.exp(-1j * self._center * tau)[:, None]
+            size, terms, keeps = max(len(offsets), 3), coeffs.shape[1], keeps.tolist()
+            folds = [(first, min(first + size, terms),
+                      next(j for j, keep in enumerate(keeps) if keep > first))
+                     for first in range(0, terms, size)]
+            self._table = offsets, coeffs, folds
+        return self._table[1:]
+
+    def _expand(self, offsets: tuple[int, ...], rows: np.ndarray, drift: np.ndarray) -> None:
+        """rows[j] <- exp(-iH tau_j) psi, tau_j = offsets[j] dt, renormalized,
+        and drift[j] <- its |pre-renorm norm - 1|.
+
+        The terms T_k psi go into a ring of one vector per row (at least
+        three: the recurrence reads two back), and each full ring is folded
+        into ``rows`` by one product with the ring's columns of the
+        coefficient table, over the rows whose sums still run."""
+        coeffs, folds = self._coefficients(offsets)
+        size = max(len(rows), 3)
+        if len(self._slots) < size:
+            ring = np.empty((size,) + self.psi.shape, dtype=np.complex128)
+            ring[0] = self.psi
+            self._ring, self._slots = ring, list(ring)
+        slots = self._slots[:size]
+        flat = self._ring.reshape(len(self._ring), -1)
+        apply = self.action.apply
+        for first, end, live in folds:
+            for k in range(first, end):
+                slot = k - first
+                term = slots[slot]
+                if k == 1:
+                    apply(slots[0], term)         # 2 H_n psi, halved to T_1 psi
+                    term *= 0.5
+                elif k > 1:
+                    # T_k = 2 H_n T_{k-1} - T_{k-2}
+                    apply(slots[slot - 1], term)
+                    term -= slots[slot - 2]
+            part = coeffs[live:, first:end]
+            if first == 0:
+                np.matmul(part, flat[:end], out=rows)
+            else:
+                running = rows[live:]             # += on rows[live:] would copy back
+                running += part @ flat[:end - first]
+        for j, row in enumerate(rows):
+            nrm = math.sqrt(np.vdot(row, row).real)
+            if not 0.0 < nrm < math.inf:
+                raise NumericalError(f"state norm became {nrm!r} during propagation")
+            row *= 1.0 / nrm
+            drift[j] = abs(nrm - 1.0)
 
 
 @dataclass
@@ -282,25 +384,22 @@ class TimeSeries:
 
 
 def _evolve(initial: CompositeState, params: ModelParams, steps: Sequence[int],
-            dt: float, block: int):
-    """Yield (stacked state, norm drifts) for consecutive runs of at most
-    ``block`` of the increasing grid ``steps``, guarding the truncation tail
-    at every step; each sampled state is written straight into its slot."""
-    evolver = _Chebyshev(initial, params)
-    previous = 0
+            dt: float):
+    """Yield (stacked state, norm drifts) for consecutive blocks of the
+    increasing grid ``steps``, each of at most SAMPLE_BLOCK_BYTES of
+    amplitudes (at least one sample) and read off one recurrence unless the
+    term limit splits it; the truncation tail is guarded at every sample."""
+    evolver = _Chebyshev(initial, params, dt)
+    block = max(1, SAMPLE_BLOCK_BYTES // (16 * initial.amplitudes.size))
     for start in range(0, len(steps), block):
         chunk = steps[start:start + block]
         amplitudes = np.zeros((len(chunk),) + initial.amplitudes.shape, dtype=np.complex128)
-        drift = np.zeros(len(chunk))
-        for i, step in enumerate(chunk):
-            if step > previous:
-                drift[i] = evolver.advance((step - previous) * dt)
-            previous = step
-            evolver.lab_amplitudes(step * dt, amplitudes[i])
-            initial.fock.check_tail(amplitudes[i], step * dt)
-        yield CompositeState(amplitudes, initial.dicke, initial.fock,
-                             time=np.asarray(chunk) * dt, copy=False,
-                             validate=False), drift
+        drift = evolver.sample(chunk, amplitudes)
+        times = np.asarray(chunk) * dt
+        for psi, t in zip(amplitudes, times):
+            initial.fock.check_tail(psi, t)
+        yield CompositeState(amplitudes, initial.dicke, initial.fock, time=times,
+                             copy=False, validate=False), drift
 
 
 def run(initial: CompositeState, params: ModelParams, plan: PropagationPlan,
@@ -319,9 +418,8 @@ def run(initial: CompositeState, params: ModelParams, plan: PropagationPlan,
     steps = list(range(0, plan.n_steps + 1, plan.stride()))
     if steps[-1] != plan.n_steps:
         steps.append(plan.n_steps)
-    block = max(1, SAMPLE_BLOCK_BYTES // (16 * initial.amplitudes.size))
     parts: list[list[np.ndarray]] = [[] for _ in monitors]
-    for state, drift in _evolve(initial, params, steps, plan.dt, block):
+    for state, drift in _evolve(initial, params, steps, plan.dt):
         ctx = MonitorContext(state=state, params=params, norm_drift=drift)
         for part, (_, fn) in zip(parts, monitors):
             part.append(np.asarray(fn(ctx), dtype=float))
@@ -336,9 +434,11 @@ def snapshots(initial: CompositeState, params: ModelParams, times: Sequence[floa
         raise ConfigError("snapshot times must be finite and nonnegative")
     steps = [round(t / dt) for t in times]
     grid = sorted(set(steps))
-    captured = {step: CompositeState(state.amplitudes[0], state.dicke, state.fock,
-                                     time=state.time[0], copy=False, validate=False)
-                for step, (state, _) in zip(grid, _evolve(initial, params, grid, dt, 1))}
+    samples = (CompositeState(psi, state.dicke, state.fock, time=t, copy=False,
+                              validate=False)
+               for state, _ in _evolve(initial, params, grid, dt)
+               for psi, t in zip(state.amplitudes, state.time))
+    captured = dict(zip(grid, samples))
     return [captured[s] for s in steps]
 
 

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, DimensionMismatchError, NumericalError
 from .fileio import FLOAT_FORMAT, atomic_write_text, format_float
 from .hilbert import DickeSpace, ElectronDensityMatrix
 
@@ -160,8 +160,13 @@ def wigner_function(rho: ElectronDensityMatrix, n_theta: int = 181,
     columns of an even n_phi; the diagonal all-down state evaluates one.
     The copies differ from a direct evaluation only by rounding.  The
     largest imaginary part over the evaluated columns must stay within
-    ``IMAG_RESIDUE_ATOL``.
+    ``IMAG_RESIDUE_ATOL``.  ``rho`` is one density matrix; a stack of
+    samples is refused.
     """
+    if rho.matrix.ndim != 2:
+        raise DimensionMismatchError(
+            f"wigner_function takes one density matrix, got a stack of "
+            f"{len(rho.matrix)}; evaluate each sample on its own")
     check_grid_size(n_theta, n_phi)
     n_qubits = rho.dicke.n_qubits
     dim = rho.dicke.dim

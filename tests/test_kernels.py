@@ -29,20 +29,27 @@ def _cut(values):
 
 
 def test_bessel_matches_jv_and_cuts_on_the_same_term():
-    xs = np.concatenate([[0.0, 1e-30, 1e-12, 1e-6, 1e-3],
+    # each value against jv, and all of them as the rows of one table
+    xs = np.concatenate([[0.0, 1e-30, 1e-12, 1e-8, 1e-6, 1e-3],
                          np.geomspace(0.01, 10.0, 40),
                          np.linspace(0.0, 1500.0, 121)[1:]])
-    for x in xs:
+    coeffs, keeps = _chebyshev_coefficients(xs)
+    assert coeffs.shape == (xs.size, keeps.max())
+    for j, x in enumerate(xs):
         count = bessel_cut(float(x), MAX_CHEBYSHEV_TERMS, "x =")
         ref = jv(np.arange(count), x)
         mine = _bessel_j(float(x), count)
         assert np.max(np.abs(mine - ref)) <= 1e-13, x
         assert _cut(mine) == _cut(ref), x
-        assert _chebyshev_coefficients(float(x)).size == _cut(ref) + 1
+        assert keeps[j] == _cut(ref) + 1, x
+        k = np.arange(keeps[j])
+        assert np.array_equal(coeffs[j, k], (2.0 - (k == 0)) * (-1j) ** (k % 4) * mine[k]), x
+        assert not coeffs[j, keeps[j]:].any(), x
 
 
 def test_bessel_at_zero_is_the_identity_term():
-    assert np.array_equal(_chebyshev_coefficients(0.0), [1.0])
+    coeffs, keeps = _chebyshev_coefficients(np.zeros(1))
+    assert np.array_equal(coeffs, [[1.0]]) and keeps.tolist() == [1]
 
 
 def test_poisson_tail_matches_gammainc():

@@ -123,14 +123,33 @@ def test_block_columns_equal_single_state_calls(monkeypatch, per_block, rwa):
     assert series.column("prob_odd")[0] == 0.0
 
 
-def test_norm_drift_does_not_depend_on_the_blocks(monkeypatch):
-    params = cq.ModelParams(n_qubits=2, gamma=0.3)
+@pytest.mark.parametrize("rwa", [True, False], ids=["rwa", "full"])
+def test_monitors_agree_across_block_sizes(monkeypatch, rwa):
+    # the block decides where the recurrence restarts, so columns from
+    # blocks of 1, 3 and all 11 samples agree to rounding, not bit for bit;
+    # reruns at one block size are byte-identical
+    params = cq.ModelParams(n_qubits=2, gamma=0.3, delta=1.2, rwa=rwa)
     state = cq.prepare_initial(cq.PhotonicSpec("even_cat", 2.0), 2)
-    plan = cq.PropagationPlan(t_max=1.0, dt=0.1, monitors=("norm_drift",))
-    whole = cq.run(state, params, plan).column("norm_drift")
-    monkeypatch.setattr(propagator, "SAMPLE_BLOCK_BYTES", _block_bytes(state, 3))
-    assert np.array_equal(cq.run(state, params, plan).column("norm_drift"), whole)
-    assert whole[0] == 0.0 and np.all(whole[1:] < 1e-12)
+    spec = cq.QuadratureSpec(x=0.3, delta_x=0.4, phase_tracking=True)
+    plan = cq.PropagationPlan(t_max=1.0, dt=0.1, monitors=cq.monitor_names())
+    columns = {}
+    for per_block in (1, 3, 11):
+        monkeypatch.setattr(propagator, "SAMPLE_BLOCK_BYTES", _block_bytes(state, per_block))
+        first, again = (cq.run(state, params, plan,
+                               extra_monitors=cq.build_quadrature_monitors(spec))
+                        for _ in range(2))
+        for name, col in first.columns.items():
+            assert np.array_equal(again.column(name), col, equal_nan=True), name
+        columns[per_block] = first.columns
+    for per_block in (3, 11):
+        for name, want in columns[1].items():
+            got = columns[per_block][name]
+            assert np.array_equal(np.isnan(got), np.isnan(want)), name
+            both = ~np.isnan(want)
+            assert np.all(np.abs(got[both] - want[both])
+                          <= 1e-12 * np.maximum(1.0, np.abs(want[both]))), name
+    drift = columns[11]["norm_drift"]
+    assert drift[0] == 0.0 and np.all(drift[1:] < 1e-12)
 
 
 def test_impossible_outcome_records_nan_and_zero():

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import catqed as cq
 from catqed import propagator
-from catqed.propagator import MAX_AUTO_SAMPLES, _Chebyshev
+from catqed.propagator import MAX_AUTO_SAMPLES, _Chebyshev, _chebyshev_coefficients
 from catqed.stateprep import coherent_matrix
-from oracles import dense_hamiltonian, evolve_exact
+from oracles import dense_hamiltonian, evolve_exact, evolve_mpmath
 
 
 def coherent_initial(n_qubits, alpha, n_max):
@@ -67,9 +67,83 @@ def _count_applies(monkeypatch, rwa):
 def test_rwa_model_expands_only_the_coupling(monkeypatch):
     # flagship parameters: in the frame rotating with omega K the sum runs
     # over the coupling half-width (0.61) instead of the Fock ladder's (98),
-    # 700 applies against 3400; the full model stays in the lab frame
-    assert _count_applies(monkeypatch, rwa=True) <= 1000
-    assert _count_applies(monkeypatch, rwa=False) == 3400
+    # 139 applies against 1545; the full model stays in the lab frame.  A
+    # block holds 9 samples, read off one recurrence.
+    assert _count_applies(monkeypatch, rwa=True) <= 200
+    assert _count_applies(monkeypatch, rwa=False) == 1545
+
+
+@pytest.mark.parametrize("rwa", [True, False], ids=["rwa", "full"])
+def test_one_recurrence_reads_out_a_block(monkeypatch, rwa):
+    # a zero first offset and uneven offsets, all in one block: every sample
+    # is exact, and the block costs the applies of its last sample alone
+    params = cq.ModelParams(n_qubits=2, gamma=0.3, delta=1.2, rwa=rwa)
+    initial = coherent_initial(2, 1.2, 25)
+    times = [0.0, 0.013, 0.5, 2.0, 7.1, 19.3]
+    calls = []
+    apply = cq.HamiltonianAction.apply
+    monkeypatch.setattr(cq.HamiltonianAction, "apply",
+                        lambda self, psi, out: calls.append(None) or apply(self, psi, out))
+    states = cq.snapshots(initial, params, times)
+    half_width = _Chebyshev(initial, params, 1e-3)._half_width
+    _, keeps = _chebyshev_coefficients(np.array([half_width * 19.3]))
+    assert len(calls) == keeps[0] - 1
+    assert np.array_equal(states[0].amplitudes, initial.amplitudes)
+    h = dense_hamiltonian(params, 25)
+    for state in states:
+        ref = evolve_exact(h, initial.amplitudes.ravel(), state.time)
+        assert np.abs(state.amplitudes.ravel() - ref).max() < 1e-12
+
+
+@pytest.mark.parametrize("rwa", [True, False], ids=["rwa", "full"])
+def test_a_block_spanning_a_thousand_rabi_periods(rwa):
+    # one emitter at strong coupling, sampled at 0, inside the first vacuum
+    # Rabi period 2 pi / g and after 10^3 of them, all from one recurrence.
+    # evolve_exact's own phases are off by 3e-12 at that span (eps ||h|| t),
+    # so the reference there is mpmath's
+    params = cq.ModelParams(n_qubits=1, gamma=20.0, rwa=rwa)
+    gen = np.random.default_rng(0)
+    amps = gen.normal(size=(2, 12)) + 1j * gen.normal(size=(2, 12))
+    initial = cq.CompositeState(amps / np.linalg.norm(amps), cq.DickeSpace(1),
+                                cq.FockSpace(11, tail_tolerance=1.0 - 1e-12))
+    period = 2.0 * math.pi / params.coupling
+    states = cq.snapshots(initial, params, [0.0, 0.3 * period, 1e3 * period])
+    h = dense_hamiltonian(params, 11)
+    psi0 = initial.amplitudes.ravel()
+    for state, oracle in zip(states[1:], (evolve_exact, evolve_mpmath)):
+        ref = oracle(h, psi0, state.time)
+        assert np.abs(state.amplitudes.ravel() - ref).max() < 1e-12
+
+
+def test_a_block_past_the_term_limit_restarts_inside_it(monkeypatch):
+    # full-model kitten, r = 52: each unit interval needs 133 Bessel orders,
+    # under a limit of 200, but one table for the block's three intervals
+    # would need 262 orders for its last sample.  The block restarts the
+    # recurrence at its samples instead of refusing the run.
+    params = cq.ModelParams(n_qubits=8, gamma=0.01, rwa=False)
+    initial = cq.prepare_initial(cq.PhotonicSpec("kitten", 6.0), 8, n_max=96)
+    plan = cq.PropagationPlan(t_max=3.0, sample_stride=1000,
+                              monitors=("photon_number", "jx", "energy"))
+    free = cq.run(initial, params, plan)
+    monkeypatch.setattr(propagator, "MAX_CHEBYSHEV_TERMS", 200)
+    limited = cq.run(initial, params, plan)
+    for name, want in free.columns.items():
+        got = limited.column(name)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), name
+    # a single interval past the limit is refused, named as the interval
+    with pytest.raises(cq.NumericalError,
+                       match=r"sample that interval more finely: its r \* tau = 156 "
+                             r"needs 262 Bessel orders, more than 200"):
+        cq.run(initial, params, cq.PropagationPlan(t_max=3.0, sample_stride=3000))
+
+
+def test_a_state_that_stops_being_finite_is_refused(monkeypatch):
+    monkeypatch.setattr(cq.HamiltonianAction, "apply",
+                        lambda self, psi, out: out.fill(np.nan) or out)
+    initial = coherent_initial(1, 0.5, 25)
+    with pytest.raises(cq.NumericalError, match="state norm became nan"):
+        cq.run(initial, cq.ModelParams(n_qubits=1, gamma=0.1),
+               cq.PropagationPlan(t_max=0.5, dt=0.1, monitors=("norm_drift",)))
 
 
 def _spins_not_all_down():
@@ -101,10 +175,10 @@ def test_band_matches_the_full_grid_and_the_oracle(case, monkeypatch):
     params, make = BAND_CASES[case]
     initial = make()
     times = [0.0, 1.3, 4.0]
-    live = _Chebyshev(initial, params).psi.size
+    live = _Chebyshev(initial, params, 1e-3).psi.size
     band = cq.snapshots(initial, params, times)
     monkeypatch.setattr(propagator, "LIVE_SECTOR_POPULATION", -1.0)
-    assert _Chebyshev(initial, params).psi.size > live
+    assert _Chebyshev(initial, params, 1e-3).psi.size > live
     grid = cq.snapshots(initial, params, times)
     h = dense_hamiltonian(params, initial.fock.n_max)
     for b, g in zip(band, grid):
@@ -118,7 +192,7 @@ def test_flagship_band_holds_at_most_half_the_grid():
     # 90 x 9 amplitudes against 9 x 189; a silent fallback to the grid fails
     params = cq.ModelParams(n_qubits=8, gamma=0.01)
     initial = cq.prepare_initial(cq.PhotonicSpec("even_cat", 10.0), 8, n_max=188)
-    evolver = _Chebyshev(initial, params)
+    evolver = _Chebyshev(initial, params, 1e-3)
     assert evolver.psi.size <= 0.5 * initial.amplitudes.size
     assert np.all(evolver.action.sectors % 2 == 0)
 
@@ -129,7 +203,7 @@ def test_detuned_rwa_run_keeps_its_diagonal(delta):
     # it; detuned it stays, and the run matches the dense oracle
     params = cq.ModelParams(n_qubits=3, gamma=0.2, delta=delta)
     initial = cq.prepare_initial(cq.PhotonicSpec("even_cat", 2.0), 3)
-    assert (_Chebyshev(initial, params).action.diag is None) == (delta == 1.0)
+    assert (_Chebyshev(initial, params, 1e-3).action.diag is None) == (delta == 1.0)
     h = dense_hamiltonian(params, initial.fock.n_max)
     for state in cq.snapshots(initial, params, [0.9, 6.1]):
         ref = evolve_exact(h, initial.amplitudes.ravel(), state.time)
@@ -198,6 +272,21 @@ def test_snapshots_and_propagate_agree():
     assert np.abs(single.amplitudes.ravel() - ref).max() < 1e-12
     assert np.array_equal(snaps[0].amplitudes, initial.amplitudes)
     assert snaps[1].time == pytest.approx(0.7, abs=1e-12)
+
+
+@pytest.mark.parametrize("rwa", [True, False], ids=["rwa", "full"])
+def test_a_sample_at_the_start_is_the_initial_state_itself(rwa):
+    # not renormalized: an input 1e-11 off unit norm comes back as given,
+    # with zero drift, and later samples are renormalized
+    params = cq.ModelParams(n_qubits=2, gamma=0.2, rwa=rwa)
+    base = coherent_initial(2, 1.0, 25)
+    initial = cq.CompositeState(base.amplitudes * (1.0 + 1e-11), base.dicke, base.fock)
+    plan = cq.PropagationPlan(t_max=0.2, dt=0.1, monitors=("norm_drift",))
+    drift = cq.run(initial, params, plan).column("norm_drift")
+    assert drift[0] == 0.0 and drift[1] == pytest.approx(1e-11, rel=1e-3)
+    first, later = cq.snapshots(initial, params, [0.0, 0.1])
+    assert np.array_equal(first.amplitudes, initial.amplitudes)
+    assert np.linalg.norm(later.amplitudes) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_snapshot_times_snap_to_grid():

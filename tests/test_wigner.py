@@ -257,6 +257,13 @@ def test_wigner_imaginary_residue_checked_in_every_block(pole):
         cq.wigner_function(rho)
 
 
+def test_wigner_refuses_a_stack():
+    stack = cq.ElectronDensityMatrix(np.stack([np.eye(3) / 3, np.diag([1.0, 0.0, 0.0])]),
+                                     cq.DickeSpace(2))
+    with pytest.raises(cq.DimensionMismatchError, match="stack of 2"):
+        cq.wigner_function(stack, 5, 4)
+
+
 def test_wigner_grid_to_file(tmp_path):
     grid = cq.wigner_function(all_down_density(2), n_theta=5, n_phi=4)
     path = tmp_path / "w.dat"
