@@ -31,7 +31,7 @@ from .monitors import build_quadrature_monitors
 from .propagator import peak_and_fwhm, run, snapshots
 from .stateprep import prepare_initial
 from .validation import run_checks
-from .wigner import check_grid_size, wigner_function
+from .wigner import DEFAULT_GRID, check_grid_size, wigner_function
 
 _USAGE_EXIT = 2
 _NUMERICAL_EXIT = 3
@@ -58,9 +58,8 @@ def _cmd_simulate(args) -> int:
     series = _run_series(cfg)
     path = os.path.join(out, f"{cfg.prefix}_series.csv")
     series.to_csv(path)
-    names = [n for n in series.columns if n != "time"]
     print(f"wrote {path} ({series.times.size} samples, "
-          f"columns: time {' '.join(names)})")
+          f"columns: {' '.join(['time', *series.columns])})")
     if "qfi_density" in series.columns:
         try:
             peak = peak_and_fwhm(series.times, series.column("qfi_density"))
@@ -209,8 +208,8 @@ def _parser() -> argparse.ArgumentParser:
                      help="comma-separated snapshot times")
     wig.add_argument("--parity", choices=("none", "even", "odd"),
                      default="none", help="condition on photon parity")
-    wig.add_argument("--n-theta", type=int, default=181)
-    wig.add_argument("--n-phi", type=int, default=360)
+    wig.add_argument("--n-theta", type=int, default=DEFAULT_GRID[0])
+    wig.add_argument("--n-phi", type=int, default=DEFAULT_GRID[1])
     wig.add_argument("--out", default=None)
     wig.set_defaults(func=_cmd_wigner)
 

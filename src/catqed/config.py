@@ -22,7 +22,7 @@ from .fileio import format_float
 from .hilbert import CompositeState
 from .operators import ModelParams
 from .measurement import QuadratureSpec
-from .propagator import DEFAULT_DT, DEFAULT_MONITORS, PropagationPlan
+from .propagator import DEFAULT_DT, PropagationPlan
 from .stateprep import PhotonicSpec, prepare_initial, required_n_max
 
 # `dt = auto` sampling grid: propagation is exact on any grid, so from this
@@ -33,16 +33,6 @@ FINE_DT = 1e-4
 
 _TRUE = frozenset(("1", "true", "yes", "on"))
 _FALSE = frozenset(("0", "false", "no", "off"))
-
-_SCHEMA = {
-    "model": ("n_qubits", "gamma", "delta", "omega", "rwa"),
-    "photonic": ("kind", "alpha", "beta", "phi_cat"),
-    "propagation": ("t_max", "dt", "n_max", "sample_stride"),
-    "measurement": ("x", "delta_x", "track", "phi"),
-    "monitors": ("names", "quadrature"),
-    "output": ("directory", "prefix"),
-    "sweep": ("n_qubits", "alpha"),
-}
 
 
 def _parse_bool(raw: str, where: str) -> bool:
@@ -80,6 +70,57 @@ def _parse_int(raw: str, where: str) -> int:
         return int(raw)
     except ValueError:
         raise ConfigError(f"{where}: expected an integer, got {raw!r}") from None
+
+
+def _parse_positive_int(raw: str, where: str) -> int:
+    value = _parse_int(raw, where)
+    if value < 1:
+        raise ConfigError(f"{where} must be >= 1")
+    return value
+
+
+def _parse_sizes(raw: str, where: str) -> tuple[int, ...]:
+    sizes = tuple(_parse_int(tok, where) for tok in raw.split())
+    if not sizes or any(n < 1 for n in sizes):
+        raise ConfigError(f"{where} must be positive integers")
+    if len(set(sizes)) != len(sizes):
+        raise ConfigError(f"{where} must be distinct")
+    return sizes
+
+
+def _parse_text(raw: str, where: str) -> str:
+    return raw.strip()
+
+
+def _parse_names(raw: str, where: str) -> tuple[str, ...]:
+    return tuple(raw.split())
+
+
+def _or_auto(parse):
+    """``parse``, reading ``auto`` (in any case) as None for later resolution."""
+    def parse_or_auto(raw: str, where: str):
+        raw = raw.strip().lower()
+        return None if raw == "auto" else parse(raw, where)
+    return parse_or_auto
+
+
+# Each section's keys in canonical order, with the parser of each value.
+# Only the keys a file sets are parsed; every other setting takes the
+# default of the value type that holds it.
+_SCHEMA = {
+    "model": {"n_qubits": _parse_int, "gamma": _parse_float,
+              "delta": _parse_float, "omega": _parse_float, "rwa": _parse_bool},
+    "photonic": {"kind": _parse_text, "alpha": _parse_complex,
+                 "beta": _parse_complex, "phi_cat": _parse_float},
+    "propagation": {"t_max": _parse_float, "dt": _or_auto(_parse_float),
+                    "n_max": _or_auto(_parse_positive_int),
+                    "sample_stride": _or_auto(_parse_int)},
+    "measurement": {"x": _parse_float, "delta_x": _parse_float,
+                    "track": _parse_bool, "phi": _parse_float},
+    "monitors": {"names": _parse_names, "quadrature": _parse_bool},
+    "output": {"directory": _parse_text, "prefix": _parse_text},
+    "sweep": {"n_qubits": _parse_sizes, "alpha": _or_auto(_parse_complex)},
+}
 
 
 def format_complex(z: complex) -> str:
@@ -133,10 +174,16 @@ class SimulationConfig:
         return prepare_initial(self.photonic, self.model.n_qubits, n_max=self.n_max)
 
 
-def _section(cp: configparser.ConfigParser, name: str) -> dict:
-    if not cp.has_section(name):
-        return {}
-    return dict(cp.items(name))
+def _values(cp: configparser.ConfigParser, name: str,
+            required: tuple[str, ...] = ()) -> dict:
+    """The keys that section ``name`` sets, each parsed by its schema entry
+    in schema order, once the ``required`` keys are found present."""
+    raw = dict(cp.items(name)) if cp.has_section(name) else {}
+    for key in required:
+        if key not in raw:
+            raise ConfigError(f"[{name}] requires {key}")
+    return {key: parse(raw[key], f"[{name}] {key}")
+            for key, parse in _SCHEMA[name].items() if key in raw}
 
 
 def parse_config(text: str) -> SimulationConfig:
@@ -158,86 +205,39 @@ def parse_config(text: str) -> SimulationConfig:
         if not cp.has_section(required):
             raise ConfigError(f"missing required section [{required}]")
 
-    sec = _section(cp, "model")
-    for key in ("n_qubits", "gamma"):
-        if key not in sec:
-            raise ConfigError(f"[model] requires {key}")
-    model = ModelParams(
-        n_qubits=_parse_int(sec["n_qubits"], "[model] n_qubits"),
-        gamma=_parse_float(sec["gamma"], "[model] gamma"),
-        delta=_parse_float(sec.get("delta", "1.0"), "[model] delta"),
-        omega=_parse_float(sec.get("omega", "1.0"), "[model] omega"),
-        rwa=_parse_bool(sec.get("rwa", "true"), "[model] rwa"))
+    model = ModelParams(**_values(cp, "model", ("n_qubits", "gamma")))
+    photonic = PhotonicSpec(**_values(cp, "photonic", ("kind", "alpha")))
 
-    sec = _section(cp, "photonic")
-    for key in ("kind", "alpha"):
-        if key not in sec:
-            raise ConfigError(f"[photonic] requires {key}")
-    photonic = PhotonicSpec(
-        kind=sec["kind"].strip(),
-        alpha=_parse_complex(sec["alpha"], "[photonic] alpha"),
-        beta=_parse_complex(sec["beta"], "[photonic] beta") if "beta" in sec else None,
-        phi_cat=_parse_float(sec.get("phi_cat", "0.0"), "[photonic] phi_cat"))
+    plan = _values(cp, "propagation", ("t_max",))
+    if plan.get("dt") is None:
+        plan["dt"] = FINE_DT if photonic.max_amplitude() >= FINE_STEP_AMPLITUDE else DEFAULT_DT
+    n_max = plan.pop("n_max", None)
+    if n_max is None:
+        n_max = required_n_max(photonic.max_amplitude(), model.n_qubits)
+    mon = _values(cp, "monitors")
+    if "names" in mon:
+        plan["monitors"] = mon["names"]
+    propagation = PropagationPlan(**plan)
 
-    sec = _section(cp, "propagation")
-    if "t_max" not in sec:
-        raise ConfigError("[propagation] requires t_max")
-    t_max = _parse_float(sec["t_max"], "[propagation] t_max")
-    raw_dt = sec.get("dt", "auto").strip().lower()
-    if raw_dt == "auto":
-        dt = FINE_DT if photonic.max_amplitude() >= FINE_STEP_AMPLITUDE else DEFAULT_DT
-    else:
-        dt = _parse_float(raw_dt, "[propagation] dt")
-    raw_nmax = sec.get("n_max", "auto").strip().lower()
-    if raw_nmax == "auto":
-        n_max = required_n_max(photonic, model.n_qubits)
-    else:
-        n_max = _parse_int(raw_nmax, "[propagation] n_max")
-        if n_max < 1:
-            raise ConfigError("[propagation] n_max must be >= 1")
-    raw_stride = sec.get("sample_stride", "auto").strip().lower()
-    stride = (None if raw_stride == "auto"
-              else _parse_int(raw_stride, "[propagation] sample_stride"))
-    mon = _section(cp, "monitors")
-    names = tuple(mon["names"].split()) if "names" in mon else DEFAULT_MONITORS
-    quadrature = _parse_bool(mon.get("quadrature", "false"), "[monitors] quadrature")
-    propagation = PropagationPlan(t_max=t_max, dt=dt, sample_stride=stride,
-                                  monitors=names)
+    meas = _values(cp, "measurement")
+    # the INI default tracks the oscillator phase; the library's does not
+    measurement = QuadratureSpec(phase_tracking=meas.pop("track", True), **meas)
 
-    sec = _section(cp, "measurement")
-    measurement = QuadratureSpec(
-        x=_parse_float(sec.get("x", "0.0"), "[measurement] x"),
-        phi=_parse_float(sec.get("phi", "0.0"), "[measurement] phi"),
-        delta_x=_parse_float(sec.get("delta_x", "0.0"), "[measurement] delta_x"),
-        phase_tracking=_parse_bool(sec.get("track", "true"), "[measurement] track"))
-
-    out = _section(cp, "output")
-    out_dir = out.get("directory", ".").strip()
-    prefix = out.get("prefix", "run").strip()
+    out = _values(cp, "output")
+    prefix = out.get("prefix", "run")
     if not prefix:
         raise ConfigError("[output] prefix must be nonempty")
 
-    sweep = _section(cp, "sweep")
-    sweep_qubits: tuple[int, ...] = ()
-    sweep_alpha: complex | None = None
-    if sweep:
-        if "n_qubits" not in sweep:
-            raise ConfigError("[sweep] requires n_qubits")
-        sweep_qubits = tuple(_parse_int(tok, "[sweep] n_qubits")
-                             for tok in sweep["n_qubits"].split())
-        if not sweep_qubits or any(n < 1 for n in sweep_qubits):
-            raise ConfigError("[sweep] n_qubits must be positive integers")
-        if len(set(sweep_qubits)) != len(sweep_qubits):
-            raise ConfigError("[sweep] n_qubits must be distinct")
-        raw_sa = sweep.get("alpha", "auto").strip().lower()
-        if raw_sa != "auto":
-            sweep_alpha = _parse_complex(raw_sa, "[sweep] alpha")
+    # an empty [sweep] section asks for no sweep
+    swept = cp.has_section("sweep") and bool(cp.options("sweep"))
+    sweep = _values(cp, "sweep", ("n_qubits",) if swept else ())
 
     return SimulationConfig(
         model=model, photonic=photonic, propagation=propagation,
-        measurement=measurement, n_max=n_max, quadrature=quadrature,
-        out_dir=out_dir, prefix=prefix, sweep_qubits=sweep_qubits,
-        sweep_alpha=sweep_alpha)
+        measurement=measurement, n_max=n_max,
+        quadrature=mon.get("quadrature", False), out_dir=out.get("directory", "."),
+        prefix=prefix, sweep_qubits=sweep.get("n_qubits", ()),
+        sweep_alpha=sweep.get("alpha"))
 
 
 def load_config(path: str) -> SimulationConfig:

@@ -26,8 +26,9 @@ HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 
-# Columns counted by the truncation-tail diagnostic.
+# Truncation-tail diagnostic: the columns it counts and the population they may hold.
 TAIL_WIDTH = 10
+TAIL_TOLERANCE = 1e-8
 
 
 def per_sample(values) -> float | np.ndarray:
@@ -78,15 +79,11 @@ class FockSpace:
     """Photon-number ladder truncated at ``n_max`` (dimension n_max + 1)."""
 
     n_max: int
-    tail_tolerance: float = 1e-8
 
     def __post_init__(self):
         if not isinstance(self.n_max, (int, np.integer)) or self.n_max < 1:
             raise DimensionMismatchError(
                 f"n_max must be a positive integer, got {self.n_max!r}")
-        if not (0.0 < self.tail_tolerance < 1.0):
-            raise DimensionMismatchError(
-                f"tail_tolerance must lie in (0, 1), got {self.tail_tolerance!r}")
 
     @property
     def dim(self) -> int:
@@ -101,11 +98,11 @@ class FockSpace:
 
     def check_tail(self, amplitudes: np.ndarray, t: float) -> None:
         """Refuse a joint state at time t whose tail population exceeds
-        ``tail_tolerance``: the cutoff no longer holds it."""
+        TAIL_TOLERANCE: the cutoff no longer holds it."""
         tail = self.tail_population(amplitudes)
-        if tail > self.tail_tolerance:
+        if tail > TAIL_TOLERANCE:
             raise TruncationError(
-                f"tail population {tail:.3e} exceeds {self.tail_tolerance:.1e} at "
+                f"tail population {tail:.3e} exceeds {TAIL_TOLERANCE:.1e} at "
                 f"t = {t:.6g} for n_max = {self.n_max}; raise the cutoff")
 
 

@@ -137,6 +137,8 @@ def resolve_monitors(names: Sequence[str]) -> list[tuple[str, MonitorFn]]:
     if missing:
         raise ConfigError(
             f"unknown monitor(s) {missing}; available: {monitor_names()}")
+    if len(set(names)) != len(names):
+        raise ConfigError(f"duplicate monitor names in {list(names)}")
     return [(n, MONITORS[n]) for n in names]
 
 

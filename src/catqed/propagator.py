@@ -72,7 +72,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, PeakError
+from .errors import ConfigError, DimensionMismatchError, NumericalError, PeakError
 from .fileio import atomic_write_text, format_float
 from .hilbert import CompositeState
 from .monitors import MonitorContext, MonitorFn, resolve_monitors
@@ -375,7 +375,7 @@ class TimeSeries:
 
     def to_csv(self, path: str) -> None:
         names = list(self.columns)
-        lines = ["time," + ",".join(names)]
+        lines = [",".join(["time", *names])]
         cols = [self.columns[n] for n in names]
         for i, t in enumerate(self.times):
             row = [format_float(t)] + [format_float(c[i]) for c in cols]
@@ -408,8 +408,8 @@ def run(initial: CompositeState, params: ModelParams, plan: PropagationPlan,
 
     ``extra_monitors`` supplements the named set with caller-built monitors
     (e.g. measurement-conditioned readout needing its own spec).  Each
-    monitor is called once per block of samples and returns one value per
-    sample of the block.
+    monitor is called once per block of samples and must return one value
+    per sample of the block.
     """
     monitors = resolve_monitors(plan.monitors) + list(extra_monitors)
     names = [n for n, _ in monitors]
@@ -421,8 +421,12 @@ def run(initial: CompositeState, params: ModelParams, plan: PropagationPlan,
     parts: list[list[np.ndarray]] = [[] for _ in monitors]
     for state, drift in _evolve(initial, params, steps, plan.dt):
         ctx = MonitorContext(state=state, params=params, norm_drift=drift)
-        for part, (_, fn) in zip(parts, monitors):
-            part.append(np.asarray(fn(ctx), dtype=float))
+        for part, (name, fn) in zip(parts, monitors):
+            values = np.asarray(fn(ctx), dtype=float)
+            if values.shape != drift.shape:
+                raise DimensionMismatchError(f"monitor {name!r} returned shape {values.shape} "
+                                             f"for {drift.size} samples, not one value each")
+            part.append(values)
     columns = {name: np.concatenate(part) for name, part in zip(names, parts)}
     return TimeSeries(times=np.asarray(steps) * plan.dt, columns=columns)
 

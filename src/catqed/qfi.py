@@ -65,7 +65,7 @@ def _top_direction(fisher: np.ndarray, n_qubits: int) -> QfiResult:
                      direction=evecs[..., -1].copy(), matrix=fisher)
 
 
-def qfi_mixed(rho: ElectronDensityMatrix, pair_floor: float = PAIR_WEIGHT_FLOOR) -> QfiResult:
+def qfi_mixed(rho: ElectronDensityMatrix) -> QfiResult:
     """QFI of a (possibly mixed) electronic state over n . J generators.
 
     Eigenvalues below zero (numerical dust) are clipped and the spectrum is
@@ -84,7 +84,7 @@ def qfi_mixed(rho: ElectronDensityMatrix, pair_floor: float = PAIR_WEIGHT_FLOOR)
     lsum = evals[..., :, None] + evals[..., None, :]
     ldiff = evals[..., :, None] - evals[..., None, :]
     weights = np.divide(2.0 * ldiff**2, lsum, out=np.zeros_like(lsum),
-                        where=lsum > pair_floor)
+                        where=lsum > PAIR_WEIGHT_FLOOR)
 
     # <i|Ja|j> for a = x, y, z, flattened over the pairs (i, j)
     spins = np.stack(spin_matrices(n_qubits))

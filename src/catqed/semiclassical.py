@@ -264,8 +264,7 @@ def _assemble(params: ModelParams, spec: PhotonicSpec, t: float,
 
 
 def coherent_expansion_state(params: ModelParams, spec: PhotonicSpec,
-                             t: float, n_max: int | None = None,
-                             nodes: int = DEFAULT_GRID_NODES) -> CompositeState:
+                             t: float, n_max: int | None = None) -> CompositeState:
     """Composite state predicted by superposing classical-drive branches
     over the coherent-state expansion of the initial photonic state.
 
@@ -274,11 +273,11 @@ def coherent_expansion_state(params: ModelParams, spec: PhotonicSpec,
     """
     if n_max is None:
         n_max = required_n_max(spec.max_amplitude(), params.n_qubits)
-    c = _assemble(params, spec, t, n_max, nodes)
-    finer = _assemble(params, spec, t, n_max, nodes + 8)
+    c = _assemble(params, spec, t, n_max, DEFAULT_GRID_NODES)
+    finer = _assemble(params, spec, t, n_max, DEFAULT_GRID_NODES + 8)
     err = float(np.max(np.abs(finer - c)))
     if err > GRID_CONVERGENCE_ATOL:
         raise GridConvergenceError(
-            f"expansion grid not converged: {nodes} vs {nodes + 8} nodes "
-            f"differ by {err:.3e}")
+            f"expansion grid not converged: {DEFAULT_GRID_NODES} vs "
+            f"{DEFAULT_GRID_NODES + 8} nodes differ by {err:.3e}")
     return CompositeState(finer, params.dicke(), FockSpace(n_max), time=t)

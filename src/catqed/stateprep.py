@@ -97,7 +97,7 @@ def _poisson_tails(mean: float, lo: int) -> np.ndarray:
     return math.exp(top) * np.cumsum(np.exp(log_weights[::-1] - top))[::-1]
 
 
-def required_n_max(spec_or_amplitude, n_qubits: int) -> int:
+def required_n_max(amplitude: complex, n_qubits: int) -> int:
     """Cutoff heuristic: |alpha|^2 + 7|alpha| covers the Poisson tail, plus
     room for up to N emitted photons and the TAIL_WIDTH-wide watch window.
 
@@ -107,10 +107,7 @@ def required_n_max(spec_or_amplitude, n_qubits: int) -> int:
     is the first n >= |alpha|^2 whose exact tail mass is at most
     STATIC_TAIL_ATOL.
     """
-    if isinstance(spec_or_amplitude, PhotonicSpec):
-        a = spec_or_amplitude.max_amplitude()
-    else:
-        a = abs(spec_or_amplitude)
+    a = abs(amplitude)
     mean = a * a
     lo = max(1, math.ceil(mean))
     floor = lo + int(np.argmax(_poisson_tails(mean, lo) <= STATIC_TAIL_ATOL))
@@ -209,7 +206,7 @@ def prepare_initial(spec: PhotonicSpec, n_qubits: int,
     """All emitters down, photons in ``spec``; cutoff chosen automatically
     when ``n_max`` is None."""
     if n_max is None:
-        n_max = required_n_max(spec, n_qubits)
+        n_max = required_n_max(spec.max_amplitude(), n_qubits)
     dicke = DickeSpace(n_qubits)
     fock = FockSpace(n_max)
     vec = photonic_vector(spec, n_max)

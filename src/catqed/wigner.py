@@ -27,6 +27,7 @@ from .fileio import FLOAT_FORMAT, atomic_write_text, format_float
 from .hilbert import DickeSpace, ElectronDensityMatrix
 
 IMAG_RESIDUE_ATOL = 1e-10
+DEFAULT_GRID = (181, 360)
 # theta rows per block of ``wigner_function``
 THETA_BLOCK = 32
 
@@ -140,8 +141,8 @@ def check_grid_size(n_theta: int, n_phi: int) -> None:
                           f"n_phi >= 1, got {n_theta} x {n_phi}")
 
 
-def wigner_function(rho: ElectronDensityMatrix, n_theta: int = 181,
-                    n_phi: int = 360) -> WignerGrid:
+def wigner_function(rho: ElectronDensityMatrix, n_theta: int = DEFAULT_GRID[0],
+                    n_phi: int = DEFAULT_GRID[1]) -> WignerGrid:
     """Evaluate W on the grid, a block of ``THETA_BLOCK`` theta rows at a time.
 
     With g(theta) = conj(d) diag(D) d^T and d = d(theta) the small-d matrix,

@@ -58,6 +58,18 @@ def test_simulate_writes_series(tmp_path, capsys):
     assert header == "time,qfi_density,photon_number"
 
 
+def test_simulate_without_monitors_writes_the_times_alone(tmp_path, capsys):
+    path = write_config(tmp_path, SMOKE + "\n[monitors]\nnames =\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+    assert "columns: time)" in capsys.readouterr().out
+    csv = out / "run_series.csv"
+    lines = csv.read_text().splitlines()
+    assert lines[0] == "time" and all("," not in line for line in lines)
+    times = np.loadtxt(str(csv), skiprows=1)
+    assert times.shape == (2001,) and times[0] == 0.0 and times[-1] == 2.0
+
+
 def test_simulate_reruns_byte_identical(tmp_path, capsys):
     path = write_config(tmp_path)
     main(["simulate", "--config", path, "--out", str(tmp_path / "a")])

@@ -1,11 +1,12 @@
 """Config parsing: strict schema, auto resolution, canonical round trip."""
 
+import configparser
 import math
 
 import pytest
 
 import catqed as cq
-from catqed.config import parse_config, load_config, serialize_config
+from catqed.config import _SCHEMA, parse_config, load_config, serialize_config
 
 MINIMAL = """\
 [model]
@@ -65,6 +66,62 @@ alpha = 2+1j
     assert parse_config(serialize_config(cfg)) == cfg
 
 
+EVERY_KEY = """\
+[model]
+n_qubits = 4
+gamma = 0.05
+delta = 1.25
+omega = 0.75
+rwa = false
+
+[photonic]
+kind = general_cat
+alpha = 2
+beta = -2+0.5j
+phi_cat = 0.3
+
+[propagation]
+t_max = 10
+dt = 0.01
+n_max = 60
+sample_stride = 5
+
+[measurement]
+x = 0.25
+delta_x = 0.1
+track = false
+phi = 1.5
+
+[monitors]
+names = qfi_density prob_even
+quadrature = true
+
+[output]
+directory = out
+prefix = every
+
+[sweep]
+n_qubits = 2 4
+alpha = 1.5
+"""
+
+
+def _keys(text):
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_string(text)
+    return {sec: set(cp.options(sec)) for sec in cp.sections()}
+
+
+def test_every_schema_key_serializes_and_parses_back():
+    # drift guard: a key the schema gains must reach the canonical form
+    # and come back from it unchanged
+    assert _keys(EVERY_KEY) == {sec: set(keys) for sec, keys in _SCHEMA.items()}
+    cfg = parse_config(EVERY_KEY)
+    text = serialize_config(cfg)
+    assert _keys(text) == _keys(EVERY_KEY)
+    assert parse_config(text) == cfg
+
+
 def test_round_trip_preserves_general_cat_fields():
     text = MINIMAL.replace("kind = even_cat\nalpha = 2",
                            "kind = general_cat\nalpha = 2\nbeta = -2\nphi_cat = 3.14")
@@ -100,6 +157,8 @@ def test_complex_values_tolerate_spaces():
     (lambda s: s.replace("t_max = 50", "t_max = 50\nsample_stride = 0"),
      "sample_stride"),
     (lambda s: s + "\n[monitors]\nnames = qfi_density bogus\n", "unknown monitor"),
+    (lambda s: s + "\n[monitors]\nnames = qfi_density qfi_density\n",
+     "duplicate monitor names"),
     (lambda s: s.replace("kind = even_cat", "kind = dog"), "unknown photonic kind"),
     (lambda s: s + "\n[measurement]\ndelta_x = -0.5\n", "delta_x"),
     (lambda s: s + "\n[output]\nprefix =\n", "prefix"),
@@ -114,7 +173,7 @@ def test_complex_values_tolerate_spaces():
 ], ids=["section", "key", "mu", "missing-section", "missing-key", "bad-float",
         "bad-complex", "bad-bool", "t_max", "dt", "dt-above-t_max", "gamma",
         "delta", "omega", "n_max", "stride",
-        "monitor", "kind", "delta_x", "prefix", "sweep-missing",
+        "monitor", "monitor-dupes", "kind", "delta_x", "prefix", "sweep-missing",
         "sweep-dupes", "malformed", "t_max-nan", "dt-inf", "gamma-inf",
         "alpha-nan", "alpha-infj"])
 def test_rejects_bad_input(mangle, fragment):

@@ -33,8 +33,6 @@ def test_dicke_space_rejects_bad_n():
 def test_fock_space_rejects_bad_cutoff():
     with pytest.raises(cq.DimensionMismatchError):
         cq.FockSpace(0)
-    with pytest.raises(cq.DimensionMismatchError):
-        cq.FockSpace(10, tail_tolerance=2.0)
 
 
 def test_composite_state_normalization_enforced(rng):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import catqed as cq
-from catqed import propagator
+from catqed import hilbert, propagator
 from catqed.propagator import MAX_AUTO_SAMPLES, _Chebyshev, _chebyshev_coefficients
 from catqed.stateprep import coherent_matrix
 from oracles import dense_hamiltonian, evolve_exact, evolve_mpmath
@@ -96,16 +96,17 @@ def test_one_recurrence_reads_out_a_block(monkeypatch, rwa):
 
 
 @pytest.mark.parametrize("rwa", [True, False], ids=["rwa", "full"])
-def test_a_block_spanning_a_thousand_rabi_periods(rwa):
+def test_a_block_spanning_a_thousand_rabi_periods(rwa, monkeypatch):
     # one emitter at strong coupling, sampled at 0, inside the first vacuum
     # Rabi period 2 pi / g and after 10^3 of them, all from one recurrence.
     # evolve_exact's own phases are off by 3e-12 at that span (eps ||h|| t),
     # so the reference there is mpmath's
+    monkeypatch.setattr(hilbert, "TAIL_TOLERANCE", 1.0 - 1e-12)
     params = cq.ModelParams(n_qubits=1, gamma=20.0, rwa=rwa)
     gen = np.random.default_rng(0)
     amps = gen.normal(size=(2, 12)) + 1j * gen.normal(size=(2, 12))
     initial = cq.CompositeState(amps / np.linalg.norm(amps), cq.DickeSpace(1),
-                                cq.FockSpace(11, tail_tolerance=1.0 - 1e-12))
+                                cq.FockSpace(11))
     period = 2.0 * math.pi / params.coupling
     states = cq.snapshots(initial, params, [0.0, 0.3 * period, 1e3 * period])
     h = dense_hamiltonian(params, 11)
@@ -320,6 +321,20 @@ def test_monitor_errors():
                extra_monitors=[("jz", lambda ctx: 0.0)])
 
 
+@pytest.mark.parametrize("fn", [
+    lambda ctx: 0.0,
+    lambda ctx: np.zeros(2 * ctx.norm_drift.size),
+], ids=["scalar", "two-per-sample"])
+def test_a_monitor_of_the_wrong_shape_is_refused(fn):
+    # a monitor returns one value per sample of its block; anything else
+    # would leave its column out of step with the sample times
+    params = cq.ModelParams(n_qubits=1, gamma=0.1)
+    initial = coherent_initial(1, 0.5, 25)
+    plan = cq.PropagationPlan(t_max=0.5, sample_stride=100, monitors=("photon_number",))
+    with pytest.raises(cq.DimensionMismatchError, match="monitor 'bad'"):
+        cq.run(initial, params, plan, extra_monitors=[("bad", fn)])
+
+
 def test_plan_validation():
     with pytest.raises(cq.ConfigError):
         cq.PropagationPlan(t_max=-1.0)
@@ -415,12 +430,13 @@ def test_propagation_matches_the_dense_oracle(n_qubits, n_max, gamma, delta,
     amps = gen.normal(size=(n_qubits + 1, n_max + 1)) \
         + 1j * gen.normal(size=(n_qubits + 1, n_max + 1))
     initial = cq.CompositeState(amps / np.linalg.norm(amps),
-                                cq.DickeSpace(n_qubits),
-                                cq.FockSpace(n_max, tail_tolerance=1.0 - 1e-12))
+                                cq.DickeSpace(n_qubits), cq.FockSpace(n_max))
     h = dense_hamiltonian(params, n_max)
     psi0 = initial.amplitudes.ravel()
-    states = cq.snapshots(initial, params, sorted(times))
-    states.append(cq.propagate(initial, params, times[0]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hilbert, "TAIL_TOLERANCE", 1.0 - 1e-12)
+        states = cq.snapshots(initial, params, sorted(times))
+        states.append(cq.propagate(initial, params, times[0]))
     for state in states:
         ref = evolve_exact(h, psi0, state.time)
         assert np.abs(state.amplitudes.ravel() - ref).max() < 1e-12

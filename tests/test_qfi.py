@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import catqed as cq
+from catqed import qfi
 from oracles import dense_spin, qfi_brute, rotation_expm
 
 
@@ -69,11 +70,13 @@ def test_rank_deficient_density(random_density):
     assert got == pytest.approx(qfi_brute(rho, (jx, jy, jz)), abs=1e-9)
 
 
-def test_pair_floor_insensitivity(random_density):
+def test_pair_floor_insensitivity(random_density, monkeypatch):
     n = 5
     rho = random_density(n + 1, rank=3)
-    values = [cq.qfi_mixed(density(rho, n), pair_floor=f).value
-              for f in (1e-15, 1e-12, 1e-9)]
+    values = []
+    for floor in (1e-15, 1e-12, 1e-9):
+        monkeypatch.setattr(qfi, "PAIR_WEIGHT_FLOOR", floor)
+        values.append(cq.qfi_mixed(density(rho, n)).value)
     assert max(values) - min(values) < 1e-8
 
 

@@ -275,11 +275,12 @@ def test_expansion_rejects_complex_branch_centers():
         cq.expansion_weights(spec)
 
 
-def test_expansion_grid_convergence_guard():
+def test_expansion_grid_convergence_guard(monkeypatch):
     params = cq.ModelParams(n_qubits=2, gamma=0.2)
     spec = cq.PhotonicSpec("even_cat", 2.0)
+    monkeypatch.setattr(semiclassical, "DEFAULT_GRID_NODES", 3)
     with pytest.raises(cq.GridConvergenceError):
-        cq.coherent_expansion_state(params, spec, 1.0, nodes=3)
+        cq.coherent_expansion_state(params, spec, 1.0)
 
 
 @pytest.mark.parametrize("spec", [
