@@ -28,7 +28,7 @@ from .fileio import atomic_write_text, format_float
 from .hilbert import reduce_to_electron
 from .measurement import ParityOutcome, parity_postselect
 from .monitors import build_quadrature_monitors
-from .propagator import peak_and_fwhm, run, snapshots
+from .propagator import peak_and_fwhm, run, snapped_steps, snapshots
 from .stateprep import prepare_initial
 from .validation import run_checks
 from .wigner import DEFAULT_GRID, check_grid_size, wigner_function
@@ -89,7 +89,7 @@ def _cmd_wigner(args) -> int:
 
     # a file name keeps six significant digits of the snapped time, so two
     # distinct snapshots could share one; refuse before propagating
-    snapped = {round(t / cfg.dt) * cfg.dt for t in times if math.isfinite(t)}
+    snapped = {step * cfg.dt for step in snapped_steps(times, cfg.dt)}
     if len({grid_path(t) for t in snapped}) < len(snapped):
         raise ConfigError(f"--times {args.times} holds distinct times that "
                           f"share a file name (six significant digits)")
@@ -136,15 +136,19 @@ def _fit_slope(ns, ys) -> float:
 
 
 def _cmd_sweep(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     cfg = load_config(args.config)
     if not cfg.sweep_qubits:
         raise ConfigError("config has no [sweep] section")
     out = _out_dir(cfg, args.out)
     sizes = sorted(cfg.sweep_qubits)
-    if args.workers > 1:
+    # a fork pool starts all its workers at once, so never more than sizes
+    workers = min(args.workers, len(sizes))
+    if workers > 1:
         # costly import (multiprocessing), needed only here
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, [cfg] * len(sizes), sizes))
     else:
         rows = [_sweep_point(cfg, n) for n in sizes]

@@ -123,16 +123,6 @@ _SCHEMA = {
 }
 
 
-def format_complex(z: complex) -> str:
-    z = complex(z)
-    if z.imag == 0.0:
-        return format_float(z.real)
-    re = format_float(z.real)
-    im = format_float(z.imag)
-    sign = "" if im.startswith("-") else "+"
-    return f"{re}{sign}{im}j"
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
     """A parsed run: the library's four value types, one per INI section,
@@ -228,9 +218,7 @@ def parse_config(text: str) -> SimulationConfig:
     if not prefix:
         raise ConfigError("[output] prefix must be nonempty")
 
-    # an empty [sweep] section asks for no sweep
-    swept = cp.has_section("sweep") and bool(cp.options("sweep"))
-    sweep = _values(cp, "sweep", ("n_qubits",) if swept else ())
+    sweep = _values(cp, "sweep", ("n_qubits",) if cp.has_section("sweep") else ())
 
     return SimulationConfig(
         model=model, photonic=photonic, propagation=propagation,
@@ -245,54 +233,40 @@ def load_config(path: str) -> SimulationConfig:
         return parse_config(fh.read())
 
 
+def _format(value) -> str:
+    """One INI value as ``serialize_config`` writes it: None as ``auto``,
+    tuples space-joined, floats (and each part of a complex) to 17 digits."""
+    if value is None:
+        return "auto"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return " ".join(map(_format, value))
+    if isinstance(value, complex) and value.imag != 0.0:
+        im = format_float(value.imag)
+        return f"{format_float(value.real)}{'' if im.startswith('-') else '+'}{im}j"
+    if isinstance(value, (float, complex)):
+        return format_float(value.real)
+    return str(value)
+
+
 def serialize_config(cfg: SimulationConfig) -> str:
-    model, photonic = cfg.model, cfg.photonic
-    plan, meas = cfg.propagation, cfg.measurement
-    lines = [
-        "[model]",
-        f"n_qubits = {model.n_qubits}",
-        f"gamma = {format_float(model.gamma)}",
-        f"delta = {format_float(model.delta)}",
-        f"omega = {format_float(model.omega)}",
-        f"rwa = {'true' if model.rwa else 'false'}",
-        "",
-        "[photonic]",
-        f"kind = {photonic.kind}",
-        f"alpha = {format_complex(photonic.alpha)}",
-    ]
-    if photonic.beta is not None:
-        lines.append(f"beta = {format_complex(photonic.beta)}")
-    if photonic.phi_cat != 0.0:
-        lines.append(f"phi_cat = {format_float(photonic.phi_cat)}")
-    lines += [
-        "",
-        "[propagation]",
-        f"t_max = {format_float(plan.t_max)}",
-        f"dt = {format_float(plan.dt)}",
-        f"n_max = {cfg.n_max}",
-        "sample_stride = auto" if plan.sample_stride is None
-        else f"sample_stride = {plan.sample_stride}",
-        "",
-        "[measurement]",
-        f"x = {format_float(meas.x)}",
-        f"delta_x = {format_float(meas.delta_x)}",
-        f"track = {'true' if meas.phase_tracking else 'false'}",
-        f"phi = {format_float(meas.phi)}",
-        "",
-        "[monitors]",
-        f"names = {' '.join(plan.monitors)}",
-        f"quadrature = {'true' if cfg.quadrature else 'false'}",
-        "",
-        "[output]",
-        f"directory = {cfg.out_dir}",
-        f"prefix = {cfg.prefix}",
-    ]
-    if cfg.sweep_qubits:
-        lines += [
-            "",
-            "[sweep]",
-            f"n_qubits = {' '.join(str(n) for n in cfg.sweep_qubits)}",
-            "alpha = auto" if cfg.sweep_alpha is None
-            else f"alpha = {format_complex(cfg.sweep_alpha)}",
-        ]
-    return "\n".join(lines) + "\n"
+    """The canonical file of ``cfg``: each section's keys in ``_SCHEMA``
+    order, read under the names ``parse_config`` passes them by.  ``beta``
+    is written only when set, and ``[sweep]`` only when a sweep is asked for."""
+    sections = {
+        "model": vars(cfg.model),
+        "photonic": {k: v for k, v in vars(cfg.photonic).items() if v is not None},
+        "propagation": {**vars(cfg.propagation), "n_max": cfg.n_max},
+        "measurement": {**vars(cfg.measurement), "track": cfg.measurement.phase_tracking},
+        "monitors": {"names": cfg.propagation.monitors, "quadrature": cfg.quadrature},
+        "output": {"directory": cfg.out_dir, "prefix": cfg.prefix},
+        "sweep": {"n_qubits": cfg.sweep_qubits, "alpha": cfg.sweep_alpha},
+    }
+    if not cfg.sweep_qubits:
+        del sections["sweep"]
+    blocks = []
+    for name, values in sections.items():
+        lines = [f"{key} = {_format(values[key])}" for key in _SCHEMA[name] if key in values]
+        blocks.append("\n".join([f"[{name}]", *lines]))
+    return "\n\n".join(blocks) + "\n"

@@ -431,12 +431,18 @@ def run(initial: CompositeState, params: ModelParams, plan: PropagationPlan,
     return TimeSeries(times=np.asarray(steps) * plan.dt, columns=columns)
 
 
+def snapped_steps(times: Sequence[float], dt: float) -> list[int]:
+    """Grid step of each requested time: a snapshot at t is taken at
+    round(t / dt) dt.  The times must be finite and nonnegative."""
+    if not all(0.0 <= t < math.inf for t in times):
+        raise ConfigError("snapshot times must be finite and nonnegative")
+    return [round(t / dt) for t in times]
+
+
 def snapshots(initial: CompositeState, params: ModelParams, times: Sequence[float],
               dt: float = DEFAULT_DT) -> list[CompositeState]:
     """States at the requested times, each snapped to the sampling grid."""
-    if not all(0.0 <= t < math.inf for t in times):
-        raise ConfigError("snapshot times must be finite and nonnegative")
-    steps = [round(t / dt) for t in times]
+    steps = snapped_steps(times, dt)
     grid = sorted(set(steps))
     samples = (CompositeState(psi, state.dicke, state.fock, time=t, copy=False,
                               validate=False)

@@ -34,7 +34,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .errors import GridConvergenceError, NumericalError, StateValidationError
+from .errors import (ConfigError, GridConvergenceError, NumericalError,
+                     StateValidationError)
 from .hilbert import CompositeState, DickeSpace, FockSpace
 from .operators import ModelParams
 from .propagator import bessel_cut
@@ -56,7 +57,8 @@ MAX_FLOQUET_ORDER = 1000
 
 @dataclass(frozen=True)
 class RabiDrive:
-    """Closed-form single-qubit response to the classical drive."""
+    """Closed-form single-qubit response to the rotating wave classical
+    drive, whatever ``params.rwa`` says."""
 
     params: ModelParams
     alpha: complex
@@ -122,14 +124,20 @@ def _rabi_states(params: ModelParams, alphas, times) -> np.ndarray:
 def rabi_solution(params: ModelParams, alpha: complex, t: float) -> np.ndarray:
     """Lab-frame collective spin state for one classical field amplitude.
 
-    Exact for the rotating wave drive; for alpha = 0 it reduces to the
+    The rotating wave closed form whatever ``params.rwa`` says (the full
+    drive is ``classically_driven_state``); for alpha = 0 it reduces to the
     all-down state times its free phase e^{i J omega t}.
     """
     return _rabi_states(params, alpha, t)[0]
 
 
 def _superposed(params: ModelParams, branches, weights, t: float) -> np.ndarray:
-    total = np.asarray(weights) @ _rabi_states(params, branches, t)
+    """Normalized weighted sum of the branches' states under the model's drive."""
+    if params.rwa:
+        states = _rabi_states(params, branches, t)
+    else:
+        states = np.array([classically_driven_state(params, alpha, t) for alpha in branches])
+    total = np.asarray(weights) @ states
     nrm2 = float(np.real(np.vdot(total, total)))
     if nrm2 < DEGENERATE_NORM_ATOL:
         raise StateValidationError(
@@ -142,7 +150,8 @@ def rabi_cat_state(params: ModelParams, alpha: complex, t: float,
     """Spin state driven by a balanced two-branch field superposition.
 
     The even field superposition takes the + sign between the alpha and
-    -alpha spin trajectories, the odd one the - sign.
+    -alpha spin trajectories, the odd one the - sign.  The trajectories,
+    here and in ``rabi_kitten_state``, follow ``params.rwa``.
     """
     if parity not in ("even", "odd"):
         raise StateValidationError(f"unknown parity {parity!r}")
@@ -269,8 +278,12 @@ def coherent_expansion_state(params: ModelParams, spec: PhotonicSpec,
     over the coherent-state expansion of the initial photonic state.
 
     The expansion integral is discretized on displaced Gauss-Hermite
-    grids; a grid refined by 8 nodes must agree to 1e-6.
+    grids; a grid refined by 8 nodes must agree to 1e-6.  Its thousands of
+    branches need the closed form, so only the rotating wave model is
+    served; ``params.rwa = False`` raises ``ConfigError``.
     """
+    if not params.rwa:
+        raise ConfigError("the coherent-state expansion needs rwa = true")
     if n_max is None:
         n_max = required_n_max(spec.max_amplitude(), params.n_qubits)
     c = _assemble(params, spec, t, n_max, DEFAULT_GRID_NODES)

@@ -243,6 +243,52 @@ def test_sweep_requires_sweep_section(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_every_command_refuses_a_bare_sweep_section(tmp_path, capsys):
+    # a [sweep] section asks for a sweep, so it must say over which sizes
+    path = write_config(tmp_path, SMOKE + "\n[sweep]\n")
+    out = ["--out", str(tmp_path / "o")]
+    for argv in (["echo-config"], ["simulate", *out], ["sweep", *out]):
+        assert main([*argv, "--config", path]) == 2
+        assert capsys.readouterr().err == "config error: [sweep] requires n_qubits\n"
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_refuses_fewer_than_one_worker(tmp_path, capsys, workers):
+    path = write_config(tmp_path, SMOKE + "\n[sweep]\nn_qubits = 1 2\n")
+    assert main(["sweep", "--config", path, "--workers", workers,
+                 "--out", str(tmp_path / "s")]) == 2
+    assert "--workers must be >= 1" in capsys.readouterr().err
+
+
+def test_sweep_pool_is_capped_at_the_sizes(tmp_path, capsys, monkeypatch):
+    # a fork pool starts every worker up front; this stand-in records the
+    # pool size and maps in-process, so no process is ever started
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    path = write_config(tmp_path, SMOKE + "\n[sweep]\nn_qubits = 1 2\n")
+    for workers in ("5000", "2", "1"):
+        assert main(["sweep", "--config", path, "--workers", workers,
+                     "--out", str(tmp_path / "s")]) == 0
+    capsys.readouterr()
+    assert sizes == [2, 2]
+
+
 def test_validate_all_green(capsys):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out

@@ -120,6 +120,14 @@ def test_every_schema_key_serializes_and_parses_back():
     text = serialize_config(cfg)
     assert _keys(text) == _keys(EVERY_KEY)
     assert parse_config(text) == cfg
+    # a kind without beta still prints every other key, phi_cat included
+    kitten = EVERY_KEY.replace("kind = general_cat", "kind = kitten") \
+        .replace("beta = -2+0.5j\n", "").replace("phi_cat = 0.3", "phi_cat = 0")
+    cfg = parse_config(kitten)
+    text = serialize_config(cfg)
+    assert "\nphi_cat = 0\n" in text and "beta" not in text
+    assert _keys(text) == _keys(kitten)
+    assert parse_config(text) == cfg
 
 
 def test_round_trip_preserves_general_cat_fields():
@@ -163,6 +171,7 @@ def test_complex_values_tolerate_spaces():
     (lambda s: s + "\n[measurement]\ndelta_x = -0.5\n", "delta_x"),
     (lambda s: s + "\n[output]\nprefix =\n", "prefix"),
     (lambda s: s + "\n[sweep]\nalpha = 2\n", "requires n_qubits"),
+    (lambda s: s + "\n[sweep]\n", r"\[sweep\] requires n_qubits"),
     (lambda s: s + "\n[sweep]\nn_qubits = 4 4\n", "distinct"),
     (lambda s: "garbage without a section\n" + s, "malformed"),
     (lambda s: s.replace("t_max = 50", "t_max = nan"), "finite"),
@@ -174,7 +183,7 @@ def test_complex_values_tolerate_spaces():
         "bad-complex", "bad-bool", "t_max", "dt", "dt-above-t_max", "gamma",
         "delta", "omega", "n_max", "stride",
         "monitor", "monitor-dupes", "kind", "delta_x", "prefix", "sweep-missing",
-        "sweep-dupes", "malformed", "t_max-nan", "dt-inf", "gamma-inf",
+        "sweep-empty", "sweep-dupes", "malformed", "t_max-nan", "dt-inf", "gamma-inf",
         "alpha-nan", "alpha-infj"])
 def test_rejects_bad_input(mangle, fragment):
     with pytest.raises(cq.ConfigError, match=fragment):

@@ -295,6 +295,8 @@ def test_snapshot_times_snap_to_grid():
     initial = coherent_initial(1, 0.5, 25)
     snap, = cq.snapshots(initial, params, [0.10042], dt=1e-3)
     assert snap.time == pytest.approx(0.100, abs=1e-12)
+    # the rule the wigner command names its files by, to the bit
+    assert snap.time == propagator.snapped_steps([0.10042], 1e-3)[0] * 1e-3
 
 
 def test_sampling_grid_and_stride():

@@ -122,6 +122,35 @@ def test_branch_superpositions_match_manual_assembly():
                          - normalized(plus + down))) < 1e-12
 
 
+def test_branch_superpositions_follow_the_full_drive():
+    # without the RWA each branch is the Floquet-propagated full drive; at
+    # these parameters the closed form would overstate the cat's QFI
+    full = cq.ModelParams(n_qubits=8, gamma=0.01, rwa=False)
+    alpha, t = 10.0, 150.0
+
+    def normalized(v):
+        return v / np.linalg.norm(v)
+
+    plus = cq.classically_driven_state(full, alpha, t)
+    minus = cq.classically_driven_state(full, -alpha, t)
+    down = cq.classically_driven_state(full, 0.0, t)
+    even = cq.rabi_cat_state(full, alpha, t)
+    assert np.max(np.abs(even - normalized(plus + minus))) < 1e-12
+    assert np.max(np.abs(cq.rabi_cat_state(full, alpha, t, parity="odd")
+                         - normalized(plus - minus))) < 1e-12
+    assert np.max(np.abs(cq.rabi_kitten_state(full, alpha, t)
+                         - normalized(plus + down))) < 1e-12
+    closed = cq.rabi_cat_state(cq.ModelParams(n_qubits=8, gamma=0.01), alpha, t)
+    assert cq.qfi_pure(even, 8).value == pytest.approx(26.87, abs=0.01)
+    assert cq.qfi_pure(closed, 8).value == pytest.approx(29.32, abs=0.01)
+
+
+def test_expansion_refuses_the_full_drive():
+    full = cq.ModelParams(n_qubits=2, gamma=0.2, rwa=False)
+    with pytest.raises(cq.ConfigError, match="rwa = true"):
+        cq.coherent_expansion_state(full, cq.PhotonicSpec("even_cat", 2.0), 1.0)
+
+
 def test_rabi_cat_even_starts_all_down():
     psi = cq.rabi_cat_state(RES, 1.3, 0.0, parity="even")
     assert psi[0] == pytest.approx(1.0)
