@@ -96,14 +96,18 @@ class FockSpace:
         tail = amplitudes[..., lo:]
         return per_sample(np.sum(tail.real**2 + tail.imag**2, axis=(-2, -1)))
 
-    def check_tail(self, amplitudes: np.ndarray, t: float) -> None:
-        """Refuse a joint state at time t whose tail population exceeds
-        TAIL_TOLERANCE: the cutoff no longer holds it."""
-        tail = self.tail_population(amplitudes)
-        if tail > TAIL_TOLERANCE:
+    def check_tail(self, amplitudes: np.ndarray, times: float | np.ndarray) -> None:
+        """Refuse a joint state whose tail population exceeds
+        TAIL_TOLERANCE: the cutoff no longer holds it.  A stack of samples
+        takes one time each and is refused at its first such sample."""
+        tails = np.atleast_1d(self.tail_population(amplitudes))
+        over = np.flatnonzero(tails > TAIL_TOLERANCE)
+        if over.size:
+            first = over[0]
             raise TruncationError(
-                f"tail population {tail:.3e} exceeds {TAIL_TOLERANCE:.1e} at "
-                f"t = {t:.6g} for n_max = {self.n_max}; raise the cutoff")
+                f"tail population {tails[first]:.3e} exceeds {TAIL_TOLERANCE:.1e} at "
+                f"t = {np.atleast_1d(times)[first]:.6g} for n_max = {self.n_max}; "
+                "raise the cutoff")
 
 
 class CompositeState:
@@ -203,11 +207,43 @@ class ElectronDensityMatrix:
         return per_sample(np.sum(np.abs(self.matrix) ** 2, axis=(-2, -1)))
 
 
+def _parity(amplitudes: np.ndarray) -> int | None:
+    """Conserved parity Pi = (-1)^(n + k) of joint amplitudes (k the Dicke
+    index), all samples of a stack together: 0 when every cell with n + k
+    odd is exactly zero, 1 when every cell with n + k even is, else None.
+
+    Both models conserve Pi, and the propagator keeps the empty cells of a
+    definite-parity state (an even or odd cat with the emitters down)
+    exactly zero, so no tolerance enters.  For such a state the photon
+    parity is the parity of k + Pi: the trace-out splits into one block per
+    parity of k and each photon-parity outcome is one of those blocks.
+    """
+    a = amplitudes
+    if not (a[..., 0::2, 1::2].any() or a[..., 1::2, 0::2].any()):
+        return 0
+    if not (a[..., 0::2, 0::2].any() or a[..., 1::2, 1::2].any()):
+        return 1
+    return None
+
+
 def reduce_to_electron(state: CompositeState) -> ElectronDensityMatrix:
     """Trace out the photon mode: rho[m, m'] = sum_n c[m, n] conj(c[m', n]),
-    one batched Gram for a stack of samples."""
+    one batched Gram for a stack of samples.
+
+    A state of definite parity Pi (``_parity``) takes two half-size Grams,
+    rows k = r (mod 2) against columns n = r + Pi for r = 0, 1, written
+    into a zeroed rho: the entries between opposite parities of k vanish.
+    """
     c = state.amplitudes
-    rho = c @ c.conj().swapaxes(-1, -2)
+    parity = _parity(c)
+    if parity is None:
+        rho = c @ c.conj().swapaxes(-1, -2)
+    else:
+        dim = state.dicke.dim
+        rho = np.zeros(c.shape[:-2] + (dim, dim), dtype=np.complex128)
+        for r in (0, 1):
+            u = c[..., r::2, (r + parity) % 2::2]
+            rho[..., r::2, r::2] = u @ u.conj().swapaxes(-1, -2)
     # Gram form is positive semidefinite by construction.
     return ElectronDensityMatrix(rho, state.dicke, copy=False, validate=False)
 

@@ -27,7 +27,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import (ConfigError, ImpossibleOutcomeError,
                      QuadratureConvergenceError)
-from .hilbert import CompositeState, ElectronDensityMatrix, per_sample
+from .hilbert import CompositeState, ElectronDensityMatrix, _parity, per_sample
 
 PROBABILITY_FLOOR = 1e-14
 WINDOW_RHO_ATOL = 1e-8
@@ -139,9 +139,19 @@ def quadrature_amplitudes(x: float, phi: float, n_max: int) -> np.ndarray:
 def parity_probabilities(
         state: CompositeState) -> tuple[float | np.ndarray, float | np.ndarray]:
     """(p_even, p_odd); sums to the squared norm of the state (per sample
-    for a stack)."""
-    p = state.photon_distribution()
-    return per_sample(p[..., 0::2].sum(axis=-1)), per_sample(p[..., 1::2].sum(axis=-1))
+    for a stack).  For a state of definite parity Pi each is the weight of
+    one quarter of the grid, rows k = n + Pi (mod 2) of its columns n; the
+    rest of those rows is exactly zero, so the quarters are summed as whole
+    rows, which are contiguous."""
+    c = state.amplitudes
+    parity = _parity(c)
+    if parity is None:
+        p = state.photon_distribution()
+        return per_sample(p[..., 0::2].sum(axis=-1)), per_sample(p[..., 1::2].sum(axis=-1))
+    flat = c.view(np.float64)
+    rows = np.einsum("...kn,...kn->...k", flat, flat)
+    return (per_sample(rows[..., parity::2].sum(axis=-1)),
+            per_sample(rows[..., 1 - parity::2].sum(axis=-1)))
 
 
 def _gram(u: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -168,9 +178,23 @@ def _result(prob: np.ndarray, rho: np.ndarray, state: CompositeState,
 
 
 def parity_postselect(state: CompositeState, outcome: ParityOutcome) -> PostselectionResult:
-    """Condition on a photon-parity readout; errors on impossible outcomes."""
-    u = state.amplitudes[..., outcome.offset::2]
-    return _result(*_gram(u, f"parity outcome {outcome.label!r}"), state, outcome.label)
+    """Condition on a photon-parity readout; errors on impossible outcomes.
+
+    For a state of definite parity Pi the outcome's columns n hold amplitude
+    only on the rows k = n + Pi (mod 2), so one quarter-size Gram over those
+    rows and columns gives the conditioned state's only nonzero block.
+    """
+    c = state.amplitudes
+    what = f"parity outcome {outcome.label!r}"
+    parity = _parity(c)
+    if parity is None:
+        return _result(*_gram(c[..., outcome.offset::2], what), state, outcome.label)
+    rows = (outcome.offset + parity) % 2
+    prob, block = _gram(c[..., rows::2, outcome.offset::2], what)
+    dim = state.dicke.dim
+    rho = np.zeros(c.shape[:-2] + (dim, dim), dtype=np.complex128)
+    rho[..., rows::2, rows::2] = block
+    return _result(prob, rho, state, outcome.label)
 
 
 @lru_cache(maxsize=16)

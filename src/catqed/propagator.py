@@ -73,7 +73,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, NumericalError, PeakError
-from .fileio import atomic_write_text, format_float
+from .fileio import FLOAT_FORMAT, atomic_write_text
 from .hilbert import CompositeState
 from .monitors import MonitorContext, MonitorFn, resolve_monitors
 from .operators import HamiltonianAction, ModelParams
@@ -253,10 +253,11 @@ class _Chebyshev:
         """Write the lab-frame states at ``times`` of the band states
         ``rows`` (one flat row each) into ``out``, a stack of (m, n) grids
         that holds zeros."""
-        shape = self.psi.shape
-        for t, row, grid in zip(times, rows, out.reshape(len(times), -1)):
-            band = row.reshape(shape) * np.exp(-1j * t * self._omega_k)[:, None]
-            grid[self._grid_cells] = band.reshape(-1)[self._band_cells]
+        count = len(times)
+        phases = np.exp(np.multiply.outer(-1j * times, self._omega_k))
+        bands = rows.reshape(count, *self.psi.shape) * phases[:, :, None]
+        out.reshape(count, -1)[:, self._grid_cells] = \
+            bands.reshape(count, -1)[:, self._band_cells]
 
     def sample(self, steps: Sequence[int], out: np.ndarray) -> np.ndarray:
         """Write the lab-frame states at the increasing grid ``steps``, none
@@ -374,12 +375,13 @@ class TimeSeries:
         return self.columns[name]
 
     def to_csv(self, path: str) -> None:
+        """One row per sample, every value in FLOAT_FORMAT through one row
+        template (the bytes ``format_float`` writes value by value)."""
         names = list(self.columns)
+        template = ",".join([FLOAT_FORMAT] * (1 + len(names)))
+        table = np.column_stack([self.times, *(self.columns[n] for n in names)])
         lines = [",".join(["time", *names])]
-        cols = [self.columns[n] for n in names]
-        for i, t in enumerate(self.times):
-            row = [format_float(t)] + [format_float(c[i]) for c in cols]
-            lines.append(",".join(row))
+        lines += [template % tuple(row) for row in table.tolist()]
         atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -396,8 +398,7 @@ def _evolve(initial: CompositeState, params: ModelParams, steps: Sequence[int],
         amplitudes = np.zeros((len(chunk),) + initial.amplitudes.shape, dtype=np.complex128)
         drift = evolver.sample(chunk, amplitudes)
         times = np.asarray(chunk) * dt
-        for psi, t in zip(amplitudes, times):
-            initial.fock.check_tail(psi, t)
+        initial.fock.check_tail(amplitudes, times)
         yield CompositeState(amplitudes, initial.dicke, initial.fock, time=times,
                              copy=False, validate=False), drift
 

@@ -13,6 +13,7 @@ density matrices as well and returns one value per sample.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -52,29 +53,70 @@ class QfiResult:
     matrix: np.ndarray
 
 
+@lru_cache(maxsize=32)
+def _ladder(n_qubits: int) -> tuple[np.ndarray, ...]:
+    """Read-only constants of the O(N) moments in ``qfi_pure``, index k ->
+    m = -J + k: the raising coefficients c_k (J+ |m_k> = c_k |m_{k+1}>),
+    c_k^2, c_{k+1} c_k, m_{k+1} c_k, m and m^2."""
+    space = DickeSpace(n_qubits)
+    c, m = space.raising_coefficients(), space.m_values()
+    constants = (c, c * c, c[1:] * c[:-1], m[1:] * c, m, m * m)
+    for array in constants:
+        array.flags.writeable = False
+    return constants
+
+
 def _top_direction(fisher: np.ndarray, n_qubits: int) -> QfiResult:
     fisher = 0.5 * (fisher + fisher.swapaxes(-1, -2))
     evals, evecs = np.linalg.eigh(fisher)
-    value = evals[..., -1]
     bound = n_qubits * n_qubits + QFI_BOUND_SLACK
+    message = "QFI {:.6g} outside [0, N^2] within slack (N = " + f"{n_qubits})"
+    if fisher.ndim == 2:
+        value = float(evals[-1])
+        if value < -QFI_BOUND_SLACK or value > bound:
+            raise StateValidationError(message.format(value))
+        return QfiResult(value=max(value, 0.0), direction=evecs[:, -1].copy(),
+                         matrix=fisher)
+    value = evals[..., -1]
     outside = (value < -QFI_BOUND_SLACK) | (value > bound)
     if np.any(outside):
-        raise StateValidationError(
-            f"QFI {value[outside][0]:.6g} outside [0, N^2] within slack (N = {n_qubits})")
+        raise StateValidationError(message.format(value[outside][0]))
     return QfiResult(value=per_sample(np.maximum(value, 0.0)),
                      direction=evecs[..., -1].copy(), matrix=fisher)
+
+
+def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of a stack of density matrices.
+
+    Where every entry between opposite parities of the Dicke index is
+    exactly zero (the trace-out and the parity readouts of a cat-driven
+    state), the matrix is two blocks, rows k = 0 and k = 1 (mod 2): one
+    ``eigh`` per block, assembled into eigenvectors of the whole matrix,
+    the even block's first.  The eigenvalues are then not sorted, which the
+    pair sum does not need.
+    """
+    if matrix[..., 0::2, 1::2].any() or matrix[..., 1::2, 0::2].any():
+        return np.linalg.eigh(matrix)
+    even, even_vecs = np.linalg.eigh(matrix[..., 0::2, 0::2])
+    odd, odd_vecs = np.linalg.eigh(matrix[..., 1::2, 1::2])
+    split = even.shape[-1]
+    evecs = np.zeros(matrix.shape, dtype=np.complex128)
+    evecs[..., 0::2, :split] = even_vecs
+    evecs[..., 1::2, split:] = odd_vecs
+    return np.concatenate([even, odd], axis=-1), evecs
 
 
 def qfi_mixed(rho: ElectronDensityMatrix) -> QfiResult:
     """QFI of a (possibly mixed) electronic state over n . J generators.
 
     Eigenvalues below zero (numerical dust) are clipped and the spectrum is
-    renormalized before the pair sum.  A stack takes one batched ``eigh``,
-    one (3, dim^2) contraction for its Fisher matrices and one batched
-    3x3 ``eigh``.
+    renormalized before the pair sum.  A stack takes one batched ``eigh``
+    (two of about half the size when rho splits by the parity of the Dicke
+    index, see ``_eigh``), one (3, dim^2) contraction for its Fisher
+    matrices and one batched 3x3 ``eigh``.
     """
     n_qubits = rho.dicke.n_qubits
-    evals, evecs = np.linalg.eigh(rho.matrix)
+    evals, evecs = _eigh(rho.matrix)
     evals = np.clip(evals, 0.0, None)
     total = evals.sum(axis=-1, keepdims=True)
     if np.any(total <= 0.0):
@@ -98,25 +140,33 @@ def qfi_mixed(rho: ElectronDensityMatrix) -> QfiResult:
 def qfi_pure(psi: np.ndarray, n_qubits: int) -> QfiResult:
     """QFI of a pure electronic state: 4x the (Jx, Jy, Jz) covariance.
 
-    J+ and J- act through the Dicke raising coefficients, so the cost is
-    O(N) and no (N + 1)^2 matrix is built.
+    The covariance follows from seven O(N) moments, with Jx = (J+ + J-)/2
+    and Jy = (J+ - J-)/2i: A = <J+>, B = <J+^2>, C = <Jz J+>, P = <J- J+>,
+    Q = <J+ J->, <Jz> and <Jz^2>.  Then <Jx> + i <Jy> = A,
+    <Jx^2>, <Jy^2> = (P + Q +- 2 Re B)/4, Re <Jx Jy> = Im B / 2, and by
+    J+ Jz = Jz J+ - J+, Re <Jx Jz> + i Re <Jy Jz> = C - A/2.  No
+    (N + 1)^2 matrix is built.
     """
     psi = np.asarray(psi, dtype=np.complex128)
-    space = DickeSpace(n_qubits)
-    if psi.shape != (space.dim,):
+    c, c2, cc, mc, m, m2 = _ladder(n_qubits)
+    if psi.shape != m.shape:
         raise DimensionMismatchError(
-            f"state shape {psi.shape}, expected ({space.dim},)")
-    nrm = np.linalg.norm(psi)
+            f"state shape {psi.shape}, expected ({m.size},)")
+    p = psi.real**2 + psi.imag**2
+    nrm = math.sqrt(p.sum())
     if abs(nrm - 1.0) > 1e-10:
         raise StateValidationError(f"pure state norm {nrm!r} is not 1")
-    coeffs = space.raising_coefficients()
-    up = np.zeros_like(psi)
-    down = np.zeros_like(psi)
-    up[1:] = coeffs * psi[:-1]                 # J+ psi
-    down[:-1] = coeffs * psi[1:]               # J- psi
-    jpsi = np.stack([0.5 * (up + down), -0.5j * (up - down), space.m_values() * psi])
-    means = (jpsi @ psi.conj()).real
-    fisher = 4.0 * ((jpsi.conj() @ jpsi.T).real - np.outer(means, means))
+    step = psi[1:].conj() * psi[:-1]           # conj(psi_{k+1}) psi_k
+    a, cz = complex(step @ c), complex(step @ mc)
+    b = complex((psi[2:].conj() * psi[:-2]) @ cc)
+    pq = float(c2 @ p[:-1] + c2 @ p[1:])
+    z, zz = float(m @ p), float(m2 @ p)
+    x, y = a.real, a.imag
+    xz, yz = cz.real - 0.5 * x, cz.imag - 0.5 * y
+    fisher = 4.0 * np.array([
+        [0.25 * (pq + 2.0 * b.real) - x * x, 0.5 * b.imag - x * y, xz - x * z],
+        [0.5 * b.imag - x * y, 0.25 * (pq - 2.0 * b.real) - y * y, yz - y * z],
+        [xz - x * z, yz - y * z, zz - z * z]])
     return _top_direction(fisher, n_qubits)
 
 

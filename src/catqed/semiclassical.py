@@ -69,18 +69,29 @@ class RabiDrive:
 
     @property
     def rabi_frequency(self) -> float:
-        return float(_rabi_closed_form(self.params, self.alpha, 0.0)[2])
+        return _rabi_amplitudes(self.params, self.alpha, 0.0)[2]
 
     def amplitudes(self, t: float) -> tuple[complex, complex]:
         """(a, b): rotating-frame amplitudes to stay down / flip up."""
-        a, b, _ = _rabi_closed_form(self.params, self.alpha, t)
-        return complex(a), complex(b)
+        return _rabi_amplitudes(self.params, self.alpha, t)[:2]
 
     def period(self) -> float:
         w = self.rabi_frequency
         if w == 0.0:
             raise StateValidationError("undriven qubit has no Rabi period")
         return 2.0 * math.pi / w
+
+
+def _rabi_amplitudes(params: ModelParams, alpha: complex,
+                     t: float) -> tuple[complex, complex, float]:
+    """(a, b, W) of the module docstring for one amplitude and time, in
+    Python scalars (``_rabi_closed_form`` takes arrays)."""
+    drive = 1j * params.coupling * alpha
+    detuning = params.delta - params.omega
+    w = float(np.hypot(detuning, abs(drive)))      # math.hypot rounds differently
+    half = 0.5 * w * t
+    s = math.sin(half) / (w if w else 1.0)
+    return complex(math.cos(half), detuning * s), 1j * drive * s, w
 
 
 def _rabi_closed_form(params: ModelParams, alphas, times):
@@ -111,14 +122,26 @@ def _product_state(n_qubits: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=32)
+def _m_values(n_qubits: int) -> np.ndarray:
+    """Read-only m = -J + k of the Dicke ladder, k = 0 .. N."""
+    m = DickeSpace(n_qubits).m_values()
+    m.flags.writeable = False
+    return m
+
+
 def _rabi_states(params: ModelParams, alphas, times) -> np.ndarray:
     """Lab-frame collective spin states, one row per entry of ``alphas``
-    and ``times`` broadcast against each other."""
-    alphas, times = (x.ravel() for x in np.broadcast_arrays(alphas, times))
-    a, b, _ = _rabi_closed_form(params, alphas, times)
-    m = params.dicke().m_values()
-    return (_product_state(params.n_qubits, a, b)
-            * np.exp(-1j * params.omega * times[:, None] * m))
+    and ``times`` broadcast against each other.  The free phase is
+    evaluated once per entry of ``times`` and broadcast over the
+    amplitudes."""
+    alphas, times = np.asarray(alphas), np.asarray(times)
+    shape = np.broadcast_shapes(alphas.shape, times.shape)
+    a, b, _ = _rabi_closed_form(params, np.broadcast_to(alphas, shape).ravel(),
+                                np.broadcast_to(times, shape).ravel())
+    m = _m_values(params.n_qubits)
+    states = _product_state(params.n_qubits, a, b).reshape(shape + m.shape)
+    return (states * np.exp(-1j * params.omega * times[..., None] * m)).reshape(-1, m.size)
 
 
 def rabi_solution(params: ModelParams, alpha: complex, t: float) -> np.ndarray:
@@ -126,9 +149,17 @@ def rabi_solution(params: ModelParams, alpha: complex, t: float) -> np.ndarray:
 
     The rotating wave closed form whatever ``params.rwa`` says (the full
     drive is ``classically_driven_state``); for alpha = 0 it reduces to the
-    all-down state times its free phase e^{i J omega t}.
+    all-down state times its free phase e^{i J omega t}.  The scalar form
+    of ``_rabi_states``: (a, b) in Python scalars and one two-row
+    ``coherent_matrix`` for the product state of ``_product_state``.
     """
-    return _rabi_states(params, alpha, t)[0]
+    n = params.n_qubits
+    a, b, _ = _rabi_amplitudes(params, alpha, t)
+    root = math.sqrt(n)
+    rows = coherent_matrix(np.array([root * b, root * a]), n)
+    state = rows[0] * rows[1, ::-1]
+    state *= np.exp(-1j * params.omega * t * _m_values(n)) / np.linalg.norm(state)
+    return state
 
 
 def _superposed(params: ModelParams, branches, weights, t: float) -> np.ndarray:
@@ -152,10 +183,25 @@ def rabi_cat_state(params: ModelParams, alpha: complex, t: float,
     The even field superposition takes the + sign between the alpha and
     -alpha spin trajectories, the odd one the - sign.  The trajectories,
     here and in ``rabi_kitten_state``, follow ``params.rwa``.
+
+    Only the alpha branch is evaluated: the -alpha one is psi_alpha times
+    (-1)^k, k the Dicke index (b(-alpha) = -b(alpha) in the closed form;
+    under the full drive the -alpha drive is the alpha drive conjugated by
+    sigma_z).  So the even cat keeps the even-k amplitudes of psi_alpha and
+    the odd cat the odd-k ones.  The superposition is refused as cancelled
+    where its unnormalized norm, |psi_alpha +- psi_-alpha|^2 =
+    4 |P psi_alpha|^2, is below DEGENERATE_NORM_ATOL, as in ``_superposed``.
     """
     if parity not in ("even", "odd"):
         raise StateValidationError(f"unknown parity {parity!r}")
-    return _superposed(params, (alpha, -alpha), (1.0, 1.0 if parity == "even" else -1.0), t)
+    psi = (rabi_solution(params, alpha, t) if params.rwa
+           else classically_driven_state(params, alpha, t))
+    psi[1 if parity == "even" else 0::2] = 0.0
+    nrm2 = float(np.vdot(psi, psi).real)
+    if 4.0 * nrm2 < DEGENERATE_NORM_ATOL:
+        raise StateValidationError(
+            "branch superposition cancels; state undefined at this time")
+    return psi / math.sqrt(nrm2)
 
 
 def rabi_kitten_state(params: ModelParams, alpha: complex, t: float) -> np.ndarray:
@@ -188,21 +234,35 @@ def classically_driven_trajectory(params: ModelParams, alpha: complex,
         raise StateValidationError("sample times must be finite and nonnegative")
     if params.rwa:
         return _rabi_states(params, alpha, times)
-    k_max = bessel_cut(abs(params.coupling * alpha) / params.omega, MAX_FLOQUET_ORDER,
-                       "the full drive's g |alpha| / omega =")
-    ks = np.arange(-k_max, k_max + 1)
-    down = ks % 2 == 0
-    hop = np.full(2 * k_max, 0.5j * params.coupling * np.conj(alpha))    # h_{+1}
-    h_f = (np.diag(params.omega * ks + np.where(down, -0.5, 0.5) * params.delta)
-           + np.diag(hop, -1) + np.diag(hop.conj(), 1))
-    energies, vecs = np.linalg.eigh(h_f)
-    phi = (np.exp(-1j * np.outer(times, energies)) * vecs[k_max].conj()) @ vecs.T
+    ks, energies, start, vecs = _floquet(params, complex(alpha))
+    phi = (np.exp(-1j * np.outer(times, energies)) * start) @ vecs.T
     edge = float(np.max(np.abs(phi[:, [0, -1]]), initial=0.0))
     if edge > FLOQUET_EDGE_TOL:
         raise NumericalError(f"the full drive holds {edge:.3e} in its edge harmonics "
-                             f"k = +-{k_max}, more than {FLOQUET_EDGE_TOL:.0e}")
+                             f"k = +-{ks[-1]}, more than {FLOQUET_EDGE_TOL:.0e}")
     terms = np.exp(1j * params.omega * np.outer(times, ks)) * phi
+    down = ks % 2 == 0
     return _product_state(params.n_qubits, terms[:, down].sum(1), terms[:, ~down].sum(1))
+
+
+@lru_cache(maxsize=4)
+def _floquet(params: ModelParams, alpha: complex) -> tuple[np.ndarray, ...]:
+    """Shirley's H_F of ``classically_driven_trajectory`` for one drive,
+    solved once: (harmonics k, eigenvalues, conj of the eigenvectors' k = 0
+    row, eigenvectors), all read-only.  Four drives are kept, enough for a
+    kitten's two branches under two models; at the MAX_FLOQUET_ORDER cut
+    each holds 64 MiB of eigenvectors."""
+    k_max = bessel_cut(abs(params.coupling * alpha) / params.omega, MAX_FLOQUET_ORDER,
+                       "the full drive's g |alpha| / omega =")
+    ks = np.arange(-k_max, k_max + 1)
+    hop = np.full(2 * k_max, 0.5j * params.coupling * np.conj(alpha))    # h_{+1}
+    h_f = (np.diag(params.omega * ks + np.where(ks % 2 == 0, -0.5, 0.5) * params.delta)
+           + np.diag(hop, -1) + np.diag(hop.conj(), 1))
+    energies, vecs = np.linalg.eigh(h_f)
+    start = vecs[k_max].conj()
+    for array in (ks, energies, start, vecs):
+        array.flags.writeable = False
+    return ks, energies, start, vecs
 
 
 def classically_driven_state(params: ModelParams, alpha: complex,

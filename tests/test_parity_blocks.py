@@ -1,0 +1,146 @@
+"""Readouts of definite-parity states against the generic full-grid path.
+
+Both models conserve Pi = (-1)^(n + k), k the Dicke index, so an even or odd
+cat started with the emitters down keeps exactly zero amplitude on the other
+parity; the readouts then take half- and quarter-size blocks.  Each block
+path is compared here with the generic one, forced by making the parity test
+report no parity.
+"""
+
+import numpy as np
+import pytest
+
+import catqed as cq
+from catqed import hilbert, measurement, qfi
+from catqed.propagator import _evolve
+from catqed.stateprep import coherent_matrix
+
+N_QUBITS, N_MAX = 4, 56
+MODELS = {
+    "rwa": cq.ModelParams(n_qubits=N_QUBITS, gamma=0.3, delta=1.2),
+    "full": cq.ModelParams(n_qubits=N_QUBITS, gamma=0.3, delta=1.2, rwa=False),
+}
+
+
+def cat_initial(alpha, sign):
+    """Emitters down, photons in |alpha> + sign |-alpha>: Pi = 0 for the even
+    cat and 1 for the odd one, with the other parity's cells exactly zero."""
+    rows = coherent_matrix([alpha, -alpha], N_MAX)
+    c = np.zeros((N_QUBITS + 1, N_MAX + 1), dtype=complex)
+    c[0] = rows[0] + sign * rows[1]
+    c[0] /= np.linalg.norm(c[0])
+    return cq.CompositeState(c, cq.DickeSpace(N_QUBITS), cq.FockSpace(N_MAX))
+
+
+def sampled_block(initial, params):
+    """The first block of samples the propagator reads out, t = 0.7 .. 31."""
+    steps = [700, 3100, 9000, 17000, 31000]
+    return next(_evolve(initial, params, steps, 1e-3))[0]
+
+
+CASES = [(model, alpha, sign) for model in MODELS for alpha in (3.0, 2.0 + 1.0j)
+         for sign in (1.0, -1.0)]
+IDS = [f"{model}-{alpha}-{'even' if sign > 0 else 'odd'}" for model, alpha, sign in CASES]
+
+
+@pytest.fixture(scope="module", params=CASES, ids=IDS)
+def cat_block(request):
+    model, alpha, sign = request.param
+    block = sampled_block(cat_initial(alpha, sign), MODELS[model])
+    return block, 0 if sign > 0 else 1
+
+
+def generic(monkeypatch):
+    monkeypatch.setattr(hilbert, "_parity", lambda amplitudes: None)
+    monkeypatch.setattr(measurement, "_parity", lambda amplitudes: None)
+    monkeypatch.setattr(qfi, "_eigh", np.linalg.eigh)
+
+
+def close(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    return np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+def readouts(state):
+    traced = cq.reduce_to_electron(state)
+    even = cq.parity_postselect(state, cq.ParityOutcome.EVEN)
+    odd = cq.parity_postselect(state, cq.ParityOutcome.ODD)
+    return {
+        "trace-out": traced.matrix,
+        "even": (even.probability, even.rho.matrix),
+        "odd": (odd.probability, odd.rho.matrix),
+        "probabilities": cq.parity_probabilities(state),
+        "qfi": [cq.qfi_mixed(rho).value for rho in (traced, even.rho, odd.rho)],
+        "fisher": [cq.qfi_mixed(rho).matrix for rho in (traced, even.rho, odd.rho)],
+    }
+
+
+def test_sampled_cats_keep_their_parity_exactly(cat_block):
+    block, parity = cat_block
+    assert hilbert._parity(block.amplitudes) == parity
+    for sample in block.amplitudes:
+        assert hilbert._parity(sample) == parity
+
+
+def test_parity_readouts_match_the_generic_path(cat_block, monkeypatch):
+    block, _ = cat_block
+    fast = readouts(block)
+    generic(monkeypatch)
+    slow = readouts(block)
+    for name in ("trace-out", "qfi", "fisher"):
+        assert close(fast[name], slow[name]), name
+    for name in ("even", "odd", "probabilities"):
+        for got, ref in zip(fast[name], slow[name]):
+            assert close(got, ref), name
+
+
+def test_each_parity_outcome_is_one_block_of_the_trace_out(cat_block):
+    # the photon parity is the parity of k + Pi, so each outcome's rho is the
+    # trace-out's block on those rows, renormalized by its probability
+    block, parity = cat_block
+    traced = cq.reduce_to_electron(block).matrix
+    for outcome in cq.ParityOutcome:
+        res = cq.parity_postselect(block, outcome)
+        rows = (outcome.offset + parity) % 2
+        part = np.zeros_like(traced)
+        part[:, rows::2, rows::2] = traced[:, rows::2, rows::2]
+        assert close(res.rho.matrix * res.probability[:, None, None], part)
+
+
+def test_impossible_outcome_is_refused_at_the_same_floor(monkeypatch):
+    # at t = 0 the odd cat holds no even photon number; both paths refuse
+    state = cat_initial(2.0, -1.0)
+    with pytest.raises(cq.ImpossibleOutcomeError, match="'even' has probability"):
+        cq.parity_postselect(state, cq.ParityOutcome.EVEN)
+    generic(monkeypatch)
+    with pytest.raises(cq.ImpossibleOutcomeError, match="'even' has probability"):
+        cq.parity_postselect(state, cq.ParityOutcome.EVEN)
+
+
+@pytest.mark.parametrize("spec", [cq.PhotonicSpec("kitten", 2.0),
+                                  cq.PhotonicSpec("coherent", 2.0)],
+                         ids=["kitten", "coherent"])
+@pytest.mark.parametrize("model", MODELS)
+def test_kittens_and_coherent_states_take_the_generic_path(spec, model, monkeypatch):
+    block = sampled_block(cq.prepare_initial(spec, N_QUBITS, n_max=N_MAX), MODELS[model])
+    assert hilbert._parity(block.amplitudes) is None
+    calls = []
+    real_eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or real_eigh(m))
+    cq.qfi_mixed(cq.reduce_to_electron(block))
+    # the trace-out has coherences between the parities of k: one full eigh
+    assert (len(block.amplitudes), N_QUBITS + 1, N_QUBITS + 1) in calls
+
+
+def test_even_cat_trace_out_at_eight_qubits_splits_its_eigh(monkeypatch):
+    params = cq.ModelParams(n_qubits=8, gamma=0.01)
+    initial = cq.prepare_initial(cq.PhotonicSpec("even_cat", 10.0), 8, n_max=188)
+    block = next(_evolve(initial, params, [0, 2000, 5000], 1e-3))[0]
+    rho = cq.reduce_to_electron(block)
+    shapes = []
+    real_eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: shapes.append(m.shape[-2:])
+                        or real_eigh(m))
+    cq.qfi_mixed(rho)
+    # the 3 x 3 is the Fisher matrix's own eigh
+    assert sorted(set(shapes)) == [(3, 3), (4, 4), (5, 5)]

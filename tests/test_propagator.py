@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import catqed as cq
 from catqed import hilbert, propagator
 from catqed.propagator import MAX_AUTO_SAMPLES, _Chebyshev, _chebyshev_coefficients
+from catqed.fileio import format_float
 from catqed.stateprep import coherent_matrix
 from oracles import dense_hamiltonian, evolve_exact, evolve_mpmath
 
@@ -368,6 +369,22 @@ def test_truncation_guard_trips_on_saturated_window():
         cq.run(state, params, cq.PropagationPlan(t_max=0.5))
 
 
+def test_truncation_guard_names_the_first_sample_of_a_block_over_the_tail(monkeypatch):
+    # emitters up feed photons into the mode, so the tail grows; the
+    # tolerance is put between the first sample's tail and a later one's
+    params = cq.ModelParams(n_qubits=2, gamma=0.3)
+    p = coherent_matrix([2.0], 20)[0]
+    state = cq.product_state(np.array([0.0, 0.0, 1.0]), p / np.linalg.norm(p),
+                             cq.DickeSpace(2), cq.FockSpace(20))
+    plan = cq.PropagationPlan(t_max=4.0, dt=0.5, monitors=("tail_population",))
+    monkeypatch.setattr(hilbert, "TAIL_TOLERANCE", 1.0)
+    tails = cq.run(state, params, plan).column("tail_population")
+    assert np.all(np.diff(tails[:4]) > 0.0)
+    monkeypatch.setattr(hilbert, "TAIL_TOLERANCE", 0.5 * (tails[2] + tails[3]))
+    with pytest.raises(cq.TruncationError, match=r"at t = 1\.5 for n_max = 20"):
+        cq.run(state, params, plan)
+
+
 def test_peak_and_fwhm_gaussian():
     t = np.linspace(0.0, 10.0, 2001)
     sigma = 0.8
@@ -414,6 +431,18 @@ def test_timeseries_csv_roundtrip(tmp_path):
     assert np.array_equal(data[:, 0], times)
     assert np.array_equal(data[:, 1], series.column("a"))
     assert np.array_equal(data[:, 2], series.column("b"))
+    # the row template writes the bytes of one format_float per value
+    series = cq.TimeSeries(times=np.array([0.0, 1e-300, 2.0, 0.1]), columns={
+        "nan": np.array([math.nan, 1.0, -0.0, 3.0]),
+        "mixed": np.array([-0.0, 42.0, 1e-300, 1.0 / 3.0]),
+    })
+    series.to_csv(str(path))
+    rows = [",".join(format_float(v) for v in (t, a, b))
+            for t, a, b in zip(series.times, *series.columns.values())]
+    assert path.read_text() == "\n".join(["time,nan,mixed", *rows]) + "\n"
+    assert "nan" in rows[0] and "-0" in rows[0] and "1e-300" in rows[1]
+    cq.TimeSeries(times=np.array([]), columns={"a": np.array([])}).to_csv(str(path))
+    assert path.read_text() == "time,a\n"
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

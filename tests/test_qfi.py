@@ -135,8 +135,10 @@ def _dense_pure_fisher(psi, n_qubits):
                       for b, mb in zip(mats, means)] for a, ma in zip(mats, means)])
 
 
-@pytest.mark.parametrize("n_qubits", [8, 64])
+@pytest.mark.parametrize("n_qubits", [1, 2, 8, 40, 64])
 def test_pure_qfi_matches_the_dense_spin_matrices(rng, n_qubits):
+    # the O(N) moments against 4 Cov(J) of the dense matrices and against
+    # the mixed-state pair sum of |psi><psi|
     for _ in range(3):
         psi = rng.normal(size=n_qubits + 1) + 1j * rng.normal(size=n_qubits + 1)
         psi /= np.linalg.norm(psi)
@@ -145,6 +147,21 @@ def test_pure_qfi_matches_the_dense_spin_matrices(rng, n_qubits):
         scale = max(1.0, np.max(np.abs(dense)))
         assert np.max(np.abs(res.matrix - dense)) <= 1e-12 * scale
         assert res.value == pytest.approx(np.linalg.eigvalsh(dense)[-1], rel=1e-12)
+        mixed = cq.qfi_mixed(density(np.outer(psi, psi.conj()), n_qubits))
+        assert abs(res.value - mixed.value) <= 1e-12 * n_qubits**2
+        assert np.max(np.abs(res.matrix - mixed.matrix)) <= 1e-12 * n_qubits**2
+
+
+def test_pure_qfi_out_of_bounds_is_refused(monkeypatch):
+    # the single-matrix path keeps the stacked path's bound check and message
+    # a negative slack moves the upper bound below the GHZ value N^2 = 9
+    monkeypatch.setattr(qfi, "QFI_BOUND_SLACK", -1.0)
+    ghz = (dicke_vector(3, -1.5) + dicke_vector(3, 1.5)) / np.sqrt(2)
+    message = r"QFI 9 outside \[0, N\^2\] within slack \(N = 3\)"
+    with pytest.raises(cq.StateValidationError, match=message):
+        cq.qfi_pure(ghz, 3)
+    with pytest.raises(cq.StateValidationError, match=message):
+        cq.qfi_mixed(density(np.array([np.outer(ghz, ghz.conj())] * 2), 3))
 
 
 def test_pure_qfi_at_ten_thousand_qubits_builds_no_dense_matrix(monkeypatch):

@@ -161,6 +161,76 @@ def test_rabi_cat_odd_degenerate_at_t0():
     # the two branches coincide at t = 0, so the odd combination vanishes
     with pytest.raises(cq.StateValidationError):
         cq.rabi_cat_state(RES, 1.3, 0.0, parity="odd")
+    with pytest.raises(cq.StateValidationError, match="cancels"):
+        cq.rabi_cat_state(cq.ModelParams(n_qubits=3, gamma=0.7, rwa=False), 1.3, 0.0,
+                          parity="odd")
+
+
+CAT_DRIVES = {
+    "rwa": cq.ModelParams(n_qubits=5, gamma=0.4),
+    "rwa-detuned": cq.ModelParams(n_qubits=8, gamma=0.3, delta=1.3),
+    "full": cq.ModelParams(n_qubits=5, gamma=0.4, rwa=False),
+    "full-detuned": cq.ModelParams(n_qubits=8, gamma=0.3, delta=1.3, rwa=False),
+}
+
+
+@pytest.mark.parametrize("params", CAT_DRIVES.values(), ids=CAT_DRIVES.keys())
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_one_branch_cat_matches_the_two_branch_sum(params, parity):
+    # psi_-alpha = (-1)^k psi_alpha under either drive, so the cat is one
+    # branch's even-k or odd-k half
+    sign = 1.0 if parity == "even" else -1.0
+    for alpha in (1.7, 2.0 - 1.5j):
+        for t in (0.3, 2.9, 11.0):
+            two = semiclassical._superposed(params, (alpha, -alpha), (1.0, sign), t)
+            one = cq.rabi_cat_state(params, alpha, t, parity=parity)
+            assert np.max(np.abs(one - two)) <= 1e-15
+
+
+@pytest.mark.parametrize("rwa", [True, False])
+def test_one_branch_cat_refuses_where_the_two_branch_sum_cancels(rwa):
+    # near-cancelling odd cats: tiny amplitudes and times near 0
+    params = cq.ModelParams(n_qubits=4, gamma=0.5, rwa=rwa)
+    for alpha in (1e-7, 3e-6, 1e-5, 1e-3, 0.7):
+        for t in (0.0, 1e-6, 1e-3, 0.4):
+            try:
+                semiclassical._superposed(params, (alpha, -alpha), (1.0, -1.0), t)
+            except cq.StateValidationError:
+                with pytest.raises(cq.StateValidationError, match="cancels"):
+                    cq.rabi_cat_state(params, alpha, t, parity="odd")
+            else:
+                cq.rabi_cat_state(params, alpha, t, parity="odd")
+
+
+def test_full_drive_cat_evaluates_one_branch(monkeypatch):
+    params = cq.ModelParams(n_qubits=4, gamma=0.3, rwa=False)
+    branches = []
+    state = semiclassical.classically_driven_state
+
+    def spy(params, alpha, t):
+        branches.append(alpha)
+        return state(params, alpha, t)
+
+    monkeypatch.setattr(semiclassical, "classically_driven_state", spy)
+    cq.rabi_cat_state(params, 1.5, 2.0)
+    cq.rabi_cat_state(params, 1.5, 2.0, parity="odd")
+    assert branches == [1.5, 1.5]
+
+
+def test_full_drive_scan_solves_its_floquet_matrix_once(monkeypatch):
+    params = cq.ModelParams(n_qubits=8, gamma=0.01, rwa=False)
+    times = np.linspace(0.0, 300.0, 101)
+    uncached = []
+    for t in times:
+        semiclassical._floquet.cache_clear()
+        uncached.append(cq.rabi_cat_state(params, 10.0, t))
+    semiclassical._floquet.cache_clear()
+    sizes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: sizes.append(m.shape) or eigh(m))
+    cached = [cq.rabi_cat_state(params, 10.0, t) for t in times]
+    assert sizes == [(65, 65)]
+    assert all(np.array_equal(a, b) for a, b in zip(cached, uncached))
 
 
 def test_rabi_cat_unknown_parity():
