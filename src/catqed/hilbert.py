@@ -11,6 +11,9 @@ samples along a leading axis (one time per sample).  The readouts reduce
 over the trailing axes only, so one code path serves a single state, for
 which they return floats, and a stack, for which they return one value per
 sample (``per_sample``).
+
+A state decides its conserved parity once, on first use (``parity``), and
+``photon_parity_rows`` maps a photon-parity outcome to the rows it reads.
 """
 
 from __future__ import annotations
@@ -119,7 +122,7 @@ class CompositeState:
     fock.dim) and one time per sample; every sample is validated.
     """
 
-    __slots__ = ("amplitudes", "dicke", "fock", "time")
+    __slots__ = ("amplitudes", "dicke", "fock", "time", "_parity")
 
     def __init__(self, amplitudes, dicke: DickeSpace, fock: FockSpace,
                  time: float | np.ndarray = 0.0, copy: bool = True,
@@ -162,6 +165,30 @@ class CompositeState:
         a = self.amplitudes
         return (np.einsum("...mn,...mn->...n", a.real, a.real)
                 + np.einsum("...mn,...mn->...n", a.imag, a.imag))
+
+    @property
+    def parity(self) -> int | None:
+        """Conserved parity Pi = (-1)^(n + k), k the Dicke index, of all
+        samples together: 0 or 1 when every cell of the other parity is
+        exactly zero (both models keep them so for an even or odd cat with
+        the emitters down), else None.  Decided on first use and kept, since
+        the amplitudes are frozen."""
+        if not hasattr(self, "_parity"):
+            a = self.amplitudes
+            parity = None
+            if not (a[..., 0::2, 1::2].any() or a[..., 1::2, 0::2].any()):
+                parity = 0
+            elif not (a[..., 0::2, 0::2].any() or a[..., 1::2, 1::2].any()):
+                parity = 1
+            object.__setattr__(self, "_parity", parity)
+        return self._parity
+
+    def photon_parity_rows(self, offset: int) -> slice:
+        """Rows k that hold the columns n = offset (mod 2): k = offset + Pi
+        (mod 2) for a state of definite parity, else every row."""
+        if self.parity is None:
+            return slice(None)
+        return slice((offset + self.parity) % 2, None, 2)
 
 
 class ElectronDensityMatrix:
@@ -207,43 +234,24 @@ class ElectronDensityMatrix:
         return per_sample(np.sum(np.abs(self.matrix) ** 2, axis=(-2, -1)))
 
 
-def _parity(amplitudes: np.ndarray) -> int | None:
-    """Conserved parity Pi = (-1)^(n + k) of joint amplitudes (k the Dicke
-    index), all samples of a stack together: 0 when every cell with n + k
-    odd is exactly zero, 1 when every cell with n + k even is, else None.
-
-    Both models conserve Pi, and the propagator keeps the empty cells of a
-    definite-parity state (an even or odd cat with the emitters down)
-    exactly zero, so no tolerance enters.  For such a state the photon
-    parity is the parity of k + Pi: the trace-out splits into one block per
-    parity of k and each photon-parity outcome is one of those blocks.
-    """
-    a = amplitudes
-    if not (a[..., 0::2, 1::2].any() or a[..., 1::2, 0::2].any()):
-        return 0
-    if not (a[..., 0::2, 0::2].any() or a[..., 1::2, 1::2].any()):
-        return 1
-    return None
-
-
 def reduce_to_electron(state: CompositeState) -> ElectronDensityMatrix:
     """Trace out the photon mode: rho[m, m'] = sum_n c[m, n] conj(c[m', n]),
     one batched Gram for a stack of samples.
 
-    A state of definite parity Pi (``_parity``) takes two half-size Grams,
-    rows k = r (mod 2) against columns n = r + Pi for r = 0, 1, written
-    into a zeroed rho: the entries between opposite parities of k vanish.
+    A state of definite parity takes one half-size Gram per photon parity,
+    over its columns and ``photon_parity_rows``, into a zeroed rho: the
+    entries between opposite parities of k vanish.
     """
     c = state.amplitudes
-    parity = _parity(c)
-    if parity is None:
+    if state.parity is None:
         rho = c @ c.conj().swapaxes(-1, -2)
     else:
         dim = state.dicke.dim
         rho = np.zeros(c.shape[:-2] + (dim, dim), dtype=np.complex128)
-        for r in (0, 1):
-            u = c[..., r::2, (r + parity) % 2::2]
-            rho[..., r::2, r::2] = u @ u.conj().swapaxes(-1, -2)
+        for offset in (0, 1):
+            rows = state.photon_parity_rows(offset)
+            u = c[..., rows, offset::2]
+            rho[..., rows, rows] = u @ u.conj().swapaxes(-1, -2)
     # Gram form is positive semidefinite by construction.
     return ElectronDensityMatrix(rho, state.dicke, copy=False, validate=False)
 

@@ -1,6 +1,7 @@
 """Photon measurements and the conditioned electronic states they prepare.
 
-Parity conditioning projects the Fock index onto even or odd columns.
+Parity conditioning projects the Fock index onto even or odd columns, on
+the rows the state's ``photon_parity_rows`` gives for that photon parity.
 Quadrature conditioning projects onto an x-eigenstate of
 
     x_phi = (e^{-i phi} a + e^{i phi} a^dag) / sqrt(2),
@@ -27,7 +28,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import (ConfigError, ImpossibleOutcomeError,
                      QuadratureConvergenceError)
-from .hilbert import CompositeState, ElectronDensityMatrix, _parity, per_sample
+from .hilbert import CompositeState, ElectronDensityMatrix, per_sample
 
 PROBABILITY_FLOOR = 1e-14
 WINDOW_RHO_ATOL = 1e-8
@@ -139,19 +140,15 @@ def quadrature_amplitudes(x: float, phi: float, n_max: int) -> np.ndarray:
 def parity_probabilities(
         state: CompositeState) -> tuple[float | np.ndarray, float | np.ndarray]:
     """(p_even, p_odd); sums to the squared norm of the state (per sample
-    for a stack).  For a state of definite parity Pi each is the weight of
-    one quarter of the grid, rows k = n + Pi (mod 2) of its columns n; the
-    rest of those rows is exactly zero, so the quarters are summed as whole
-    rows, which are contiguous."""
-    c = state.amplitudes
-    parity = _parity(c)
-    if parity is None:
+    for a stack).  For a state of definite parity each is the weight of the
+    outcome's ``photon_parity_rows``, summed as whole contiguous rows."""
+    if state.parity is None:
         p = state.photon_distribution()
         return per_sample(p[..., 0::2].sum(axis=-1)), per_sample(p[..., 1::2].sum(axis=-1))
-    flat = c.view(np.float64)
+    flat = state.amplitudes.view(np.float64)
     rows = np.einsum("...kn,...kn->...k", flat, flat)
-    return (per_sample(rows[..., parity::2].sum(axis=-1)),
-            per_sample(rows[..., 1 - parity::2].sum(axis=-1)))
+    return tuple(per_sample(rows[..., state.photon_parity_rows(offset)].sum(axis=-1))
+                 for offset in (0, 1))
 
 
 def _gram(u: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -179,21 +176,15 @@ def _result(prob: np.ndarray, rho: np.ndarray, state: CompositeState,
 
 def parity_postselect(state: CompositeState, outcome: ParityOutcome) -> PostselectionResult:
     """Condition on a photon-parity readout; errors on impossible outcomes.
-
-    For a state of definite parity Pi the outcome's columns n hold amplitude
-    only on the rows k = n + Pi (mod 2), so one quarter-size Gram over those
-    rows and columns gives the conditioned state's only nonzero block.
-    """
+    One Gram over the outcome's columns and ``photon_parity_rows`` gives
+    the conditioned state's only nonzero block."""
     c = state.amplitudes
-    what = f"parity outcome {outcome.label!r}"
-    parity = _parity(c)
-    if parity is None:
-        return _result(*_gram(c[..., outcome.offset::2], what), state, outcome.label)
-    rows = (outcome.offset + parity) % 2
-    prob, block = _gram(c[..., rows::2, outcome.offset::2], what)
+    rows = state.photon_parity_rows(outcome.offset)
+    prob, block = _gram(c[..., rows, outcome.offset::2],
+                        f"parity outcome {outcome.label!r}")
     dim = state.dicke.dim
     rho = np.zeros(c.shape[:-2] + (dim, dim), dtype=np.complex128)
-    rho[..., rows::2, rows::2] = block
+    rho[..., rows, rows] = block
     return _result(prob, rho, state, outcome.label)
 
 

@@ -3,15 +3,16 @@
 Both models conserve Pi = (-1)^(n + k), k the Dicke index, so an even or odd
 cat started with the emitters down keeps exactly zero amplitude on the other
 parity; the readouts then take half- and quarter-size blocks.  Each block
-path is compared here with the generic one, forced by making the parity test
-report no parity.
+path is compared here with the generic one, forced by making every state
+report no parity.  A state decides its parity once, on first use, so a
+block of samples is scanned once however many readouts it feeds.
 """
 
 import numpy as np
 import pytest
 
 import catqed as cq
-from catqed import hilbert, measurement, qfi
+from catqed import hilbert, qfi
 from catqed.propagator import _evolve
 from catqed.stateprep import coherent_matrix
 
@@ -51,9 +52,27 @@ def cat_block(request):
 
 
 def generic(monkeypatch):
-    monkeypatch.setattr(hilbert, "_parity", lambda amplitudes: None)
-    monkeypatch.setattr(measurement, "_parity", lambda amplitudes: None)
+    monkeypatch.setattr(hilbert.CompositeState, "parity", property(lambda state: None))
     monkeypatch.setattr(qfi, "_eigh", np.linalg.eigh)
+
+
+def count_scans(monkeypatch):
+    """The states whose parity is decided from here on, one entry per scan
+    of their amplitudes."""
+    scanned = []
+    decide = hilbert.CompositeState.parity.fget
+
+    def counted(state):
+        if not hasattr(state, "_parity"):
+            scanned.append(state)
+        return decide(state)
+    monkeypatch.setattr(hilbert.CompositeState, "parity", property(counted))
+    return scanned
+
+
+def one(amplitudes, time):
+    return cq.CompositeState(amplitudes, cq.DickeSpace(N_QUBITS), cq.FockSpace(N_MAX),
+                             time=time, validate=False)
 
 
 def close(got, ref):
@@ -77,9 +96,9 @@ def readouts(state):
 
 def test_sampled_cats_keep_their_parity_exactly(cat_block):
     block, parity = cat_block
-    assert hilbert._parity(block.amplitudes) == parity
-    for sample in block.amplitudes:
-        assert hilbert._parity(sample) == parity
+    assert block.parity == parity
+    for sample, time in zip(block.amplitudes, block.time):
+        assert one(sample, time).parity == parity
 
 
 def test_parity_readouts_match_the_generic_path(cat_block, monkeypatch):
@@ -123,7 +142,7 @@ def test_impossible_outcome_is_refused_at_the_same_floor(monkeypatch):
 @pytest.mark.parametrize("model", MODELS)
 def test_kittens_and_coherent_states_take_the_generic_path(spec, model, monkeypatch):
     block = sampled_block(cq.prepare_initial(spec, N_QUBITS, n_max=N_MAX), MODELS[model])
-    assert hilbert._parity(block.amplitudes) is None
+    assert block.parity is None
     calls = []
     real_eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or real_eigh(m))
@@ -144,3 +163,54 @@ def test_even_cat_trace_out_at_eight_qubits_splits_its_eigh(monkeypatch):
     cq.qfi_mixed(rho)
     # the 3 x 3 is the Fisher matrix's own eigh
     assert sorted(set(shapes)) == [(3, 3), (4, 4), (5, 5)]
+
+
+def test_a_stack_of_both_parities_takes_the_generic_path():
+    # the decision covers the whole stack: an even-cat sample stacked with an
+    # odd-cat one has no parity, and each keeps the readouts it has alone
+    params = MODELS["full"]
+    even, odd = (sampled_block(cat_initial(3.0, sign), params) for sign in (1.0, -1.0))
+    pair = [(even.amplitudes[2], even.time[2]), (odd.amplitudes[3], odd.time[3])]
+    stack = cq.CompositeState(np.stack([a for a, _ in pair]), cq.DickeSpace(N_QUBITS),
+                              cq.FockSpace(N_MAX), time=[t for _, t in pair])
+    assert stack.parity is None
+    assert [one(*sample).parity for sample in pair] == [0, 1]
+    together = readouts(stack)
+    for i, sample in enumerate(pair):
+        alone = readouts(one(*sample))
+        assert close(together["trace-out"][i], alone["trace-out"])
+        for name in ("even", "odd", "probabilities", "qfi", "fisher"):
+            for got, ref in zip(together[name], alone[name]):
+                assert close(got[i], ref), name
+
+
+FLAGSHIP_MONITORS = ("qfi_density", "qfi_density_even", "prob_even", "prob_odd")
+
+
+@pytest.mark.parametrize("monitors, singles", [
+    (FLAGSHIP_MONITORS, 0), (FLAGSHIP_MONITORS + ("qfi_density_odd",), 9)],
+    ids=["flagship", "with-odd-outcome"])
+def test_a_run_scans_each_block_once(monitors, singles, monkeypatch):
+    # flagship inputs: 101 samples in 12 blocks of at most 9.  The odd outcome
+    # is impossible at t = 0, so that monitor reads the first block again one
+    # sample at a time: 9 more states, each scanned once
+    params = cq.ModelParams(n_qubits=8, gamma=0.01)
+    initial = cq.prepare_initial(cq.PhotonicSpec("even_cat", 10.0), 8, n_max=188)
+    plan = cq.PropagationPlan(t_max=10.0, sample_stride=100, monitors=monitors)
+    scanned = count_scans(monkeypatch)
+    series = cq.run(initial, params, plan)
+    assert series.times.size == 101
+    sizes = [np.size(state.time) for state in scanned]
+    assert sizes == [9] + [1] * singles + [9] * 10 + [2]
+    assert all(state.parity == 0 for state in scanned)
+
+
+def test_a_snapshot_is_scanned_once_for_its_three_parity_readouts(monkeypatch):
+    params = MODELS["rwa"]
+    snap = cq.snapshots(cat_initial(3.0, -1.0), params, [2.5])[0]
+    scanned = count_scans(monkeypatch)
+    cq.reduce_to_electron(snap)
+    for outcome in cq.ParityOutcome:
+        cq.parity_postselect(snap, outcome)
+    assert scanned == [snap]
+    assert snap.parity == 1
