@@ -26,7 +26,15 @@ class NumericalError(CatqedError):
 
 
 class ImpossibleOutcomeError(CatqedError):
-    """Conditioning on an outcome whose probability is numerically zero."""
+    """Conditioning on an outcome whose probability is numerically zero.
+
+    ``possible`` is a boolean mask over the caller's whole stack of samples
+    (0-d for a single state): False on every sample the refusing Gram found
+    below the floor, which is at least one, and True on the others."""
+
+    def __init__(self, message: str, possible=None):
+        super().__init__(message)
+        self.possible = possible
 
 
 class QuadratureConvergenceError(CatqedError):

@@ -157,11 +157,13 @@ def _gram(u: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     ``u`` (..., dim_e, k) holds the projected amplitudes, one column per
     orthogonal branch of the measured operator; returns (|u|^2, rho) per
     sample.  A norm below PROBABILITY_FLOOR in any sample means ``what``
-    cannot occur there.
+    cannot occur there; the refusal masks the samples where it can.
     """
     prob = np.sum(u.real**2 + u.imag**2, axis=(-2, -1))
-    if np.min(prob) < PROBABILITY_FLOOR:
-        raise ImpossibleOutcomeError(f"{what} has probability {np.min(prob):.3e}")
+    possible = prob >= PROBABILITY_FLOOR
+    if not possible.all():
+        raise ImpossibleOutcomeError(f"{what} has probability {np.min(prob):.3e}",
+                                     possible)
     return prob, (u @ u.conj().swapaxes(-1, -2)) / prob[..., None, None]
 
 
@@ -237,12 +239,20 @@ def quadrature_postselect(state: CompositeState, spec: QuadratureSpec,
     if ideal:
         return _result(*gram(phased, 1), state, "quadrature", is_density=True)
     count = max(8, math.ceil(10.0 * spec.delta_x * math.sqrt(n_max)))
+    prob, rho = gram(phased, count)
+    prob, rho = prob.reshape(-1), rho.reshape(-1, *rho.shape[-2:])
     samples = phased.reshape(-1, *phased.shape[-2:])
-    prob, rho = gram(samples, count)
     pending = np.arange(len(samples))
     for _ in range(MAX_NODE_DOUBLINGS):
         count *= 2
-        refined_prob, refined = gram(samples, count)
+        try:
+            refined_prob, refined = gram(samples, count)
+        except ImpossibleOutcomeError as refusal:
+            # mask the caller's whole stack, not the samples still pending
+            possible = np.ones(len(prob), dtype=bool)
+            possible[pending] = refusal.possible
+            refusal.possible = possible.reshape(phased.shape[:-2])
+            raise
         done = np.max(np.abs(refined - rho[pending]), axis=(-2, -1)) <= WINDOW_RHO_ATOL
         prob[pending], rho[pending] = refined_prob, refined
         pending, samples = pending[~done], samples[~done]

@@ -9,10 +9,11 @@ quadrature readout) is formed once per block in its ``memo``, as one stack
 over the block's samples, however many monitors read it.
 
 Conditioned quantities are undefined where the conditioning outcome has
-(numerically) zero probability; those samples record NaN rather than
-aborting the run.  A block in which some sample cannot occur is read again
-one sample at a time, so only the impossible samples record NaN (or a
-probability of 0).
+(numerically) zero probability; those samples record NaN (or a probability
+of 0) rather than aborting the run.  A readout that refuses a block masks
+the samples where its outcome can occur (``ImpossibleOutcomeError.possible``),
+and those are read as one stack, so every sample keeps the value of its own
+single-sample readout.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, ImpossibleOutcomeError
-from .hilbert import CompositeState, ElectronDensityMatrix, reduce_to_electron
+from .hilbert import CompositeState, reduce_to_electron
 from .measurement import (ParityOutcome, PostselectionResult, QuadratureSpec,
                           parity_postselect, parity_probabilities,
                           quadrature_postselect)
@@ -58,39 +59,25 @@ def _read(state: CompositeState, outcome: Outcome, omega: float) -> Postselectio
     return quadrature_postselect(state, outcome, omega=omega)
 
 
-def _one_at_a_time(state: CompositeState, outcome: Outcome,
-                   omega: float) -> tuple[np.ndarray, PostselectionResult | None]:
-    """``_conditioned`` for a block in which some sample cannot occur."""
-    reads = []
-    for amplitudes, time in zip(state.amplitudes, state.time):
-        one = CompositeState(amplitudes, state.dicke, state.fock, time=time,
-                             copy=False, validate=False)
-        try:
-            reads.append(_read(one, outcome, omega))
-        except ImpossibleOutcomeError:
-            reads.append(None)
-    possible = np.array([r is not None for r in reads])
-    kept = [r for r in reads if r is not None]
-    if not kept:
-        return possible, None
-    rho = ElectronDensityMatrix(np.array([r.rho.matrix for r in kept]), state.dicke,
-                                copy=False, validate=False)
-    return possible, PostselectionResult(np.array([r.probability for r in kept]), rho,
-                                         kept[0].outcome, kept[0].is_density)
-
-
 def _conditioned(ctx: MonitorContext,
                  outcome: Outcome) -> tuple[np.ndarray, PostselectionResult | None]:
     """Electron states after ``outcome`` (None: trace out the field),
     formed once per block: (mask of the samples where the outcome is
-    possible, their stacked result, or None where it is possible in none)."""
+    possible, their stacked result, or None where it is possible in none).
+    A refusal's mask leaves the possible samples, read again as one stack
+    (once more only if a window's finer rule refuses one of those)."""
     if outcome not in ctx.memo:
-        state, omega = ctx.state, ctx.params.omega
-        try:
-            ctx.memo[outcome] = (np.ones(len(state.amplitudes), dtype=bool),
-                                 _read(state, outcome, omega))
-        except ImpossibleOutcomeError:
-            ctx.memo[outcome] = _one_at_a_time(state, outcome, omega)
+        state = ctx.state
+        possible, result = np.ones(len(state.amplitudes), dtype=bool), None
+        while result is None and possible.any():
+            kept = state if possible.all() else CompositeState(
+                state.amplitudes[possible], state.dicke, state.fock,
+                time=state.time[possible], copy=False, validate=False)
+            try:
+                result = _read(kept, outcome, ctx.params.omega)
+            except ImpossibleOutcomeError as refusal:
+                possible[possible] = refusal.possible
+        ctx.memo[outcome] = possible, result
     return ctx.memo[outcome]
 
 

@@ -93,8 +93,9 @@ CHEBYSHEV_TOL = 1e-16
 
 # Bessel values one coefficient table may hold, samples times orders: one
 # recurrence spans its samples with about r * span terms.  A table takes 16
-# bytes a value (24 while it is built) and the evolver keeps only the last
-# one, so at this limit it holds at most 160 MB of coefficients.
+# bytes a value (24 while it is built), so at this limit a segment holds
+# 160 MB of coefficients; the evolver keeps those of the last block's
+# segments, and a block splits into more than one only past this limit.
 MAX_CHEBYSHEV_TERMS = 10_000_000
 
 # Amplitudes of one block of samples evaluated and read out together (at
@@ -239,11 +240,10 @@ class _Chebyshev:
         if params.rwa and not action.diag.any():
             action.diag = None
         self.dt, self.step = dt, 0
-        # the last block's step offsets from psi with its ``_segments``, and
-        # the last segment's offsets with its ``_coefficients``: one of each
-        # serves every block of a regular grid
+        # the last block's step offsets from psi with each of its
+        # ``_segments`` as (start, stop, coeffs, folds) of ``_coefficients``:
+        # one plan serves every block of a regular grid
         self._plan: tuple = ((), [])
-        self._table: tuple = ((), None, [])
 
     @property
     def psi(self) -> np.ndarray:
@@ -271,11 +271,12 @@ class _Chebyshev:
         drift = np.zeros(count)
         offsets = tuple(s - self.step for s in steps)
         if offsets != self._plan[0]:
-            self._plan = offsets, self._segments(offsets)
+            self._plan = offsets, [(start, stop, *self._coefficients(segment))
+                                   for start, stop, segment in self._segments(offsets)]
         if offsets[0] == 0:                       # psi itself, unchanged
             rows[0] = self.psi.reshape(-1)
-        for start, stop, segment in self._plan[1]:
-            self._expand(segment, rows[start:stop], drift[start:stop])
+        for start, stop, coeffs, folds in self._plan[1]:
+            self._expand(coeffs, folds, rows[start:stop], drift[start:stop])
             self.psi[...] = rows[stop - 1].reshape(self.psi.shape)
         self.step = steps[-1]
         if self._omega_k is not None:
@@ -309,26 +310,25 @@ class _Chebyshev:
         """Coefficients of the samples ``offsets`` steps past psi, each row
         times its phase e^{-i c tau}, and the folds of ``_expand``: (first
         term, end, first row whose sum still runs) for each ring of terms."""
-        if offsets != self._table[0]:
-            tau = np.array(offsets) * self.dt
-            coeffs, keeps = _chebyshev_coefficients(self._half_width * tau)
-            coeffs *= np.exp(-1j * self._center * tau)[:, None]
-            size, terms, keeps = max(len(offsets), 3), coeffs.shape[1], keeps.tolist()
-            folds = [(first, min(first + size, terms),
-                      next(j for j, keep in enumerate(keeps) if keep > first))
-                     for first in range(0, terms, size)]
-            self._table = offsets, coeffs, folds
-        return self._table[1:]
+        tau = np.array(offsets) * self.dt
+        coeffs, keeps = _chebyshev_coefficients(self._half_width * tau)
+        coeffs *= np.exp(-1j * self._center * tau)[:, None]
+        size, terms, keeps = max(len(offsets), 3), coeffs.shape[1], keeps.tolist()
+        folds = [(first, min(first + size, terms),
+                  next(j for j, keep in enumerate(keeps) if keep > first))
+                 for first in range(0, terms, size)]
+        return coeffs, folds
 
-    def _expand(self, offsets: tuple[int, ...], rows: np.ndarray, drift: np.ndarray) -> None:
-        """rows[j] <- exp(-iH tau_j) psi, tau_j = offsets[j] dt, renormalized,
-        and drift[j] <- its |pre-renorm norm - 1|.
+    def _expand(self, coeffs: np.ndarray, folds: list, rows: np.ndarray,
+                drift: np.ndarray) -> None:
+        """rows[j] <- exp(-iH tau_j) psi, renormalized, and drift[j] <- its
+        |pre-renorm norm - 1|, for the samples ``_coefficients`` gave
+        ``coeffs`` and ``folds`` (tau_j their offsets times dt).
 
         The terms T_k psi go into a ring of one vector per row (at least
         three: the recurrence reads two back), and each full ring is folded
         into ``rows`` by one product with the ring's columns of the
         coefficient table, over the rows whose sums still run."""
-        coeffs, folds = self._coefficients(offsets)
         size = max(len(rows), 3)
         if len(self._slots) < size:
             ring = np.empty((size,) + self.psi.shape, dtype=np.complex128)

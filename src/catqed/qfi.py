@@ -70,17 +70,11 @@ def _top_direction(fisher: np.ndarray, n_qubits: int) -> QfiResult:
     fisher = 0.5 * (fisher + fisher.swapaxes(-1, -2))
     evals, evecs = np.linalg.eigh(fisher)
     bound = n_qubits * n_qubits + QFI_BOUND_SLACK
-    message = "QFI {:.6g} outside [0, N^2] within slack (N = " + f"{n_qubits})"
-    if fisher.ndim == 2:
-        value = float(evals[-1])
-        if value < -QFI_BOUND_SLACK or value > bound:
-            raise StateValidationError(message.format(value))
-        return QfiResult(value=max(value, 0.0), direction=evecs[:, -1].copy(),
-                         matrix=fisher)
     value = evals[..., -1]
     outside = (value < -QFI_BOUND_SLACK) | (value > bound)
     if np.any(outside):
-        raise StateValidationError(message.format(value[outside][0]))
+        raise StateValidationError(f"QFI {value[outside][0]:.6g} outside [0, N^2] "
+                                   f"within slack (N = {n_qubits})")
     return QfiResult(value=per_sample(np.maximum(value, 0.0)),
                      direction=evecs[..., -1].copy(), matrix=fisher)
 

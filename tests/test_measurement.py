@@ -185,6 +185,30 @@ def test_quadrature_postselect_rejects_unreachable_x(rng):
         cq.quadrature_postselect(state, cq.QuadratureSpec(x=40.0))
 
 
+def test_a_refusal_after_a_node_doubling_masks_the_whole_stack(monkeypatch, rng):
+    # only the samples still pending take the finer rule, so a refusal there
+    # comes from a Gram over part of the stack; its mask still indexes the
+    # whole stack.  A stand-in Gram keeps the middle sample pending after the
+    # first doubling and then refuses it
+    stack = cq.CompositeState([random_joint(rng, 2, 8).amplitudes for _ in range(3)],
+                              cq.DickeSpace(2), cq.FockSpace(8), time=[0.0, 0.5, 1.0])
+    real, sizes = cq.measurement._gram, []
+
+    def gram(u, what):
+        sizes.append(len(u))
+        if len(sizes) == 3:
+            raise cq.ImpossibleOutcomeError(what, np.zeros(len(u), dtype=bool))
+        prob, rho = real(u, what)
+        if len(sizes) == 2:
+            rho[1] += 1.0
+        return prob, rho
+    monkeypatch.setattr(cq.measurement, "_gram", gram)
+    with pytest.raises(cq.ImpossibleOutcomeError) as refusal:
+        cq.quadrature_postselect(stack, cq.QuadratureSpec(x=0.3, delta_x=0.4))
+    assert sizes == [3, 3, 1]
+    assert refusal.value.possible.tolist() == [True, False, True]
+
+
 def test_window_that_never_settles_raises(monkeypatch, rng):
     # no two node counts can agree to a negative tolerance
     monkeypatch.setattr(cq.measurement, "WINDOW_RHO_ATOL", -1.0)

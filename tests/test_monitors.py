@@ -8,6 +8,7 @@ import pytest
 
 import catqed as cq
 from catqed import measurement, monitors, propagator
+from catqed.stateprep import coherent_matrix
 
 
 def _counted(monkeypatch, module, name, log):
@@ -165,6 +166,92 @@ def test_impossible_outcome_records_nan_and_zero():
     assert math.isnan(series.column("qfi_density_odd")[0])
     assert np.all(series.column("prob_quad") == 0.0)
     assert np.all(np.isnan(series.column("qfi_density_quad")))
+
+
+def _even_cat_block_from_rest():
+    """Three samples of an even cat from t = 0, where the odd photon parity
+    has no weight at all."""
+    params = cq.ModelParams(n_qubits=2, gamma=0.2)
+    initial = cq.prepare_initial(cq.PhotonicSpec("even_cat", 1.0), 2)
+    return next(propagator._evolve(initial, params, [0, 100, 300], 1e-3))[0], params
+
+
+def _vacuum_and_coherent():
+    """Emitters down with the field in the vacuum, and in |alpha> with
+    alpha = 8/sqrt(2): an x = 8 readout sits on the coherent state's peak
+    and some 10^-28 into the vacuum's tail."""
+    n_max = 80
+    c = np.zeros((2, 3, n_max + 1), dtype=complex)
+    c[:, 0] = coherent_matrix([0.0, 8.0 / math.sqrt(2.0)], n_max)
+    c /= np.linalg.norm(c, axis=(1, 2))[:, None, None]
+    return (cq.CompositeState(c, cq.DickeSpace(2), cq.FockSpace(n_max), time=[0.0, 0.0]),
+            cq.ModelParams(n_qubits=2, gamma=0.2))
+
+
+@pytest.mark.parametrize("make, outcome, possible", [
+    (_even_cat_block_from_rest, cq.ParityOutcome.ODD, [False, True, True]),
+    (_vacuum_and_coherent, cq.QuadratureSpec(x=8.0), [False, True]),
+    (_vacuum_and_coherent, cq.QuadratureSpec(x=8.0, delta_x=0.2), [False, True]),
+], ids=["odd-parity-from-rest", "ideal-quadrature", "window"])
+def test_a_stack_with_impossible_samples_is_masked(make, outcome, possible):
+    # the refusal masks the caller's stack sample by sample, and the monitors
+    # read only the possible samples, each to its own single-state readout
+    state, params = make()
+    if isinstance(outcome, cq.ParityOutcome):
+        read = lambda s: cq.parity_postselect(s, outcome)
+        fns = [("qfi", monitors.MONITORS["qfi_density_odd"])]
+    else:
+        read = lambda s: cq.quadrature_postselect(s, outcome, omega=params.omega)
+        fns = list(zip(("prob", "qfi"), dict(cq.build_quadrature_monitors(outcome)).values()))
+    with pytest.raises(cq.ImpossibleOutcomeError) as refusal:
+        read(state)
+    alone = []
+    for amplitudes, time in zip(state.amplitudes, state.time):
+        try:
+            alone.append(read(cq.CompositeState(amplitudes, state.dicke, state.fock,
+                                                time=time)))
+        except cq.ImpossibleOutcomeError as single:
+            assert single.possible.shape == () and not single.possible
+            alone.append(None)
+    assert refusal.value.possible.tolist() == possible
+    assert [r is not None for r in alone] == possible
+
+    ctx = monitors.MonitorContext(state, params, np.zeros(len(possible)))
+    columns = {name: fn(ctx) for name, fn in fns}
+    expected = {
+        "prob": [0.0 if r is None else r.probability for r in alone],
+        "qfi": [math.nan if r is None else cq.qfi_mixed(r.rho).value / 2 for r in alone]}
+    for name, column in columns.items():
+        assert np.array_equal(column, expected[name], equal_nan=True), name
+
+
+def test_a_sample_refused_only_by_a_finer_window_rule_is_masked_too(monkeypatch, rng):
+    # the first Gram refuses the middle sample; reading the other two, the
+    # first node doubling then refuses the last one, so the monitors read
+    # the first sample alone.  A stand-in Gram makes both refusals
+    amplitudes = rng.normal(size=(3, 3, 9)) + 1j * rng.normal(size=(3, 3, 9))
+    amplitudes /= np.linalg.norm(amplitudes, axis=(1, 2))[:, None, None]
+    state = cq.CompositeState(amplitudes, cq.DickeSpace(2), cq.FockSpace(8),
+                              time=[0.0, 0.5, 1.0])
+    params, spec = cq.ModelParams(n_qubits=2, gamma=0.2), cq.QuadratureSpec(x=0.3, delta_x=0.4)
+    real, refusals = measurement._gram, {1: [True, False, True], 3: [True, False]}
+    sizes = []
+
+    def gram(u, what):
+        sizes.append(len(u))
+        if len(sizes) in refusals:
+            raise cq.ImpossibleOutcomeError(what, np.array(refusals[len(sizes)]))
+        return real(u, what)
+    monkeypatch.setattr(measurement, "_gram", gram)
+    ctx = monitors.MonitorContext(state, params, np.zeros(3))
+    prob, qfi = (fn(ctx) for _, fn in cq.build_quadrature_monitors(spec))
+    assert sizes[:4] == [3, 2, 2, 1]
+    monkeypatch.setattr(measurement, "_gram", real)
+    first = cq.quadrature_postselect(
+        cq.CompositeState(amplitudes[0], state.dicke, state.fock), spec)
+    assert prob.tolist() == [first.probability, 0.0, 0.0]
+    assert np.array_equal(qfi, [cq.qfi_mixed(first.rho).value / 2, math.nan, math.nan],
+                          equal_nan=True)
 
 
 def test_tail_population_monitor_matches_direct_calls():

@@ -187,13 +187,13 @@ def test_a_stack_of_both_parities_takes_the_generic_path():
 FLAGSHIP_MONITORS = ("qfi_density", "qfi_density_even", "prob_even", "prob_odd")
 
 
-@pytest.mark.parametrize("monitors, singles", [
-    (FLAGSHIP_MONITORS, 0), (FLAGSHIP_MONITORS + ("qfi_density_odd",), 9)],
+@pytest.mark.parametrize("monitors, restacked", [
+    (FLAGSHIP_MONITORS, []), (FLAGSHIP_MONITORS + ("qfi_density_odd",), [8])],
     ids=["flagship", "with-odd-outcome"])
-def test_a_run_scans_each_block_once(monitors, singles, monkeypatch):
+def test_a_run_scans_each_block_once(monitors, restacked, monkeypatch):
     # flagship inputs: 101 samples in 12 blocks of at most 9.  The odd outcome
-    # is impossible at t = 0, so that monitor reads the first block again one
-    # sample at a time: 9 more states, each scanned once
+    # is impossible at t = 0, so that monitor reads the first block's 8
+    # possible samples as one more stack, scanned once
     params = cq.ModelParams(n_qubits=8, gamma=0.01)
     initial = cq.prepare_initial(cq.PhotonicSpec("even_cat", 10.0), 8, n_max=188)
     plan = cq.PropagationPlan(t_max=10.0, sample_stride=100, monitors=monitors)
@@ -201,7 +201,7 @@ def test_a_run_scans_each_block_once(monitors, singles, monkeypatch):
     series = cq.run(initial, params, plan)
     assert series.times.size == 101
     sizes = [np.size(state.time) for state in scanned]
-    assert sizes == [9] + [1] * singles + [9] * 10 + [2]
+    assert sizes == [9] + restacked + [9] * 10 + [2]
     assert all(state.parity == 0 for state in scanned)
 
 
