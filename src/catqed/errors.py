@@ -32,7 +32,7 @@ class ImpossibleOutcomeError(CatqedError):
     (0-d for a single state): False on every sample the refusing Gram found
     below the floor, which is at least one, and True on the others."""
 
-    def __init__(self, message: str, possible=None):
+    def __init__(self, message: str, possible):
         super().__init__(message)
         self.possible = possible
 

@@ -12,8 +12,10 @@ over the trailing axes only, so one code path serves a single state, for
 which they return floats, and a stack, for which they return one value per
 sample (``per_sample``).
 
-A state decides its conserved parity once, on first use (``parity``), and
-``photon_parity_rows`` maps a photon-parity outcome to the rows it reads.
+A state decides its conserved parity once, on first use (``parity``).  Its
+split by photon parity forms each outcome's weight and Gram once
+(``photon_parity_weight``, ``photon_parity_gram``), for the trace-out and
+every photon-parity readout.
 """
 
 from __future__ import annotations
@@ -39,6 +41,16 @@ def per_sample(values) -> float | np.ndarray:
     the array of per-sample values for a stack."""
     values = np.asarray(values)
     return float(values) if values.ndim == 0 else values
+
+
+def squared_norm(u: np.ndarray) -> np.ndarray:
+    """|u|^2 over the last two axes, one per sample."""
+    return np.sum(u.real**2 + u.imag**2, axis=(-2, -1))
+
+
+def gram(u: np.ndarray) -> np.ndarray:
+    """u u^dag over the last two axes, one per sample."""
+    return u @ u.conj().swapaxes(-1, -2)
 
 
 def _norms(amplitudes: np.ndarray) -> np.ndarray:
@@ -96,8 +108,7 @@ class FockSpace:
         """Probability weight in the top TAIL_WIDTH + 1 Fock levels of a
         joint state (per sample for a stack)."""
         lo = max(0, self.n_max - TAIL_WIDTH)
-        tail = amplitudes[..., lo:]
-        return per_sample(np.sum(tail.real**2 + tail.imag**2, axis=(-2, -1)))
+        return per_sample(squared_norm(amplitudes[..., lo:]))
 
     def check_tail(self, amplitudes: np.ndarray, times: float | np.ndarray) -> None:
         """Refuse a joint state whose tail population exceeds
@@ -122,7 +133,7 @@ class CompositeState:
     fock.dim) and one time per sample; every sample is validated.
     """
 
-    __slots__ = ("amplitudes", "dicke", "fock", "time", "_parity")
+    __slots__ = ("amplitudes", "dicke", "fock", "time", "_parity", "_split")
 
     def __init__(self, amplitudes, dicke: DickeSpace, fock: FockSpace,
                  time: float | np.ndarray = 0.0, copy: bool = True,
@@ -149,6 +160,7 @@ class CompositeState:
         object.__setattr__(self, "dicke", dicke)
         object.__setattr__(self, "fock", fock)
         object.__setattr__(self, "time", per_sample(times))
+        object.__setattr__(self, "_split", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("CompositeState is immutable")
@@ -183,12 +195,37 @@ class CompositeState:
             object.__setattr__(self, "_parity", parity)
         return self._parity
 
-    def photon_parity_rows(self, offset: int) -> slice:
-        """Rows k that hold the columns n = offset (mod 2): k = offset + Pi
-        (mod 2) for a state of definite parity, else every row."""
-        if self.parity is None:
-            return slice(None)
-        return slice((offset + self.parity) % 2, None, 2)
+    def __getitem__(self, index) -> CompositeState:
+        """The samples ``index`` selects.  Any subset of a stack of definite
+        parity has that parity, so it keeps it and what the split has formed;
+        a subset of a stack of no parity may have one, so it decides afresh."""
+        part = CompositeState(self.amplitudes[index], self.dicke, self.fock,
+                              time=self.time[index], copy=False, validate=False)
+        if getattr(self, "_parity", None) is not None:
+            object.__setattr__(part, "_parity", self._parity)
+            part._split.update((key, kept[index]) for key, kept in self._split.items())
+        return part
+
+    def photon_parity_weight(self, offset: int) -> np.ndarray:
+        """|u_o|^2, the probability of photon parity o = ``offset``, per sample."""
+        return self._split_part(offset, squared_norm)[1]
+
+    def photon_parity_gram(self, offset: int) -> tuple[slice, np.ndarray]:
+        """Rows of photon parity o = ``offset`` and u_o u_o^dag on them, per sample."""
+        return self._split_part(offset, gram)
+
+    def _split_part(self, offset: int, form) -> tuple[slice, np.ndarray]:
+        """Rows of photon parity o = ``offset`` and ``form`` of its amplitudes
+        u_o, formed once per state: u_o holds the columns n = o (mod 2) on the
+        rows k = o + Pi (mod 2) for a state of definite parity (the other
+        rows are zero there), else on every row.  The key holds the parity,
+        so a state read as one of no parity (the tests' generic path) keeps
+        its own."""
+        rows = slice(None) if self.parity is None else slice((offset + self.parity) % 2, None, 2)
+        key = (form, offset, self.parity)
+        if key not in self._split:
+            self._split[key] = form(self.amplitudes[..., rows, offset::2])
+        return rows, self._split[key]
 
 
 class ElectronDensityMatrix:
@@ -236,22 +273,14 @@ class ElectronDensityMatrix:
 
 def reduce_to_electron(state: CompositeState) -> ElectronDensityMatrix:
     """Trace out the photon mode: rho[m, m'] = sum_n c[m, n] conj(c[m', n]),
-    one batched Gram for a stack of samples.
-
-    A state of definite parity takes one half-size Gram per photon parity,
-    over its columns and ``photon_parity_rows``, into a zeroed rho: the
-    entries between opposite parities of k vanish.
-    """
-    c = state.amplitudes
-    if state.parity is None:
-        rho = c @ c.conj().swapaxes(-1, -2)
-    else:
-        dim = state.dicke.dim
-        rho = np.zeros(c.shape[:-2] + (dim, dim), dtype=np.complex128)
-        for offset in (0, 1):
-            rows = state.photon_parity_rows(offset)
-            u = c[..., rows, offset::2]
-            rho[..., rows, rows] = u @ u.conj().swapaxes(-1, -2)
+    the sum of the two photon-parity Grams on their rows, batched over a
+    stack of samples.  For a state of definite parity the entries between
+    opposite parities of k vanish."""
+    dim = state.dicke.dim
+    rho = np.zeros(state.amplitudes.shape[:-2] + (dim, dim), dtype=np.complex128)
+    for offset in (0, 1):
+        rows, block = state.photon_parity_gram(offset)
+        rho[..., rows, rows] += block
     # Gram form is positive semidefinite by construction.
     return ElectronDensityMatrix(rho, state.dicke, copy=False, validate=False)
 

@@ -1,7 +1,8 @@
 """Photon measurements and the conditioned electronic states they prepare.
 
-Parity conditioning projects the Fock index onto even or odd columns, on
-the rows the state's ``photon_parity_rows`` gives for that photon parity.
+Parity conditioning projects the Fock index onto even or odd columns: it
+reads the weight and Gram of that photon parity that the state forms once
+(see ``hilbert``), as do the parity probabilities and the trace-out.
 Quadrature conditioning projects onto an x-eigenstate of
 
     x_phi = (e^{-i phi} a + e^{i phi} a^dag) / sqrt(2),
@@ -28,7 +29,8 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import (ConfigError, ImpossibleOutcomeError,
                      QuadratureConvergenceError)
-from .hilbert import CompositeState, ElectronDensityMatrix, per_sample
+from .hilbert import (CompositeState, ElectronDensityMatrix, gram, per_sample,
+                      squared_norm)
 
 PROBABILITY_FLOOR = 1e-14
 WINDOW_RHO_ATOL = 1e-8
@@ -140,15 +142,18 @@ def quadrature_amplitudes(x: float, phi: float, n_max: int) -> np.ndarray:
 def parity_probabilities(
         state: CompositeState) -> tuple[float | np.ndarray, float | np.ndarray]:
     """(p_even, p_odd); sums to the squared norm of the state (per sample
-    for a stack).  For a state of definite parity each is the weight of the
-    outcome's ``photon_parity_rows``, summed as whole contiguous rows."""
-    if state.parity is None:
-        p = state.photon_distribution()
-        return per_sample(p[..., 0::2].sum(axis=-1)), per_sample(p[..., 1::2].sum(axis=-1))
-    flat = state.amplitudes.view(np.float64)
-    rows = np.einsum("...kn,...kn->...k", flat, flat)
-    return tuple(per_sample(rows[..., state.photon_parity_rows(offset)].sum(axis=-1))
-                 for offset in (0, 1))
+    for a stack).  Each is the weight of that photon parity, the same
+    number ``parity_postselect`` reports as its probability."""
+    return tuple(per_sample(state.photon_parity_weight(offset)) for offset in (0, 1))
+
+
+def _refuse_impossible(prob: np.ndarray, what: str) -> None:
+    """A norm below PROBABILITY_FLOOR in any sample means ``what`` cannot
+    occur there; the refusal masks the samples where it can."""
+    possible = prob >= PROBABILITY_FLOOR
+    if not possible.all():
+        raise ImpossibleOutcomeError(f"{what} has probability {np.min(prob):.3e}",
+                                     possible)
 
 
 def _gram(u: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -156,15 +161,11 @@ def _gram(u: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
 
     ``u`` (..., dim_e, k) holds the projected amplitudes, one column per
     orthogonal branch of the measured operator; returns (|u|^2, rho) per
-    sample.  A norm below PROBABILITY_FLOOR in any sample means ``what``
-    cannot occur there; the refusal masks the samples where it can.
+    sample.
     """
-    prob = np.sum(u.real**2 + u.imag**2, axis=(-2, -1))
-    possible = prob >= PROBABILITY_FLOOR
-    if not possible.all():
-        raise ImpossibleOutcomeError(f"{what} has probability {np.min(prob):.3e}",
-                                     possible)
-    return prob, (u @ u.conj().swapaxes(-1, -2)) / prob[..., None, None]
+    prob = squared_norm(u)
+    _refuse_impossible(prob, what)
+    return prob, gram(u) / prob[..., None, None]
 
 
 def _result(prob: np.ndarray, rho: np.ndarray, state: CompositeState,
@@ -178,15 +179,15 @@ def _result(prob: np.ndarray, rho: np.ndarray, state: CompositeState,
 
 def parity_postselect(state: CompositeState, outcome: ParityOutcome) -> PostselectionResult:
     """Condition on a photon-parity readout; errors on impossible outcomes.
-    One Gram over the outcome's columns and ``photon_parity_rows`` gives
-    the conditioned state's only nonzero block."""
-    c = state.amplitudes
-    rows = state.photon_parity_rows(outcome.offset)
-    prob, block = _gram(c[..., rows, outcome.offset::2],
-                        f"parity outcome {outcome.label!r}")
+    The state's weight and Gram of that photon parity give the probability
+    and the conditioned state's only nonzero block."""
+    prob = state.photon_parity_weight(outcome.offset)
+    # formed before a refusal, so a sub-stack of the possible samples slices it
+    rows, block = state.photon_parity_gram(outcome.offset)
+    _refuse_impossible(prob, f"parity outcome {outcome.label!r}")
     dim = state.dicke.dim
-    rho = np.zeros(c.shape[:-2] + (dim, dim), dtype=np.complex128)
-    rho[..., rows, rows] = block
+    rho = np.zeros(state.amplitudes.shape[:-2] + (dim, dim), dtype=np.complex128)
+    rho[..., rows, rows] = block / prob[..., None, None]
     return _result(prob, rho, state, outcome.label)
 
 

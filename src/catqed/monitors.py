@@ -6,13 +6,15 @@ named monitor; ``build_quadrature_monitors`` adds the two that need a
 caller's ``QuadratureSpec``.  ``run`` builds one context per block, and
 every electron state a monitor reads (the trace-out, a parity branch or a
 quadrature readout) is formed once per block in its ``memo``, as one stack
-over the block's samples, however many monitors read it.
+over the block's samples, however many monitors read it; the trace-out and
+the parity readouts share the block's photon-parity Grams (see ``hilbert``).
 
 Conditioned quantities are undefined where the conditioning outcome has
 (numerically) zero probability; those samples record NaN (or a probability
 of 0) rather than aborting the run.  A readout that refuses a block masks
 the samples where its outcome can occur (``ImpossibleOutcomeError.possible``),
-and those are read as one stack, so every sample keeps the value of its own
+and those are read as one sub-stack (``state[possible]``, which keeps the
+block's parity and Grams), so every sample keeps the value of its own
 single-sample readout.
 """
 
@@ -70,9 +72,7 @@ def _conditioned(ctx: MonitorContext,
         state = ctx.state
         possible, result = np.ones(len(state.amplitudes), dtype=bool), None
         while result is None and possible.any():
-            kept = state if possible.all() else CompositeState(
-                state.amplitudes[possible], state.dicke, state.fock,
-                time=state.time[possible], copy=False, validate=False)
+            kept = state if possible.all() else state[possible]
             try:
                 result = _read(kept, outcome, ctx.params.omega)
             except ImpossibleOutcomeError as refusal:

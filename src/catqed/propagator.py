@@ -445,10 +445,8 @@ def snapshots(initial: CompositeState, params: ModelParams, times: Sequence[floa
     """States at the requested times, each snapped to the sampling grid."""
     steps = snapped_steps(times, dt)
     grid = sorted(set(steps))
-    samples = (CompositeState(psi, state.dicke, state.fock, time=t, copy=False,
-                              validate=False)
-               for state, _ in _evolve(initial, params, grid, dt)
-               for psi, t in zip(state.amplitudes, state.time))
+    samples = (state[k] for state, _ in _evolve(initial, params, grid, dt)
+               for k in range(len(state.time)))
     captured = dict(zip(grid, samples))
     return [captured[s] for s in steps]
 

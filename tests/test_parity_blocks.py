@@ -165,7 +165,7 @@ def test_even_cat_trace_out_at_eight_qubits_splits_its_eigh(monkeypatch):
     assert sorted(set(shapes)) == [(3, 3), (4, 4), (5, 5)]
 
 
-def test_a_stack_of_both_parities_takes_the_generic_path():
+def test_a_stack_of_both_parities_takes_the_generic_path(monkeypatch):
     # the decision covers the whole stack: an even-cat sample stacked with an
     # odd-cat one has no parity, and each keeps the readouts it has alone
     params = MODELS["full"]
@@ -182,18 +182,66 @@ def test_a_stack_of_both_parities_takes_the_generic_path():
         for name in ("even", "odd", "probabilities", "qfi", "fisher"):
             for got, ref in zip(together[name], alone[name]):
                 assert close(got[i], ref), name
+    # the even sample alone has a parity the stack does not: its sub-stack
+    # decides it afresh and reads its own half-size Grams
+    scanned = count_scans(monkeypatch)
+    part = stack[[True, False]]
+    assert part.parity == 0
+    assert scanned == [part]
+    alone = readouts(one(*pair[0]))
+    assert close(readouts(part)["trace-out"][0], alone["trace-out"])
+
+
+def test_a_sub_stack_keeps_its_parity_and_readouts(monkeypatch):
+    block = sampled_block(cat_initial(3.0, 1.0), MODELS["full"])
+    whole = readouts(block)
+    scanned = count_scans(monkeypatch)
+    for index in ([True, False, True, False, True], slice(1, 3)):
+        part = block[index]
+        assert part.parity == 0
+        picked = np.arange(len(block.time))[index]
+        got = readouts(part)
+        assert np.array_equal(got["trace-out"], whole["trace-out"][index])
+        for j, i in enumerate(picked):
+            alone = readouts(one(block.amplitudes[i], block.time[i]))
+            assert np.array_equal(got["trace-out"][j], alone["trace-out"])
+            for name in ("even", "odd", "probabilities", "qfi", "fisher"):
+                for value, ref in zip(got[name], alone[name]):
+                    assert np.array_equal(value[j], ref), name
+    # an integer selects one state, whose readouts are those it has alone
+    got, alone = readouts(block[3]), readouts(one(block.amplitudes[3], block.time[3]))
+    assert np.array_equal(got["trace-out"], alone["trace-out"])
+    for name in ("even", "odd", "probabilities", "qfi", "fisher"):
+        for value, ref in zip(got[name], alone[name]):
+            assert np.array_equal(value, ref) and type(value) is type(ref), name
+    # only the single states read alone were scanned
+    assert [np.ndim(state.time) for state in scanned] == [0] * 6
+
+
+def test_parity_probabilities_are_the_postselection_probabilities():
+    blocks = {
+        "even-cat block": sampled_block(cat_initial(3.0, 1.0), MODELS["rwa"]),
+        "odd-cat snapshot": cq.snapshots(cat_initial(3.0, -1.0), MODELS["rwa"], [2.5])[0],
+        "kitten block": sampled_block(cq.prepare_initial(cq.PhotonicSpec("kitten", 2.0),
+                                                         N_QUBITS, n_max=N_MAX),
+                                      MODELS["full"]),
+    }
+    for name, state in blocks.items():
+        probabilities = cq.parity_probabilities(state)
+        for outcome in cq.ParityOutcome:
+            conditioned = cq.parity_postselect(state, outcome).probability
+            assert np.array_equal(probabilities[outcome.offset], conditioned), name
 
 
 FLAGSHIP_MONITORS = ("qfi_density", "qfi_density_even", "prob_even", "prob_odd")
 
 
-@pytest.mark.parametrize("monitors, restacked", [
-    (FLAGSHIP_MONITORS, []), (FLAGSHIP_MONITORS + ("qfi_density_odd",), [8])],
-    ids=["flagship", "with-odd-outcome"])
-def test_a_run_scans_each_block_once(monitors, restacked, monkeypatch):
+@pytest.mark.parametrize("monitors", [FLAGSHIP_MONITORS, FLAGSHIP_MONITORS + ("qfi_density_odd",)],
+                         ids=["flagship", "with-odd-outcome"])
+def test_a_run_scans_each_block_once(monitors, monkeypatch):
     # flagship inputs: 101 samples in 12 blocks of at most 9.  The odd outcome
     # is impossible at t = 0, so that monitor reads the first block's 8
-    # possible samples as one more stack, scanned once
+    # possible samples as a sub-stack, which keeps the block's parity
     params = cq.ModelParams(n_qubits=8, gamma=0.01)
     initial = cq.prepare_initial(cq.PhotonicSpec("even_cat", 10.0), 8, n_max=188)
     plan = cq.PropagationPlan(t_max=10.0, sample_stride=100, monitors=monitors)
@@ -201,7 +249,7 @@ def test_a_run_scans_each_block_once(monitors, restacked, monkeypatch):
     series = cq.run(initial, params, plan)
     assert series.times.size == 101
     sizes = [np.size(state.time) for state in scanned]
-    assert sizes == [9] + restacked + [9] * 10 + [2]
+    assert sizes == [9] * 11 + [2]
     assert all(state.parity == 0 for state in scanned)
 
 
@@ -214,3 +262,25 @@ def test_a_snapshot_is_scanned_once_for_its_three_parity_readouts(monkeypatch):
         cq.parity_postselect(snap, outcome)
     assert scanned == [snap]
     assert snap.parity == 1
+
+
+@pytest.mark.parametrize("monitors, per_block", [
+    (("qfi_density", "qfi_density_even", "prob_even", "prob_odd"), 2),
+    (("qfi_density", "qfi_density_even", "qfi_density_odd"), 2),
+    (("qfi_density_odd", "qfi_density"), 2),
+    (("prob_even", "prob_odd"), 0)],
+    ids=["flagship", "with-odd-outcome", "odd-outcome-first", "probabilities"])
+def test_a_block_forms_each_photon_parity_gram_once(monitors, per_block, monkeypatch):
+    # the trace-out and the parity readouts share the two Grams of a block,
+    # also where the odd outcome is refused at t = 0 and its 8 possible
+    # samples are read as a sub-stack; the parity probabilities are the
+    # weights, which need none
+    formed = []
+    real_gram = hilbert.gram
+    monkeypatch.setattr(hilbert, "gram", lambda u: formed.append(u.shape) or real_gram(u))
+    params = cq.ModelParams(n_qubits=8, gamma=0.01)
+    initial = cq.prepare_initial(cq.PhotonicSpec("even_cat", 10.0), 8, n_max=188)
+    plan = cq.PropagationPlan(t_max=10.0, sample_stride=100, monitors=monitors)
+    cq.run(initial, params, plan)
+    assert len(formed) == 12 * per_block
+    assert sorted(set(shape[-2] for shape in formed)) == ([4, 5] if per_block else [])
