@@ -199,6 +199,8 @@ class CompositeState:
         """The samples ``index`` selects.  Any subset of a stack of definite
         parity has that parity, so it keeps it and what the split has formed;
         a subset of a stack of no parity may have one, so it decides afresh."""
+        if self.amplitudes.ndim == 2:
+            raise DimensionMismatchError("a single state is not a stack of samples to index")
         part = CompositeState(self.amplitudes[index], self.dicke, self.fock,
                               time=self.time[index], copy=False, validate=False)
         if getattr(self, "_parity", None) is not None:
@@ -218,11 +220,9 @@ class CompositeState:
         """Rows of photon parity o = ``offset`` and ``form`` of its amplitudes
         u_o, formed once per state: u_o holds the columns n = o (mod 2) on the
         rows k = o + Pi (mod 2) for a state of definite parity (the other
-        rows are zero there), else on every row.  The key holds the parity,
-        so a state read as one of no parity (the tests' generic path) keeps
-        its own."""
+        rows are zero there), else on every row."""
         rows = slice(None) if self.parity is None else slice((offset + self.parity) % 2, None, 2)
-        key = (form, offset, self.parity)
+        key = (form, offset)
         if key not in self._split:
             self._split[key] = form(self.amplitudes[..., rows, offset::2])
         return rows, self._split[key]

@@ -92,11 +92,7 @@ def _qfi_density(outcome: Outcome) -> MonitorFn:
 
 
 def _parity_prob(outcome: ParityOutcome) -> MonitorFn:
-    def fn(ctx: MonitorContext) -> np.ndarray:
-        if "parity" not in ctx.memo:
-            ctx.memo["parity"] = parity_probabilities(ctx.state)
-        return ctx.memo["parity"][outcome.offset]
-    return fn
+    return lambda ctx: parity_probabilities(ctx.state)[outcome.offset]
 
 
 def _expectation(name: str) -> MonitorFn:

@@ -23,8 +23,8 @@ product of the coefficient table with the ring.  A block of samples tau
 apart thus costs about r times its span in terms, where expanding each
 interval on its own pays the Bessel tail once per sample: at the
 full-model kitten (r = 52, tau = 0.01) 18 samples take 35 terms instead of
-18 x 13.  The recurrence restarts inside a block only where one
-coefficient table would pass MAX_CHEBYSHEV_TERMS.
+18 x 13.  Every block is read off one table, so a block is cut short
+where its table would pass MAX_CHEBYSHEV_TERMS.
 
 In the RWA model K = Jz + n commutes with H, so
 
@@ -58,7 +58,7 @@ diagonal of H' vanishes and the apply skips it.
 The result is exact on the truncated space up to rounding, so ``dt`` only
 fixes the sampling grid.  Each sample is renormalized; its
 pre-renormalization norm deviation is kept as a diagnostic.  ``_evolve``
-writes consecutive sampled states into blocks of at most
+writes consecutive sampled states into the evolver's blocks of at most
 SAMPLE_BLOCK_BYTES of amplitudes, for ``run`` and ``snapshots`` alike, and
 ``run`` evaluates every monitor once per block, through one
 ``MonitorContext`` (see ``monitors``), never inside the recurrence.
@@ -66,6 +66,7 @@ SAMPLE_BLOCK_BYTES of amplitudes, for ``run`` and ``snapshots`` alike, and
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -93,9 +94,9 @@ CHEBYSHEV_TOL = 1e-16
 
 # Bessel values one coefficient table may hold, samples times orders: one
 # recurrence spans its samples with about r * span terms.  A table takes 16
-# bytes a value (24 while it is built), so at this limit a segment holds
-# 160 MB of coefficients; the evolver keeps those of the last block's
-# segments, and a block splits into more than one only past this limit.
+# bytes a value (24 while it is built), so the one table of a block holds
+# at most 160 MB of coefficients; the evolver keeps the last block's, and a
+# block is cut short only where it would pass this limit.
 MAX_CHEBYSHEV_TERMS = 10_000_000
 
 # Amplitudes of one block of samples evaluated and read out together (at
@@ -220,9 +221,12 @@ class _Chebyshev:
             self._band_cells = np.flatnonzero(cells >= 0)
             self._grid_cells = cells[self._band_cells]
             self._omega_k = params.omega * (sectors - initial.dicke.j)
-        # the vectors T_k of ``_expand``, at least three; slot 0 holds psi
-        # between blocks
-        self._ring = np.zeros((3,) + action.shape, dtype=np.complex128)
+        # samples of a block: at least one, at most SAMPLE_BLOCK_BYTES of
+        # amplitudes on the grid
+        self.block = max(1, SAMPLE_BLOCK_BYTES // (16 * initial.amplitudes.size))
+        # the vectors T_k of ``_expand``, one per row of a block's table and
+        # at least three; slot 0 holds psi between blocks
+        self._ring = np.zeros((max(self.block, 3),) + action.shape, dtype=np.complex128)
         self._slots = list(self._ring)
         if params.rwa:
             self.psi.flat[self._band_cells] = initial.amplitudes.flat[self._grid_cells]
@@ -240,10 +244,9 @@ class _Chebyshev:
         if params.rwa and not action.diag.any():
             action.diag = None
         self.dt, self.step = dt, 0
-        # the last block's step offsets from psi with each of its
-        # ``_segments`` as (start, stop, coeffs, folds) of ``_coefficients``:
-        # one plan serves every block of a regular grid
-        self._plan: tuple = ((), [])
+        # the last block's step offsets from psi with the (coeffs, folds) of
+        # its ``_coefficients``: one plan serves every block of a regular grid
+        self._plan: tuple = ((), None, None)
 
     @property
     def psi(self) -> np.ndarray:
@@ -259,52 +262,54 @@ class _Chebyshev:
         out.reshape(count, -1)[:, self._grid_cells] = \
             bands.reshape(count, -1)[:, self._band_cells]
 
+    def blocks(self, steps: Sequence[int]) -> list[Sequence[int]]:
+        """Consecutive runs of the increasing grid ``steps``, none before
+        ``step``, that ``sample`` reads off one coefficient table each: at
+        most ``block`` samples, cut before the sample whose table (the
+        run's samples past its start state times the Bessel orders of that
+        sample's interval) would pass MAX_CHEBYSHEV_TERMS.  A run starts
+        from the last step of the one before, so the runs depend on
+        ``steps`` and ``step`` alone; a sample interval that passes the
+        limit on its own is refused."""
+        def orders(j: int, limit: float = math.inf, context: str = "") -> int:
+            return bessel_cut(self._half_width * ((steps[j] - base) * self.dt), limit, context)
+
+        runs, start, base = [], 0, self.step
+        while start < len(steps):
+            first = start + (steps[start] == base)    # a zero offset is psi itself
+            stop = min(start + self.block, len(steps))
+            if first < stop:
+                orders(first, MAX_CHEBYSHEV_TERMS,
+                       "sample that interval more finely: its r * tau =")
+                # the table grows with each sample: keep the longest run that fits
+                stop = first + bisect.bisect_right(range(first, stop), MAX_CHEBYSHEV_TERMS,
+                                                   key=lambda j: (j + 1 - first) * orders(j))
+            runs.append(steps[start:stop])
+            start, base = stop, steps[stop - 1]
+        return runs
+
     def sample(self, steps: Sequence[int], out: np.ndarray) -> np.ndarray:
-        """Write the lab-frame states at the increasing grid ``steps``, none
-        before ``step``, into ``out``, a stack that holds zeros, and move
-        psi to the last of them.  Each segment of ``_segments`` is read off
-        one recurrence from the state it starts at; returns every sample's
-        |pre-renorm norm - 1|."""
+        """Write the lab-frame states at ``steps``, one run of ``blocks``,
+        into ``out``, a stack that holds zeros, and move psi to the last of
+        them.  The run is read off one recurrence from psi; returns every
+        sample's |pre-renorm norm - 1|."""
         count = len(steps)
         rows = (out.reshape(count, -1) if self._omega_k is None
                 else np.empty((count, self.psi.size), dtype=np.complex128))
         drift = np.zeros(count)
         offsets = tuple(s - self.step for s in steps)
-        if offsets != self._plan[0]:
-            self._plan = offsets, [(start, stop, *self._coefficients(segment))
-                                   for start, stop, segment in self._segments(offsets)]
-        if offsets[0] == 0:                       # psi itself, unchanged
+        first = int(offsets[0] == 0)
+        if first:                                 # psi itself, unchanged
             rows[0] = self.psi.reshape(-1)
-        for start, stop, coeffs, folds in self._plan[1]:
-            self._expand(coeffs, folds, rows[start:stop], drift[start:stop])
-            self.psi[...] = rows[stop - 1].reshape(self.psi.shape)
+        if first < count:
+            if offsets != self._plan[0]:
+                self._plan = offsets, *self._coefficients(offsets[first:])
+            self._expand(*self._plan[1:], rows[first:], drift[first:])
+            self.psi[...] = rows[-1].reshape(self.psi.shape)
         self.step = steps[-1]
         if self._omega_k is not None:
             self.lab_amplitudes(np.asarray(steps) * self.dt, rows, out)
         return drift
-
-    def _segments(self, offsets: tuple[int, ...]) -> list[tuple[int, int, tuple[int, ...]]]:
-        """(start, stop, step offsets from the segment's start state) of the
-        segments that split the samples ``offsets`` steps past psi, leaving
-        out a zero first offset.  A segment ends before the sample that
-        would take its coefficient table, samples times Bessel orders, past
-        MAX_CHEBYSHEV_TERMS, and the next one starts from its last sample; a
-        sample interval that passes the limit alone is refused."""
-        def r_tau(j: int) -> float:
-            return self._half_width * ((offsets[j] - base) * self.dt)
-
-        spans, first, base = [], int(offsets[0] == 0), 0
-        for j in range(first, len(offsets)):
-            if j > first and (j + 1 - first) * bessel_cut(r_tau(j), math.inf, "") \
-                    > MAX_CHEBYSHEV_TERMS:
-                spans.append((first, j, base))
-                first, base = j, offsets[j - 1]
-            if j == first:
-                bessel_cut(r_tau(j), MAX_CHEBYSHEV_TERMS,
-                           "sample that interval more finely: its r * tau =")
-        if first < len(offsets):
-            spans.append((first, len(offsets), base))
-        return [(a, b, tuple(o - base for o in offsets[a:b])) for a, b, base in spans]
 
     def _coefficients(self, offsets: tuple[int, ...]) -> tuple[np.ndarray, list]:
         """Coefficients of the samples ``offsets`` steps past psi, each row
@@ -329,12 +334,7 @@ class _Chebyshev:
         three: the recurrence reads two back), and each full ring is folded
         into ``rows`` by one product with the ring's columns of the
         coefficient table, over the rows whose sums still run."""
-        size = max(len(rows), 3)
-        if len(self._slots) < size:
-            ring = np.empty((size,) + self.psi.shape, dtype=np.complex128)
-            ring[0] = self.psi
-            self._ring, self._slots = ring, list(ring)
-        slots = self._slots[:size]
+        slots = self._slots[:max(len(rows), 3)]
         flat = self._ring.reshape(len(self._ring), -1)
         apply = self.action.apply
         for first, end, live in folds:
@@ -387,14 +387,11 @@ class TimeSeries:
 
 def _evolve(initial: CompositeState, params: ModelParams, steps: Sequence[int],
             dt: float):
-    """Yield (stacked state, norm drifts) for consecutive blocks of the
-    increasing grid ``steps``, each of at most SAMPLE_BLOCK_BYTES of
-    amplitudes (at least one sample) and read off one recurrence unless the
-    term limit splits it; the truncation tail is guarded at every sample."""
+    """Yield (stacked state, norm drifts) for the consecutive ``blocks`` of
+    the increasing grid ``steps``, each read off one recurrence; the
+    truncation tail is guarded at every sample."""
     evolver = _Chebyshev(initial, params, dt)
-    block = max(1, SAMPLE_BLOCK_BYTES // (16 * initial.amplitudes.size))
-    for start in range(0, len(steps), block):
-        chunk = steps[start:start + block]
+    for chunk in evolver.blocks(steps):
         amplitudes = np.zeros((len(chunk),) + initial.amplitudes.shape, dtype=np.complex128)
         drift = evolver.sample(chunk, amplitudes)
         times = np.asarray(chunk) * dt

@@ -168,6 +168,12 @@ def test_stack_needs_one_time_per_sample(rng):
         cq.CompositeState(amps, cq.DickeSpace(1), cq.FockSpace(4), time=0.0)
 
 
+def test_a_single_state_cannot_be_indexed(rng):
+    state = random_joint(rng, 1, 4)
+    with pytest.raises(cq.DimensionMismatchError, match="not a stack of samples"):
+        state[0]
+
+
 def test_stacked_reduction_matches_each_sample(rng):
     states = [random_joint(rng, 3, 7) for _ in range(5)]
     stack = cq.CompositeState(np.stack([s.amplitudes for s in states]), cq.DickeSpace(3),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import catqed as cq
-from catqed import measurement, monitors, propagator
+from catqed import hilbert, measurement, monitors, propagator
 from catqed.stateprep import coherent_matrix
 
 
@@ -37,16 +37,20 @@ def test_each_state_is_formed_once_per_block(monkeypatch, per_block, blocks):
     if per_block is not None:
         monkeypatch.setattr(propagator, "SAMPLE_BLOCK_BYTES", _block_bytes(state, per_block))
     measurement._window_rule.cache_clear()
-    log = []
+    log, norms = [], []
     _counted(monkeypatch, monitors, "quadrature_postselect", log)
-    _counted(monkeypatch, monitors, "parity_probabilities", log)
     _counted(monkeypatch, monitors, "reduce_to_electron", log)
     _counted(monkeypatch, measurement, "hermite_functions", log)
+    real_norm = hilbert.squared_norm
+    monkeypatch.setattr(hilbert, "squared_norm", lambda u: norms.append(u.shape) or real_norm(u))
     series = cq.run(state, params, plan,
                     extra_monitors=cq.build_quadrature_monitors(spec))
     assert series.times.size == 11
-    for name in ("quadrature_postselect", "parity_probabilities", "reduce_to_electron"):
+    for name in ("quadrature_postselect", "reduce_to_electron"):
         assert log.count(name) == blocks, name
+    # prob_even and prob_odd are the state's two photon-parity weights, formed
+    # once per block; check_tail's sums span the top TAIL_WIDTH + 1 levels
+    assert sum(shape[-1] != hilbert.TAIL_WIDTH + 1 for shape in norms) == 2 * blocks
     # the window tables are built inside the first block's readout only
     first, *later = [i for i, name in enumerate(log) if name == "quadrature_postselect"]
     tables = [i for i, name in enumerate(log) if name == "hermite_functions"]

@@ -102,10 +102,12 @@ def test_sampled_cats_keep_their_parity_exactly(cat_block):
 
 
 def test_parity_readouts_match_the_generic_path(cat_block, monkeypatch):
+    # a fresh state of the same amplitudes: the block keeps the photon-parity
+    # split its own readouts formed
     block, _ = cat_block
     fast = readouts(block)
     generic(monkeypatch)
-    slow = readouts(block)
+    slow = readouts(one(block.amplitudes, block.time))
     for name in ("trace-out", "qfi", "fisher"):
         assert close(fast[name], slow[name]), name
     for name in ("even", "odd", "probabilities"):
@@ -128,12 +130,11 @@ def test_each_parity_outcome_is_one_block_of_the_trace_out(cat_block):
 
 def test_impossible_outcome_is_refused_at_the_same_floor(monkeypatch):
     # at t = 0 the odd cat holds no even photon number; both paths refuse
-    state = cat_initial(2.0, -1.0)
     with pytest.raises(cq.ImpossibleOutcomeError, match="'even' has probability"):
-        cq.parity_postselect(state, cq.ParityOutcome.EVEN)
+        cq.parity_postselect(cat_initial(2.0, -1.0), cq.ParityOutcome.EVEN)
     generic(monkeypatch)
     with pytest.raises(cq.ImpossibleOutcomeError, match="'even' has probability"):
-        cq.parity_postselect(state, cq.ParityOutcome.EVEN)
+        cq.parity_postselect(cat_initial(2.0, -1.0), cq.ParityOutcome.EVEN)
 
 
 @pytest.mark.parametrize("spec", [cq.PhotonicSpec("kitten", 2.0),
@@ -284,3 +285,18 @@ def test_a_block_forms_each_photon_parity_gram_once(monitors, per_block, monkeyp
     cq.run(initial, params, plan)
     assert len(formed) == 12 * per_block
     assert sorted(set(shape[-2] for shape in formed)) == ([4, 5] if per_block else [])
+
+
+def test_a_block_forms_each_photon_parity_weight_once(monkeypatch):
+    # prob_even and prob_odd read the two weights the state keeps; check_tail's
+    # sums over the top TAIL_WIDTH + 1 levels are the other squared norms
+    formed = []
+    real_norm = hilbert.squared_norm
+    monkeypatch.setattr(hilbert, "squared_norm",
+                        lambda u: formed.append(u.shape) or real_norm(u))
+    params = cq.ModelParams(n_qubits=8, gamma=0.01)
+    initial = cq.prepare_initial(cq.PhotonicSpec("even_cat", 10.0), 8, n_max=188)
+    plan = cq.PropagationPlan(t_max=10.0, sample_stride=100, monitors=("prob_even", "prob_odd"))
+    cq.run(initial, params, plan)
+    weights = [shape[-2:] for shape in formed if shape[-1] != hilbert.TAIL_WIDTH + 1]
+    assert sorted(weights) == [(4, 94)] * 12 + [(5, 95)] * 12

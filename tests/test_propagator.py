@@ -117,17 +117,25 @@ def test_a_block_spanning_a_thousand_rabi_periods(rwa, monkeypatch):
         assert np.abs(state.amplitudes.ravel() - ref).max() < 1e-12
 
 
-def test_a_block_past_the_term_limit_restarts_inside_it(monkeypatch):
-    # full-model kitten, r = 52: each unit interval needs 133 Bessel orders,
-    # under a limit of 200, but one table for the block's three intervals
-    # would need 262 orders for its last sample.  The block restarts the
-    # recurrence at its samples instead of refusing the run.
+def full_kitten():
+    """Full-model kitten of half-width r = 52: each unit interval needs 133
+    Bessel orders, and two of them from one state 199."""
     params = cq.ModelParams(n_qubits=8, gamma=0.01, rwa=False)
-    initial = cq.prepare_initial(cq.PhotonicSpec("kitten", 6.0), 8, n_max=96)
+    return params, cq.prepare_initial(cq.PhotonicSpec("kitten", 6.0), 8, n_max=96)
+
+
+def test_a_block_past_the_term_limit_is_cut_short(monkeypatch):
+    # under a limit of 200 values the four samples 0, 1, 2, 3 fit one block of
+    # 18, but a table of two unit intervals would hold 2 x 199 values: the
+    # block is cut into runs of one interval each instead of refusing the run
+    params, initial = full_kitten()
     plan = cq.PropagationPlan(t_max=3.0, sample_stride=1000,
                               monitors=("photon_number", "jx", "energy"))
     free = cq.run(initial, params, plan)
     monkeypatch.setattr(propagator, "MAX_CHEBYSHEV_TERMS", 200)
+    evolver = _Chebyshev(initial, params, 1e-3)
+    assert evolver.block == 18
+    assert evolver.blocks([0, 1000, 2000, 3000]) == [[0, 1000], [2000], [3000]]
     limited = cq.run(initial, params, plan)
     for name, want in free.columns.items():
         got = limited.column(name)
@@ -137,6 +145,73 @@ def test_a_block_past_the_term_limit_restarts_inside_it(monkeypatch):
                        match=r"sample that interval more finely: its r \* tau = 156 "
                              r"needs 262 Bessel orders, more than 200"):
         cq.run(initial, params, cq.PropagationPlan(t_max=3.0, sample_stride=3000))
+
+
+def test_each_block_is_read_off_one_table(monkeypatch):
+    # samples 0.25 apart under a limit of 200 values: two intervals take a
+    # table of 2 x 95, three would take 3 x 114
+    params, initial = full_kitten()
+    monkeypatch.setattr(propagator, "MAX_CHEBYSHEV_TERMS", 200)
+    tables, expanded = [], []
+    coefficients, expand = _Chebyshev._coefficients, _Chebyshev._expand
+
+    def spied_coefficients(self, offsets):
+        coeffs, folds = coefficients(self, offsets)
+        tables.append(coeffs.size)
+        return coeffs, folds
+
+    def spied_expand(self, coeffs, folds, rows, drift):
+        expanded.append(len(coeffs))
+        return expand(self, coeffs, folds, rows, drift)
+
+    monkeypatch.setattr(_Chebyshev, "_coefficients", spied_coefficients)
+    monkeypatch.setattr(_Chebyshev, "_expand", spied_expand)
+    sizes, tables_read = [], []
+    for state, _ in propagator._evolve(initial, params, list(range(0, 3001, 250)), 1e-3):
+        sizes.append(len(state.time))
+        tables_read.append(expanded[:])
+        expanded.clear()
+    assert sizes == [3] + [2] * 5
+    assert tables_read == [[2]] * 6
+    assert tables and max(tables) <= 200
+
+
+def test_the_block_cut_depends_on_the_steps_alone(monkeypatch):
+    # each run starts from the last step of the one before, so cutting the
+    # rest of the grid after a run has been sampled gives the same runs
+    params, initial = full_kitten()
+    monkeypatch.setattr(propagator, "MAX_CHEBYSHEV_TERMS", 200)
+    evolver = _Chebyshev(initial, params, 1e-3)
+    steps = [0, 250, 500, 750, 1000, 1700, 1800, 2950, 3000]
+    runs = evolver.blocks(steps)
+    assert evolver.blocks(steps) == runs
+    assert [step for run in runs for step in run] == steps
+    assert len(runs) > 3 and len(set(map(len, runs))) > 1
+    first = runs[0]
+    evolver.sample(first, np.zeros((len(first),) + initial.amplitudes.shape, dtype=complex))
+    assert evolver.blocks(steps[len(first):]) == runs[1:]
+
+
+def test_the_ring_is_allocated_once(monkeypatch):
+    # snapshots read in blocks of four and two samples: the ring holds one
+    # vector per row of a full block from the start and is never replaced
+    params = cq.ModelParams(n_qubits=1, gamma=0.3)
+    initial = coherent_initial(1, 1.2, 25)
+    monkeypatch.setattr(propagator, "SAMPLE_BLOCK_BYTES", 4 * initial.amplitudes.nbytes)
+    rings = []
+    sample = _Chebyshev.sample
+
+    def spied(self, steps, out):
+        rings.append((len(steps), self._ring))
+        drift = sample(self, steps, out)
+        rings.append((len(steps), self._ring))
+        return drift
+
+    monkeypatch.setattr(_Chebyshev, "sample", spied)
+    cq.snapshots(initial, params, [0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+    assert [count for count, _ in rings] == [4, 4, 2, 2]
+    assert len(rings[0][1]) == 4
+    assert all(ring is rings[0][1] for _, ring in rings)
 
 
 def test_a_state_that_stops_being_finite_is_refused(monkeypatch):
