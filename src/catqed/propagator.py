@@ -224,14 +224,8 @@ class _Chebyshev:
         # samples of a block: at least one, at most SAMPLE_BLOCK_BYTES of
         # amplitudes on the grid
         self.block = max(1, SAMPLE_BLOCK_BYTES // (16 * initial.amplitudes.size))
-        # the vectors T_k of ``_expand``, one per row of a block's table and
-        # at least three; slot 0 holds psi between blocks
-        self._ring = np.zeros((max(self.block, 3),) + action.shape, dtype=np.complex128)
-        self._slots = list(self._ring)
-        if params.rwa:
-            self.psi.flat[self._band_cells] = initial.amplitudes.flat[self._grid_cells]
-        else:
-            self.psi[...] = initial.amplitudes
+        # the ring of ``_reserve``; psi enters it from the initial amplitudes
+        self._ring, self._initial = None, initial.amplitudes
         lo, hi = action.spectral_bounds()
         self._center, self._half_width = 0.5 * (hi + lo), 0.5 * (hi - lo)
         # A zero-width H' (RWA on resonance without coupling) is the constant
@@ -250,7 +244,23 @@ class _Chebyshev:
 
     @property
     def psi(self) -> np.ndarray:
-        return self._ring[0]
+        return self._reserve(3)[0]
+
+    def _reserve(self, slots: int) -> np.ndarray:
+        """The ring of ``_expand``, with at least ``slots`` vectors T_k
+        (one per row of a block's table, at least three); slot 0 holds psi
+        between blocks.  It is allocated on first use, holding the initial
+        state, and replaced only when asked for more slots."""
+        if self._ring is None or len(self._ring) < slots:
+            ring = np.zeros((slots,) + self.action.shape, dtype=np.complex128)
+            if self._ring is not None:
+                ring[0] = self._ring[0]
+            elif self._omega_k is None:
+                ring[0] = self._initial
+            else:
+                ring[0].flat[self._band_cells] = self._initial.flat[self._grid_cells]
+            self._ring, self._slots, self._initial = ring, list(ring), None
+        return self._ring
 
     def lab_amplitudes(self, times: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
         """Write the lab-frame states at ``times`` of the band states
@@ -270,7 +280,9 @@ class _Chebyshev:
         sample's interval) would pass MAX_CHEBYSHEV_TERMS.  A run starts
         from the last step of the one before, so the runs depend on
         ``steps`` and ``step`` alone; a sample interval that passes the
-        limit on its own is refused."""
+        limit on its own is refused.  The ring of ``_expand`` is reserved
+        here, before any ``sample``: one slot per sample of the longest run,
+        at least three."""
         def orders(j: int, limit: float = math.inf, context: str = "") -> int:
             return bessel_cut(self._half_width * ((steps[j] - base) * self.dt), limit, context)
 
@@ -286,6 +298,7 @@ class _Chebyshev:
                                                    key=lambda j: (j + 1 - first) * orders(j))
             runs.append(steps[start:stop])
             start, base = stop, steps[stop - 1]
+        self._reserve(max([3, *map(len, runs)]))
         return runs
 
     def sample(self, steps: Sequence[int], out: np.ndarray) -> np.ndarray:

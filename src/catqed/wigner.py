@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, NumericalError
-from .fileio import FLOAT_FORMAT, atomic_write_text, format_float
+from .fileio import atomic_write_text, float_cells
 from .hilbert import DickeSpace, ElectronDensityMatrix
 
 IMAG_RESIDUE_ATOL = 1e-10
@@ -101,35 +101,55 @@ class WignerGrid:
         """Write a "# J= n_theta= n_phi=" header, then one "theta phi W" line
         per grid point, theta-major, every float as ``FLOAT_FORMAT``.
 
-        Each row's first s values are formatted once, s being the smallest
-        column period of the grid (bitwise equality; see ``wigner_function``),
-        and their strings are reused in every period.  The bytes are the same
-        as formatting each value.
+        The bytes are those of formatting every value on its own; they are
+        made a block of ``THETA_BLOCK`` theta rows at a time.
+        ``float_cells`` formats the block's first s columns, s the smallest
+        column period (bitwise, see ``wigner_function``), and one byte
+        matrix lays out the block's lines from those cells, reused in every
+        period, and from the theta and phi cells.  One pass then drops the
+        cells' NUL padding.
         """
         j = self.n_qubits / 2.0
-        n_phi = self.phi.size
-        header = f"# J={j:g} n_theta={self.theta.size} n_phi={n_phi}"
+        header = f"# J={j:g} n_theta={self.theta.size} n_phi={self.phi.size}\n"
+        # the blocks are joined as they are made and released before the write
+        atomic_write_text(path, "".join([header, *self._text_blocks()]))
+
+    def _text_blocks(self):
+        """The lines after the header, one string per block of theta rows."""
+        n_theta, n_phi = self.values.shape
         period = _column_period(self.values)
-        # Each phi is formatted once into a line template, and each theta row
-        # is rendered by one %-format.  Converting one row at a time keeps the
-        # peak memory near the size of the text.
-        period_format = "\n".join([FLOAT_FORMAT] * period)
-        cells = (tuple((period_format % tuple(row[:period].tolist())).split("\n")
-                       * (n_phi // period)) for row in self.values)
-        phis = [f" {format_float(ph)} %s" for ph in self.phi]
-        rows = ((th + ("\n" + th).join(phis)) % row
-                for th, row in zip(map(format_float, self.theta), cells))
-        atomic_write_text(path, "\n".join([header, *rows, ""]))
+        theta = _cell_fields(float_cells(self.theta), " ")
+        phi = _cell_fields(float_cells(self.phi), " ").reshape(-1, period)
+        for start in range(0, n_theta, THETA_BLOCK):
+            block = self.values[start:start + THETA_BLOCK, :period]
+            cells = _cell_fields(float_cells(block), "\n").reshape(len(block), 1, period)
+            lines = np.empty((len(block),) + phi.shape, dtype=[
+                ("theta", theta.dtype), ("phi", phi.dtype), ("w", cells.dtype)])
+            lines["theta"] = theta[start:start + len(block), None, None]
+            lines["phi"] = phi
+            lines["w"] = cells
+            yield lines.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _cell_fields(cells: np.ndarray, end: str) -> np.ndarray:
+    """Each row of ``cells`` followed by ``end``, as one fixed-width field."""
+    fields = np.empty((len(cells), cells.shape[1] + 1), dtype=np.uint8)
+    fields[:, :-1] = cells
+    fields[:, -1] = ord(end)
+    return fields.view(f"V{fields.shape[1]}")[:, 0]
 
 
 def _column_period(values: np.ndarray) -> int:
     """Smallest s dividing the column count such that every row repeats
     bit for bit after s columns.  Bits, not values, are compared: 0.0 and
-    -0.0 are equal but format differently."""
+    -0.0 are equal but format differently.  Each divisor is screened on
+    the first row before the whole grid is compared."""
     n_cols = values.shape[1]
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    first = bits[:1]
     for s in range(1, n_cols):
-        if n_cols % s == 0 and np.array_equal(bits[:, s:], bits[:, :-s]):
+        if (n_cols % s == 0 and np.array_equal(first[:, s:], first[:, :-s])
+                and np.array_equal(bits[:, s:], bits[:, :-s])):
             return s
     return n_cols
 

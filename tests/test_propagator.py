@@ -214,6 +214,31 @@ def test_the_ring_is_allocated_once(monkeypatch):
     assert all(ring is rings[0][1] for _, ring in rings)
 
 
+def test_the_ring_holds_one_slot_per_sample_of_the_longest_run(monkeypatch):
+    # snapshots at three times read one run of three samples, so the ring
+    # holds three slots, not one per sample of a full block; a run of many
+    # samples fills whole blocks and holds max(block, 3)
+    params = cq.ModelParams(n_qubits=16, gamma=0.01)
+    initial = cq.prepare_initial(cq.PhotonicSpec("even_cat", 4.0), 16)
+    rings = []
+    sample = _Chebyshev.sample
+
+    def spied(self, steps, out):
+        rings.append((self.block, len(self._ring)))
+        return sample(self, steps, out)
+
+    monkeypatch.setattr(_Chebyshev, "sample", spied)
+    cq.snapshots(initial, params, [0.0, 7.85, 15.7])
+    assert rings == [(13, 3)]
+    plan = cq.PropagationPlan(t_max=0.5, sample_stride=10, monitors=("norm_drift",))
+    for block_bytes, block in ((propagator.SAMPLE_BLOCK_BYTES, 13),
+                               (initial.amplitudes.nbytes, 1)):
+        monkeypatch.setattr(propagator, "SAMPLE_BLOCK_BYTES", block_bytes)
+        rings.clear()
+        cq.run(initial, params, plan)
+        assert set(rings) == {(block, max(block, 3))}
+
+
 def test_a_state_that_stops_being_finite_is_refused(monkeypatch):
     monkeypatch.setattr(cq.HamiltonianAction, "apply",
                         lambda self, psi, out: out.fill(np.nan) or out)

@@ -293,9 +293,14 @@ def test_wigner_grid_to_file(tmp_path):
     zeros = np.tile(values[:, :2], 2)
     zeros[:, 1] = -0.0
     zeros[2, 3] = 0.0
+    # values the bulk formatter hands to format_float (subnormal, huge,
+    # tiny, inf, nan), exact ties at the 17th digit, and signed zeros
+    odd = np.array([[5e-324, 1e300, -1e-29, np.inf],
+                    [np.nan, 3 * 2.0 ** -24, 123456789012345.625, -1e17],
+                    [-0.0, 0.0, 1e-14, -2.5]])
     for cells, period in ((values, 4), (np.tile(values[:, :2], 2), 2),
                           (np.tile(values[:, :1], 4), 1), (pole, 4), (wrap, 4),
-                          (ulp, 4), (zeros, 4), (np.tile(zeros[:, :2], 2), 2)):
+                          (ulp, 4), (zeros, 4), (np.tile(zeros[:, :2], 2), 2), (odd, 4)):
         assert _column_period(cells) == period
         grid = cq.WignerGrid(theta=theta, phi=phi, values=cells, n_qubits=3)
         grid.to_file(str(path))
@@ -303,6 +308,19 @@ def test_wigner_grid_to_file(tmp_path):
             f"{format_float(th)} {format_float(ph)} {format_float(cells[i, k])}"
             for i, th in enumerate(theta) for k, ph in enumerate(phi)]
         assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
+def test_wigner_cat_grid_file_is_the_per_value_rendering(tmp_path):
+    # a default 181 x 360 grid of a parity-conditioned cat: column period
+    # 180, values across many decimal exponents, written in theta blocks
+    grid = cq.wigner_function(evolved_rho("even_cat", rwa=True, readout="even"))
+    assert _column_period(grid.values) == 180
+    path = tmp_path / "cat.dat"
+    grid.to_file(str(path))
+    expected = ["# J=4 n_theta=181 n_phi=360"] + [
+        f"{format_float(th)} {format_float(ph)} {format_float(grid.values[i, k])}"
+        for i, th in enumerate(grid.theta) for k, ph in enumerate(grid.phi)]
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
 
 
 def full_phi_values(rho, n_theta, n_phi):
