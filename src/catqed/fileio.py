@@ -1,12 +1,14 @@
 """Small file-output helpers: atomic writes and fixed-precision floats.
 
-``format_float`` renders one value as ``FLOAT_FORMAT``.  ``float_cells``
-renders a whole array to the same bytes in bulk, for the Wigner grid files:
-it finds each value's 17 correctly rounded significant digits with exact
-integer arithmetic in numpy (the scaling of Steele and White, PLDI 1990,
-done for a block of values at once), and lays them out as fixed-width byte
-cells padded with NULs.  Removing the NULs of a cell gives exactly
-``FLOAT_FORMAT % value``.
+``atomic_write_text`` streams a file's bytes, chunk by chunk as they are
+made, into a temp file that then replaces the target, so no writer holds a
+whole file.  ``format_float`` renders one value as ``FLOAT_FORMAT``.
+``float_cells`` renders a whole array to the same bytes in bulk, for the
+Wigner grid files: it finds each value's 17 correctly rounded significant
+digits with exact integer arithmetic in numpy (the scaling of Steele and
+White, PLDI 1990, done for a block of values at once), and lays them out as
+fixed-width byte cells padded with NULs.  Removing the NULs of a cell gives
+exactly ``FLOAT_FORMAT % value``.
 """
 
 from __future__ import annotations
@@ -19,27 +21,46 @@ import numpy as np
 
 # 17 significant digits round-trips IEEE doubles exactly.
 FLOAT_FORMAT = "%.17g"
-# characters per write; 1 MiB slices write as fast as one whole-text write
-WRITE_CHUNK = 1 << 20
 
 
 def format_float(value: float) -> str:
     return FLOAT_FORMAT % float(value)
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file in the target directory, then rename over.
+class ChunkedText:
+    """Text made as byte chunks: each iteration calls ``make()`` for a fresh
+    iterable of chunks, so the whole text need never be held.  ``encode()``
+    joins them, as ``str.encode`` gives a str's bytes."""
 
-    The text goes out in ``WRITE_CHUNK`` slices.  The text layer encodes each
-    write into a bytes copy, so a whole 4 MB Wigner grid file would otherwise
-    be held twice.
+    def __init__(self, make):
+        self._make = make
+
+    def __iter__(self):
+        return iter(self._make())
+
+    def encode(self) -> bytes:
+        return b"".join(self)
+
+
+def atomic_write_text(path: str, text) -> None:
+    """Write ``text`` via a temp file in the target directory, then rename over.
+
+    ``text`` is a str or an iterable of byte chunks (a ``ChunkedText``, a
+    generator); each chunk goes into the file as it comes.  If making or
+    writing a chunk fails, the temp file is closed and removed, the target
+    is left as it was, and the error propagates.
     """
+    chunks = (text.encode(),) if isinstance(text, str) else text
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "w") as handle:
-            for start in range(0, len(text), WRITE_CHUNK):
-                handle.write(text[start:start + WRITE_CHUNK])
+        try:
+            for chunk in chunks:
+                view = memoryview(chunk)
+                while view:
+                    view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

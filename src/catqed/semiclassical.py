@@ -45,9 +45,10 @@ DEFAULT_GRID_NODES = 41
 GRID_CONVERGENCE_ATOL = 1e-6
 DEGENERATE_NORM_ATOL = 1e-12
 
-# Coherent-state Fock rows contracted into the expansion at once, so that a
-# grid's footprint stays near this size whatever its node count and |alpha|.
-EXPANSION_BLOCK_BYTES = 1 << 22
+# Coherent-state Fock rows contracted into the expansion at once, next to
+# the same nodes' spin rows, so that a grid's footprint stays near a few
+# times this size whatever its node count and |alpha|.
+EXPANSION_BLOCK_BYTES = 1 << 19
 
 # The full drive fails loudly with more than FLOQUET_EDGE_TOL on its edge
 # harmonics, or with a cut whose Floquet matrix would pass 64 MiB.
@@ -320,12 +321,13 @@ def expansion_weights(spec: PhotonicSpec, nodes: int = DEFAULT_GRID_NODES):
 def _assemble(params: ModelParams, spec: PhotonicSpec, t: float,
               n_max: int, nodes: int) -> np.ndarray:
     alphas, weights = expansion_weights(spec, nodes)
-    spin = (_rabi_states(params, alphas, t) * weights[:, None]).T     # (dim, grid)
     evolved = alphas * np.exp(-1j * params.omega * t)
     rows = max(1, EXPANSION_BLOCK_BYTES // (16 * (n_max + 1)))
-    c = np.zeros((spin.shape[0], n_max + 1), dtype=np.complex128)
+    c = np.zeros((params.n_qubits + 1, n_max + 1), dtype=np.complex128)
     for lo in range(0, alphas.size, rows):
-        c += spin[:, lo:lo + rows] @ coherent_matrix(evolved[lo:lo + rows], n_max)
+        block = slice(lo, lo + rows)
+        spin = _rabi_states(params, alphas[block], t) * weights[block, None]
+        c += spin.T @ coherent_matrix(evolved[block], n_max)
     nrm = np.linalg.norm(c)
     if nrm < DEGENERATE_NORM_ATOL:
         raise StateValidationError("expansion collapsed to the zero state")

@@ -12,6 +12,10 @@ the K-th Gram (discrete Chebyshev) polynomial, orthonormal on m = -J..J.
 ``kernel_weights`` reads every p_K(m) off the eigenvectors of their Jacobi
 matrix, each signed so that p_0 > 0 (Golub and Welsch, Math. Comp. 23, 221
 (1969)).  p_K(J) is no sign reference: for K near 2J it is rounding noise.
+
+``WignerGrid.to_file`` makes a grid file's text as bytes, a block of theta
+rows at a time, and streams each block into the file, so a write takes
+memory by the block, not by the grid.
 """
 
 from __future__ import annotations
@@ -23,13 +27,17 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, NumericalError
-from .fileio import atomic_write_text, float_cells
+from .fileio import ChunkedText, atomic_write_text, float_cells
 from .hilbert import DickeSpace, ElectronDensityMatrix
 
 IMAG_RESIDUE_ATOL = 1e-10
 DEFAULT_GRID = (181, 360)
 # theta rows per block of ``wigner_function``
 THETA_BLOCK = 32
+# grid lines per block of ``WignerGrid.to_file``: 16 theta rows of 360 phi
+# columns, 4 of 1440.  Larger blocks raised a write's peak memory, smaller
+# ones its time.
+TEXT_BLOCK_LINES = 16 * 360
 
 
 @lru_cache(maxsize=64)
@@ -101,34 +109,49 @@ class WignerGrid:
         """Write a "# J= n_theta= n_phi=" header, then one "theta phi W" line
         per grid point, theta-major, every float as ``FLOAT_FORMAT``.
 
-        The bytes are those of formatting every value on its own; they are
-        made a block of ``THETA_BLOCK`` theta rows at a time.
-        ``float_cells`` formats the block's first s columns, s the smallest
-        column period (bitwise, see ``wigner_function``), and one byte
-        matrix lays out the block's lines from those cells, reused in every
-        period, and from the theta and phi cells.  One pass then drops the
-        cells' NUL padding.
+        The bytes are those of formatting every value on its own.  They are
+        made and written a block of theta rows at a time, about
+        ``TEXT_BLOCK_LINES`` lines each, so the memory a write takes does not
+        grow with the grid.  ``float_cells`` formats the block's first s
+        columns, s the smallest column period (bitwise, see
+        ``wigner_function``), and one byte matrix lays out the block's lines
+        from those cells, reused in every period, and from the theta and phi
+        cells, which are formatted once per set of angles.  One pass then
+        drops the cells' NUL padding.
         """
-        j = self.n_qubits / 2.0
-        header = f"# J={j:g} n_theta={self.theta.size} n_phi={self.phi.size}\n"
-        # the blocks are joined as they are made and released before the write
-        atomic_write_text(path, "".join([header, *self._text_blocks()]))
+        atomic_write_text(path, ChunkedText(self._text_blocks))
 
     def _text_blocks(self):
-        """The lines after the header, one string per block of theta rows."""
+        """The file's bytes: the header, then one chunk per block of theta rows."""
         n_theta, n_phi = self.values.shape
+        j = self.n_qubits / 2.0
+        yield f"# J={j:g} n_theta={self.theta.size} n_phi={self.phi.size}\n".encode()
         period = _column_period(self.values)
-        theta = _cell_fields(float_cells(self.theta), " ")
-        phi = _cell_fields(float_cells(self.phi), " ").reshape(-1, period)
-        for start in range(0, n_theta, THETA_BLOCK):
-            block = self.values[start:start + THETA_BLOCK, :period]
+        theta = _angle_fields(np.asarray(self.theta, dtype=np.float64).tobytes())
+        phi = _angle_fields(np.asarray(self.phi, dtype=np.float64).tobytes()).reshape(-1, period)
+        rows = max(1, TEXT_BLOCK_LINES // n_phi)
+        for start in range(0, n_theta, rows):
+            block = self.values[start:start + rows, :period]
             cells = _cell_fields(float_cells(block), "\n").reshape(len(block), 1, period)
             lines = np.empty((len(block),) + phi.shape, dtype=[
                 ("theta", theta.dtype), ("phi", phi.dtype), ("w", cells.dtype)])
             lines["theta"] = theta[start:start + len(block), None, None]
             lines["phi"] = phi
             lines["w"] = cells
-            yield lines.tobytes().translate(None, b"\0").decode("ascii")
+            chunk = lines.tobytes()
+            del lines                    # before the compaction copy
+            chunk = chunk.translate(None, b"\0")
+            yield chunk
+
+
+@lru_cache(maxsize=8)
+def _angle_fields(raw: bytes) -> np.ndarray:
+    """Space-ended cells of the float64 angles whose bytes are ``raw``;
+    read-only.  Keyed on the bits, not the shape, so a grid on other angles
+    writes its own."""
+    fields = _cell_fields(float_cells(np.frombuffer(raw)), " ")
+    fields.flags.writeable = False
+    return fields
 
 
 def _cell_fields(cells: np.ndarray, end: str) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Bulk FLOAT_FORMAT cells against Python's own %-formatting, value by value.
+"""Bulk FLOAT_FORMAT cells against Python's own %-formatting, value by value,
+and the atomic streaming writer.
 
 ``float_cells`` finds the 17 digits with integer arithmetic of its own; the
 oracle is ``FLOAT_FORMAT % v`` (correctly rounded, ties to even) on every
@@ -6,11 +7,14 @@ value, so any digit, rounding, exponent or layout slip shows as a string
 that differs.
 """
 
+import os
 from decimal import Decimal
 
 import numpy as np
+import pytest
 
-from catqed.fileio import BULK_MAX, BULK_MIN, FLOAT_FORMAT, float_cells
+from catqed.fileio import (BULK_MAX, BULK_MIN, FLOAT_FORMAT, ChunkedText,
+                           atomic_write_text, float_cells)
 
 
 def rendered(values):
@@ -82,3 +86,41 @@ def test_cells_drop_columns_no_value_uses():
     assert cells.shape[0] == 4 and cells.any(axis=0).all()
     assert rendered(np.array([1.5, -0.25, 2.0, 0.0])) == ["1.5", "-0.25", "2", "0"]
     assert rendered(np.array([])) == []
+
+
+def test_the_writer_streams_text_and_chunks(tmp_path):
+    path = tmp_path / "out.txt"
+    atomic_write_text(str(path), "a,b\n1,2\n")
+    assert path.read_bytes() == b"a,b\n1,2\n"
+    parts = [b"# head\n", b"", b"x" * 100_000, bytearray(b"\n")]
+    text = ChunkedText(lambda: iter(parts))
+    atomic_write_text(str(path), text)
+    assert path.read_bytes() == b"".join(parts) == text.encode()
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.parametrize("fail_at", [0, 2])
+def test_a_failing_chunk_source_leaves_the_target_unchanged(tmp_path, fail_at):
+    # the source raises before its first chunk or after two have been
+    # written: the error propagates, the old file keeps its bytes, and
+    # neither the temp file nor its descriptor is left behind
+    path = tmp_path / "grid.dat"
+    path.write_bytes(b"old contents\n")
+    fds = _open_fds() if os.path.isdir("/proc/self/fd") else None
+
+    def chunks():
+        for k in range(4):
+            if k == fail_at:
+                raise RuntimeError("source failed")
+            yield b"new line %d\n" % k
+
+    with pytest.raises(RuntimeError, match="source failed"):
+        atomic_write_text(str(path), chunks())
+    assert path.read_bytes() == b"old contents\n"
+    assert os.listdir(tmp_path) == ["grid.dat"]
+    if fds is not None:
+        assert _open_fds() == fds

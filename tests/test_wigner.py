@@ -8,6 +8,7 @@ agreement checks the closed form against the defining recursion.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -321,6 +322,60 @@ def test_wigner_cat_grid_file_is_the_per_value_rendering(tmp_path):
         f"{format_float(th)} {format_float(ph)} {format_float(grid.values[i, k])}"
         for i, th in enumerate(grid.theta) for k, ph in enumerate(grid.phi)]
     assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
+def test_angle_cells_are_formatted_once_per_set_of_angles(tmp_path, monkeypatch):
+    # the theta and phi cells are kept per set of angle bits: a second grid
+    # on the same angles formats only its values, and a grid of the same
+    # shape on other angles (one ulp off in theta, -0.0 for 0.0 in phi:
+    # equal values, different strings) writes its own
+    formatted = []
+    real = cq.wigner.float_cells
+    monkeypatch.setattr(cq.wigner, "float_cells",
+                        lambda values: formatted.append(np.size(values)) or real(values))
+    theta = np.linspace(0.0, math.pi, 5)
+    phi = np.linspace(0.0, 2.0 * math.pi, 4, endpoint=False)
+    values = np.random.default_rng(3).normal(size=(5, 4))
+    cq.WignerGrid(theta=theta, phi=phi, values=values, n_qubits=2).to_file(
+        str(tmp_path / "first.dat"))
+    formatted.clear()
+    cq.WignerGrid(theta=theta.copy(), phi=phi.copy(), values=-values,
+                  n_qubits=2).to_file(str(tmp_path / "second.dat"))
+    assert formatted == [20]
+    other_theta = np.nextafter(theta, 4.0)
+    other_phi = phi.copy()
+    other_phi[0] = -0.0
+    path = tmp_path / "other.dat"
+    cq.WignerGrid(theta=other_theta, phi=other_phi, values=values, n_qubits=2).to_file(
+        str(path))
+    expected = ["# J=1 n_theta=5 n_phi=4"] + [
+        f"{format_float(th)} {format_float(ph)} {format_float(values[i, k])}"
+        for i, th in enumerate(other_theta) for k, ph in enumerate(other_phi)]
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
+def test_grid_files_are_written_in_bounded_memory(tmp_path):
+    """A 721 x 1440 file (59 MiB) is written within 1.5 times the traced
+    peak of a 181 x 360 one (3.7 MiB), whose peak is about 1.2 MiB: blocks
+    of about ``TEXT_BLOCK_LINES`` lines are made and written one at a time.
+    Joining the blocks before the write peaked at 118 MiB and 7.4 MiB."""
+    rho = evolved_rho("even_cat", rwa=True, readout="even")
+    cq.wigner_function(rho, 5, 4).to_file(str(tmp_path / "warm.dat"))   # builds the tables
+    peaks = []
+    for n_theta, n_phi in ((181, 360), (721, 1440)):
+        grid = cq.wigner_function(rho, n_theta, n_phi)
+        path = tmp_path / f"w{n_theta}.dat"
+        tracemalloc.start()
+        try:
+            grid.to_file(str(path))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        with open(path, "rb") as fh:
+            assert fh.readline() == f"# J=4 n_theta={n_theta} n_phi={n_phi}\n".encode()
+        assert path.stat().st_size > 50 * n_theta * n_phi
+    assert peaks[1] <= 1.5 * peaks[0]
+    assert peaks[0] < 4 * 2**20
 
 
 def full_phi_values(rho, n_theta, n_phi):
