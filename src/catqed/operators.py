@@ -13,14 +13,18 @@ Two models are supported on the same (Dicke m) x (Fock n) amplitude layout:
 Both interactions shift (m, n) by (+-1, -+1) or (+-1, +-1), so H|psi> is a
 handful of shifted-slice multiply-adds; no operator matrix is ever built.
 All four shifts share one coefficient array: the two absorbing terms add
-it, the two emitting terms subtract it.
+it, the two emitting terms subtract it.  Laid out flat, the grid's
+co-rotating pairs (k, n) -- (k + 1, n - 1) sit n_max cells apart and its
+counter-rotating pairs (k, n) -- (k + 1, n + 1) n_max + 2 apart; the
+coefficients are zero-padded to the flat length, so that pairs wrapping
+round a grid row exchange nothing.
 
 Under the RWA the excitation number K = Jz + J + n commutes with H
 (Tavis and Cummings, Phys. Rev. 170, 379 (1968)), and ``to_band`` moves an
 action onto a list of sectors: row s of the band holds the cells
 (k, K_s - k), k = 0 .. N, of sector K_s, and H is tridiagonal along that
 row.  Laid out flat, each co-rotating pair is two neighbouring cells, so
-the same shifted-slice code serves the grid and the band.
+the same flat shifted-slice code serves the grid and the band.
 """
 
 from __future__ import annotations
@@ -72,8 +76,9 @@ class HamiltonianAction:
     """Precomputed H|psi> on one grid, or on a band of excitation sectors.
 
     ``diag`` holds delta m + omega n and ``coupling`` the coefficient
-    -i (g/2) sqrt(n) s+(m) shared by the four exchange terms.  Both are
-    plain arrays that a caller may rewrite in place; ``apply`` and
+    -i (g/2) sqrt(n) s+(m) shared by the four exchange terms, one per flat
+    cell that starts a co-rotating pair (zero where the pair wraps round).
+    Both are plain arrays that a caller may rewrite in place; ``apply`` and
     ``spectral_bounds`` read what they hold then (the propagator maps them
     onto its normalized operator).  A band action may hold ``diag = None``
     for an identically zero diagonal, which ``apply`` then skips.  Holds
@@ -81,8 +86,7 @@ class HamiltonianAction:
     concurrent callers.
 
     ``sectors`` is None on the (m, n) grid of shape ``shape``; after
-    ``to_band`` it lists the sectors K of the (sector, k) band, and
-    ``coupling`` holds one coefficient per pair of flat neighbours.
+    ``to_band`` it lists the sectors K of the (sector, k) band.
     """
 
     def __init__(self, params: ModelParams, dicke: DickeSpace, fock: FockSpace):
@@ -91,13 +95,18 @@ class HamiltonianAction:
         self.params = params
         self.sectors = None
         self.shape = (dicke.dim, fock.dim)
+        # flat distance of a co-rotating pair: n_max on the grid, 1 on the band
+        self._offset = fock.n_max
         m = dicke.m_values()
         n = np.arange(fock.dim, dtype=float)
         self.diag = (params.delta * m[:, None] + params.omega * n[None, :]).astype(np.complex128)
-        # coupling[k, n-1] multiplies psi[k, n] into the (m +- 1, n -+ 1)
-        # and (m +- 1, n +- 1) destinations; all four share sqrt(n) * s+(m).
+        # coupling[k (n_max + 1) + n] multiplies psi[k, n] and psi[k + 1, n - 1]
+        # into each other's cells, and coupling[k (n_max + 1) + n + 1] psi[k, n]
+        # and psi[k + 1, n + 1]: all four share sqrt(n) * s+(m).
         g = 0.5 * params.coupling
-        self.coupling = (-1j * g) * np.outer(dicke.raising_coefficients(), np.sqrt(n[1:]))
+        coupling = np.zeros((dicke.dim - 1, fock.dim), dtype=np.complex128)
+        coupling[:, 1:] = (-1j * g) * np.outer(dicke.raising_coefficients(), np.sqrt(n[1:]))
+        self.coupling = np.concatenate((coupling.reshape(-1), [0.0]))
         self._tmp = np.empty_like(self.coupling)
 
     def to_band(self, sectors) -> np.ndarray:
@@ -117,30 +126,30 @@ class HamiltonianAction:
         inside = (n >= 0) & (n <= n_max)
         nearest = np.clip(k, sectors - n_max, sectors)
         self.diag = self.diag[nearest, sectors - nearest]
+        cells = np.where(inside, k * (n_max + 1) + n, -1)
         # the pair (k, n) -- (k + 1, n - 1) sits at band cell k
         pair = inside & (n >= 1) & (k < width - 1)
         coupling = np.zeros(n.shape, dtype=np.complex128)
-        coupling[pair] = self.coupling[np.broadcast_to(k, n.shape)[pair], n[pair] - 1]
+        coupling[pair] = self.coupling[cells[pair]]
         self.coupling = coupling.reshape(-1)[:-1]
         self._tmp = np.empty_like(self.coupling)
         self.sectors = sectors[:, 0]
         self.shape = n.shape
-        return np.where(inside, k * (n_max + 1) + n, -1)
+        self._offset = 1
+        return cells
 
-    def _pairs(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Views of ``a`` on the cells (k, n) and (k + 1, n - 1) of every
-        co-rotating pair: shifted slices of the grid, flat neighbours of
-        the band."""
-        if self.sectors is None:
-            return a[:-1, 1:], a[1:, :-1]
+    @staticmethod
+    def _pairs(a: np.ndarray, offset: int) -> tuple[np.ndarray, np.ndarray]:
+        """Flat views of ``a`` on the first and second cells of every pair
+        ``offset`` cells apart."""
         flat = a.reshape(-1)
-        return flat[:-1], flat[1:]
+        return flat[:flat.size - offset], flat[offset:]
 
     def apply(self, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out <- H psi.  ``psi`` and ``out`` must be distinct."""
+        """out <- H psi.  ``psi`` and ``out`` must be distinct and contiguous."""
         k, t = self.coupling, self._tmp
-        lower, upper = self._pairs(psi)
-        out_lower, out_upper = self._pairs(out)
+        lower, upper = self._pairs(psi, self._offset)
+        out_lower, out_upper = self._pairs(out, self._offset)
         if self.diag is None:
             # band only: the a J+ term writes every flat cell but the first
             np.multiply(k, lower, out=out_upper)
@@ -152,10 +161,15 @@ class HamiltonianAction:
         np.multiply(k, upper, out=t)               # a^dag J-
         out_lower -= t
         if not self.params.rwa:
-            np.multiply(k, psi[1:, 1:], out=t)     # a J-
-            out[:-1, :-1] += t
-            np.multiply(k, psi[:-1, :-1], out=t)   # a^dag J+
-            out[1:, 1:] -= t
+            # grid only: the counter-rotating pair starting at a cell takes
+            # the coefficient of the co-rotating pair one cell later
+            k, t = k[1:-1], t[1:-1]
+            lower, upper = self._pairs(psi, self._offset + 2)
+            out_lower, out_upper = self._pairs(out, self._offset + 2)
+            np.multiply(k, upper, out=t)           # a J-
+            out_lower += t
+            np.multiply(k, lower, out=t)           # a^dag J+
+            out_upper -= t
         return out
 
     def spectral_bounds(self) -> tuple[float, float]:
@@ -165,12 +179,13 @@ class HamiltonianAction:
         in that row."""
         k = np.abs(self.coupling)
         radius = np.zeros(self.shape)
-        lower, upper = self._pairs(radius)
+        lower, upper = self._pairs(radius, self._offset)
         upper += k
         lower += k
         if not self.params.rwa:
-            radius[:-1, :-1] += k
-            radius[1:, 1:] += k
+            lower, upper = self._pairs(radius, self._offset + 2)
+            lower += k[1:-1]
+            upper += k[1:-1]
         center = 0.0 if self.diag is None else self.diag.real
         return float(np.min(center - radius)), float(np.max(center + radius))
 

@@ -61,7 +61,9 @@ pre-renormalization norm deviation is kept as a diagnostic.  ``_evolve``
 writes consecutive sampled states into the evolver's blocks of at most
 SAMPLE_BLOCK_BYTES of amplitudes, for ``run`` and ``snapshots`` alike, and
 ``run`` evaluates every monitor once per block, through one
-``MonitorContext`` (see ``monitors``), never inside the recurrence.
+``MonitorContext`` (see ``monitors``), never inside the recurrence.  ``run``
+and ``_evolve`` let go of a block before the next is allocated, so a run
+holds one block at a time.
 """
 
 from __future__ import annotations
@@ -402,7 +404,8 @@ def _evolve(initial: CompositeState, params: ModelParams, steps: Sequence[int],
             dt: float):
     """Yield (stacked state, norm drifts) for the consecutive ``blocks`` of
     the increasing grid ``steps``, each read off one recurrence; the
-    truncation tail is guarded at every sample."""
+    truncation tail is guarded at every sample.  The generator drops its
+    reference to a block before it allocates the next."""
     evolver = _Chebyshev(initial, params, dt)
     for chunk in evolver.blocks(steps):
         amplitudes = np.zeros((len(chunk),) + initial.amplitudes.shape, dtype=np.complex128)
@@ -411,6 +414,7 @@ def _evolve(initial: CompositeState, params: ModelParams, steps: Sequence[int],
         initial.fock.check_tail(amplitudes, times)
         yield CompositeState(amplitudes, initial.dicke, initial.fock, time=times,
                              copy=False, validate=False), drift
+        del amplitudes
 
 
 def run(initial: CompositeState, params: ModelParams, plan: PropagationPlan,
@@ -438,6 +442,7 @@ def run(initial: CompositeState, params: ModelParams, plan: PropagationPlan,
                 raise DimensionMismatchError(f"monitor {name!r} returned shape {values.shape} "
                                              f"for {drift.size} samples, not one value each")
             part.append(values)
+        del state, ctx          # one block alive while the next is propagated
     columns = {name: np.concatenate(part) for name, part in zip(names, parts)}
     return TimeSeries(times=np.asarray(steps) * plan.dt, columns=columns)
 

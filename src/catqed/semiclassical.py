@@ -23,6 +23,12 @@ oscillating at omega. The N qubits still evolve independently, so one qubit
 is propagated exactly through Shirley's Floquet matrix and raised to the
 same symmetric N-fold product; this exposes the 2 omega micromotion absent
 from the closed form.
+
+The coherent-state expansion superposes one closed-form branch per node of
+displaced Gauss-Hermite grids.  It leaves out the nodes of smallest weight
+that together hold at most 2^-53 of sum |w|, and it forms the spin and Fock
+rows of a node alpha and of -alpha once, since the closed form gives
+s_k(-alpha) = (-1)^k s_k(alpha) and <n|-alpha> = (-1)^n <n|alpha>.
 """
 
 from __future__ import annotations
@@ -49,6 +55,11 @@ DEGENERATE_NORM_ATOL = 1e-12
 # the same nodes' spin rows, so that a grid's footprint stays near a few
 # times this size whatever its node count and |alpha|.
 EXPANSION_BLOCK_BYTES = 1 << 19
+
+# The expansion drops its smallest-|weight| nodes while their |weights| sum
+# to at most this fraction of sum |w|.  Spin amplitudes and <n|alpha> are at
+# most 1 in modulus, so no unnormalized amplitude moves by more than that.
+PRUNED_WEIGHT_FRACTION = 2.0 ** -53
 
 # The full drive fails loudly with more than FLOQUET_EDGE_TOL on its edge
 # harmonics, or with a cut whose Floquet matrix would pass 64 MiB.
@@ -297,7 +308,10 @@ def expansion_weights(spec: PhotonicSpec, nodes: int = DEFAULT_GRID_NODES):
     f(alpha) = <alpha|psi>/pi, one displaced grid per branch.
 
     Returns (alphas, weights) flattened over all branches, such that
-    sum_k weights[k] |alphas[k]> reproduces the photonic state.
+    sum_k weights[k] |alphas[k]> reproduces the photonic state.  The nodes
+    of smallest |weight| whose |weights| sum to at most
+    PRUNED_WEIGHT_FRACTION of sum |w| are left out; the rest keep their
+    order.
     """
     centers = np.array(spec.branch_amplitudes())
     if np.any(np.abs(centers.imag) > 1e-12):
@@ -315,23 +329,43 @@ def expansion_weights(spec: PhotonicSpec, nodes: int = DEFAULT_GRID_NODES):
     grid = c + root2u[:, None] + 1j * root2u
     w2d = 2.0 * wu[:, None] * (wu * np.exp(-1j * root2u * c)) * \
         bw[:, None, None] / (math.pi * math.sqrt(norm2))
-    return grid.ravel(), w2d.ravel()
+    size = np.abs(w2d.ravel())
+    order = np.argsort(size)
+    tail = np.cumsum(size[order])
+    keep = np.ones(size.size, dtype=bool)
+    keep[order[:np.searchsorted(tail, PRUNED_WEIGHT_FRACTION * tail[-1], "right")]] = False
+    return grid.ravel()[keep], w2d.ravel()[keep]
 
 
 def _assemble(params: ModelParams, spec: PhotonicSpec, t: float,
               n_max: int, nodes: int) -> np.ndarray:
+    """Normalized sum over the expansion's nodes of weight times spin row
+    times Fock row.  The rows are formed once per sign-normalized node r
+    (Re r > 0, or Re r = 0 <= Im r) and contracted against two weight
+    columns, those of r and of -r (zero where either is not a node), into
+    c+ and c-; the sum is c+ + (-1)^(k+n) c- (module docstring)."""
     alphas, weights = expansion_weights(spec, nodes)
-    evolved = alphas * np.exp(-1j * params.omega * t)
+    flip = (alphas.real < 0.0) | ((alphas.real == 0.0) & (alphas.imag < 0.0))
+    reps, node = np.unique(np.where(flip, -alphas, alphas), return_inverse=True)
+    pair = np.zeros((reps.size, 2), dtype=np.complex128)
+    np.add.at(pair, (node, flip.astype(np.intp)), weights)
+    evolved = reps * np.exp(-1j * params.omega * t)
+    dim = params.n_qubits + 1
     rows = max(1, EXPANSION_BLOCK_BYTES // (16 * (n_max + 1)))
-    c = np.zeros((params.n_qubits + 1, n_max + 1), dtype=np.complex128)
-    for lo in range(0, alphas.size, rows):
+    c = np.zeros((2 * dim, n_max + 1), dtype=np.complex128)
+    for lo in range(0, reps.size, rows):
         block = slice(lo, lo + rows)
-        spin = _rabi_states(params, alphas[block], t) * weights[block, None]
+        spin = _rabi_states(params, reps[block], t)[:, None, :] * pair[block, :, None]
+        spin = spin.reshape(-1, 2 * dim)
         c += spin.T @ coherent_matrix(evolved[block], n_max)
-    nrm = np.linalg.norm(c)
+    plus, minus = c[:dim], c[dim:]
+    minus[1::2] *= -1.0
+    minus[:, 1::2] *= -1.0
+    plus += minus
+    nrm = np.linalg.norm(plus)
     if nrm < DEGENERATE_NORM_ATOL:
         raise StateValidationError("expansion collapsed to the zero state")
-    return c / nrm
+    return plus / nrm
 
 
 def coherent_expansion_state(params: ModelParams, spec: PhotonicSpec,

@@ -13,6 +13,11 @@ the K-th Gram (discrete Chebyshev) polynomial, orthonormal on m = -J..J.
 matrix, each signed so that p_0 > 0 (Golub and Welsch, Math. Comp. 23, 221
 (1969)).  p_K(J) is no sign reference: for K near 2J it is rounding noise.
 
+The rotated kernel g(theta) = conj(d) diag(D) d^T, d the small-d matrix,
+does not depend on the state: up to ``KEPT_KERNEL_BYTES`` it is built once
+per grid shape and kept read-only, and a larger one is built block by
+block on every call.
+
 ``WignerGrid.to_file`` makes a grid file's text as bytes, a block of theta
 rows at a time, and streams each block into the file, so a write takes
 memory by the block, not by the grid.
@@ -38,6 +43,10 @@ THETA_BLOCK = 32
 # columns, 4 of 1440.  Larger blocks raised a write's peak memory, smaller
 # ones its time.
 TEXT_BLOCK_LINES = 16 * 360
+# Largest kernel stack g(theta) that ``wigner_function`` keeps, read-only,
+# for the next grid of the same shape: 0.84 MB at N = 16 on the default
+# grid.  A larger one is built a block at a time on every call.
+KEPT_KERNEL_BYTES = 1 << 20
 
 
 @lru_cache(maxsize=64)
@@ -70,6 +79,24 @@ def _small_d(n_qubits: int, theta: float | np.ndarray) -> np.ndarray:
     phases = np.exp(1j * np.asarray(theta)[..., None, None] * evals)
     core = (evecs * phases) @ evecs.T
     return gauge[:, None] * core * gauge.conj()
+
+
+def _kernel_blocks(n_qubits: int, thetas: np.ndarray):
+    """g(theta) = conj(d) diag(D) d^T, d = d(theta), for ``THETA_BLOCK``
+    angles of ``thetas`` at a time."""
+    weights = kernel_weights(n_qubits)
+    for start in range(0, len(thetas), THETA_BLOCK):
+        d = _small_d(n_qubits, thetas[start:start + THETA_BLOCK])
+        yield (d.conj() * weights) @ d.swapaxes(1, 2)
+
+
+@lru_cache(maxsize=4)
+def _kept_kernel(n_qubits: int, n_theta: int) -> tuple[np.ndarray, ...]:
+    """The blocks of ``_kernel_blocks`` over the grid's theta, read-only."""
+    blocks = tuple(_kernel_blocks(n_qubits, np.linspace(0.0, math.pi, n_theta)))
+    for g in blocks:
+        g.flags.writeable = False
+    return blocks
 
 
 @lru_cache(maxsize=64)
@@ -190,11 +217,13 @@ def wigner_function(rho: ElectronDensityMatrix, n_theta: int = DEFAULT_GRID[0],
 
     With g(theta) = conj(d) diag(D) d^T and d = d(theta) the small-d matrix,
     W(theta, phi) = sum_k e^{i phi k} sum_{m' - m = k} g_{mm'} rho_{mm'}:
-    phi enters only through the diagonal offset k.  Per block, one stack of
-    d matrices, one batched product for g, one sum of g o rho along its
-    diagonals and one (rows, 2 dim - 1) x (2 dim - 1, period) phase product
-    give every row.  Blocks, not one stack over all theta, keep the working
-    set small.
+    phi enters only through the diagonal offset k.  g does not depend on
+    rho: its blocks over all theta, at most ``KEPT_KERNEL_BYTES`` together,
+    are built once per grid shape and kept read-only; a larger g is built
+    per block on every call (one stack of d matrices and one batched
+    product), so the memory held after a call stays bounded at any N.  Per
+    block, one sum of g o rho along its diagonals and one (rows, 2 dim - 1)
+    x (2 dim - 1, period) phase product give every row.
 
     If every nonzero entry of rho lies on an offset k that is a multiple of
     q (exact test; q = 0 for a diagonal rho), W has period 2 pi / q in phi.
@@ -214,9 +243,10 @@ def wigner_function(rho: ElectronDensityMatrix, n_theta: int = DEFAULT_GRID[0],
     check_grid_size(n_theta, n_phi)
     n_qubits = rho.dicke.n_qubits
     dim = rho.dicke.dim
-    weights = kernel_weights(n_qubits)
     thetas = np.linspace(0.0, math.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+    blocks = (_kept_kernel(n_qubits, n_theta) if n_theta * dim * dim * 16 <= KEPT_KERNEL_BYTES
+              else _kernel_blocks(n_qubits, thetas))
     rows_nz, cols_nz = np.nonzero(rho.matrix)
     step = int(np.gcd.reduce(cols_nz - rows_nz))
     period = n_phi // math.gcd(step, n_phi)
@@ -230,10 +260,8 @@ def wigner_function(rho: ElectronDensityMatrix, n_theta: int = DEFAULT_GRID[0],
     # lands in column m' - m + dim - 1, so a column sum is a diagonal sum.
     skew = np.zeros((THETA_BLOCK, dim, 2 * dim), dtype=complex)
     flipped = rho.matrix[::-1]
-    for start in range(0, n_theta, THETA_BLOCK):
-        d = _small_d(n_qubits, thetas[start:start + THETA_BLOCK])
-        g = (d.conj() * weights) @ d.swapaxes(1, 2)
-        rows = len(d)
+    for start, g in zip(range(0, n_theta, THETA_BLOCK), blocks):
+        rows = len(g)
         np.multiply(g[:, ::-1], flipped, out=skew[:rows, :, :dim])
         skewed = skew[:rows].reshape(rows, -1)[:, :dim * (2 * dim - 1)]
         diagonals = skewed.reshape(rows, dim, 2 * dim - 1).sum(axis=1)

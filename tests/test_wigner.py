@@ -237,6 +237,34 @@ def test_wigner_blocks_match_expm_oracle(n_qubits, n_theta, random_density):
     assert np.abs(grid.values - want).max() <= 1e-12
 
 
+def test_kernel_is_built_once_per_grid_shape(monkeypatch, random_density):
+    # the default grid at N = 16 holds a 0.84 MB kernel, inside the budget:
+    # d(theta) is formed once, a block at a time, for the first grid of that
+    # shape and never for the next; the kept stack is read-only and another
+    # n_theta builds its own
+    built = []
+    real = cq.wigner._small_d
+    monkeypatch.setattr(cq.wigner, "_small_d",
+                        lambda n, theta: built.append(np.size(theta)) or real(n, theta))
+    cq.wigner._kept_kernel.cache_clear()
+    space = cq.DickeSpace(16)
+    cq.wigner_function(cq.ElectronDensityMatrix(random_density(17), space))
+    second_rho = random_density(17)
+    second = cq.wigner_function(cq.ElectronDensityMatrix(second_rho, space), n_phi=7)
+    assert built == [32] * 5 + [21]
+    kernel = cq.wigner._kept_kernel(16, 181)
+    assert sum(g.nbytes for g in kernel) <= cq.wigner.KEPT_KERNEL_BYTES
+    assert not any(g.flags.writeable for g in kernel)
+    monkeypatch.setattr(cq.wigner, "KEPT_KERNEL_BYTES", 0)
+    fresh = cq.wigner_function(cq.ElectronDensityMatrix(second_rho, space), n_phi=7)
+    assert np.array_equal(fresh.values, second.values)
+    built.clear()
+    cq.wigner_function(cq.ElectronDensityMatrix(second_rho, space), n_theta=40, n_phi=7)
+    cq.wigner_function(cq.ElectronDensityMatrix(second_rho, space), n_theta=40, n_phi=7)
+    assert built == [32, 8] * 2
+    assert cq.wigner._kept_kernel.cache_info().currsize == 1
+
+
 @pytest.mark.parametrize("pole", [0, -1])
 def test_wigner_imaginary_residue_checked_in_every_block(pole):
     # an anti-Hermitian defect i eps |m><m| adds i eps W_m to the grid; W_m
