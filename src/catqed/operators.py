@@ -146,7 +146,11 @@ class HamiltonianAction:
         return flat[:flat.size - offset], flat[offset:]
 
     def apply(self, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out <- H psi.  ``psi`` and ``out`` must be distinct and contiguous."""
+        """out <- H psi.  ``psi`` and ``out`` must be distinct.  ``out`` must
+        be C-contiguous (ValueError otherwise): its flat form would be a copy
+        that the exchange terms are lost to."""
+        if not out.flags.c_contiguous:
+            raise ValueError("out of the H-apply must be C-contiguous")
         k, t = self.coupling, self._tmp
         lower, upper = self._pairs(psi, self._offset)
         out_lower, out_upper = self._pairs(out, self._offset)

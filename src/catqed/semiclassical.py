@@ -26,9 +26,7 @@ from the closed form.
 
 The coherent-state expansion superposes one closed-form branch per node of
 displaced Gauss-Hermite grids.  It leaves out the nodes of smallest weight
-that together hold at most 2^-53 of sum |w|, and it forms the spin and Fock
-rows of a node alpha and of -alpha once, since the closed form gives
-s_k(-alpha) = (-1)^k s_k(alpha) and <n|-alpha> = (-1)^n <n|alpha>.
+that together hold at most 2^-53 of sum |w|.
 """
 
 from __future__ import annotations
@@ -310,8 +308,9 @@ def expansion_weights(spec: PhotonicSpec, nodes: int = DEFAULT_GRID_NODES):
     Returns (alphas, weights) flattened over all branches, such that
     sum_k weights[k] |alphas[k]> reproduces the photonic state.  The nodes
     of smallest |weight| whose |weights| sum to at most
-    PRUNED_WEIGHT_FRACTION of sum |w| are left out; the rest keep their
-    order.
+    PRUNED_WEIGHT_FRACTION of sum |w| are left out, nodes of equal |weight|
+    together, so that the kept set does not hang on a sort's tie order; the
+    rest keep their order.
     """
     centers = np.array(spec.branch_amplitudes())
     if np.any(np.abs(centers.imag) > 1e-12):
@@ -330,42 +329,26 @@ def expansion_weights(spec: PhotonicSpec, nodes: int = DEFAULT_GRID_NODES):
     w2d = 2.0 * wu[:, None] * (wu * np.exp(-1j * root2u * c)) * \
         bw[:, None, None] / (math.pi * math.sqrt(norm2))
     size = np.abs(w2d.ravel())
-    order = np.argsort(size)
-    tail = np.cumsum(size[order])
-    keep = np.ones(size.size, dtype=bool)
-    keep[order[:np.searchsorted(tail, PRUNED_WEIGHT_FRACTION * tail[-1], "right")]] = False
+    ordered = np.sort(size)
+    tail = np.cumsum(ordered)
+    keep = size >= ordered[np.searchsorted(tail, PRUNED_WEIGHT_FRACTION * tail[-1], "right")]
     return grid.ravel()[keep], w2d.ravel()[keep]
 
 
 def _assemble(params: ModelParams, spec: PhotonicSpec, t: float,
               n_max: int, nodes: int) -> np.ndarray:
-    """Normalized sum over the expansion's nodes of weight times spin row
-    times Fock row.  The rows are formed once per sign-normalized node r
-    (Re r > 0, or Re r = 0 <= Im r) and contracted against two weight
-    columns, those of r and of -r (zero where either is not a node), into
-    c+ and c-; the sum is c+ + (-1)^(k+n) c- (module docstring)."""
     alphas, weights = expansion_weights(spec, nodes)
-    flip = (alphas.real < 0.0) | ((alphas.real == 0.0) & (alphas.imag < 0.0))
-    reps, node = np.unique(np.where(flip, -alphas, alphas), return_inverse=True)
-    pair = np.zeros((reps.size, 2), dtype=np.complex128)
-    np.add.at(pair, (node, flip.astype(np.intp)), weights)
-    evolved = reps * np.exp(-1j * params.omega * t)
-    dim = params.n_qubits + 1
+    evolved = alphas * np.exp(-1j * params.omega * t)
     rows = max(1, EXPANSION_BLOCK_BYTES // (16 * (n_max + 1)))
-    c = np.zeros((2 * dim, n_max + 1), dtype=np.complex128)
-    for lo in range(0, reps.size, rows):
+    c = np.zeros((params.n_qubits + 1, n_max + 1), dtype=np.complex128)
+    for lo in range(0, alphas.size, rows):
         block = slice(lo, lo + rows)
-        spin = _rabi_states(params, reps[block], t)[:, None, :] * pair[block, :, None]
-        spin = spin.reshape(-1, 2 * dim)
+        spin = _rabi_states(params, alphas[block], t) * weights[block, None]
         c += spin.T @ coherent_matrix(evolved[block], n_max)
-    plus, minus = c[:dim], c[dim:]
-    minus[1::2] *= -1.0
-    minus[:, 1::2] *= -1.0
-    plus += minus
-    nrm = np.linalg.norm(plus)
+    nrm = np.linalg.norm(c)
     if nrm < DEGENERATE_NORM_ATOL:
         raise StateValidationError("expansion collapsed to the zero state")
-    return plus / nrm
+    return c / nrm
 
 
 def coherent_expansion_state(params: ModelParams, spec: PhotonicSpec,

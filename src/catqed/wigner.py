@@ -14,9 +14,9 @@ matrix, each signed so that p_0 > 0 (Golub and Welsch, Math. Comp. 23, 221
 (1969)).  p_K(J) is no sign reference: for K near 2J it is rounding noise.
 
 The rotated kernel g(theta) = conj(d) diag(D) d^T, d the small-d matrix,
-does not depend on the state: up to ``KEPT_KERNEL_BYTES`` it is built once
-per grid shape and kept read-only, and a larger one is built block by
-block on every call.
+does not depend on the state: up to ``KEPT_KERNEL_BYTES`` the kernel of
+the last grid shape is kept read-only for the next grid of that shape,
+and a larger one is built block by block on every call.
 
 ``WignerGrid.to_file`` makes a grid file's text as bytes, a block of theta
 rows at a time, and streams each block into the file, so a write takes
@@ -45,7 +45,8 @@ THETA_BLOCK = 32
 TEXT_BLOCK_LINES = 16 * 360
 # Largest kernel stack g(theta) that ``wigner_function`` keeps, read-only,
 # for the next grid of the same shape: 0.84 MB at N = 16 on the default
-# grid.  A larger one is built a block at a time on every call.
+# grid.  One shape is kept at a time, so this bounds the memory held
+# between calls; a larger kernel is built a block at a time on every call.
 KEPT_KERNEL_BYTES = 1 << 20
 
 
@@ -90,7 +91,7 @@ def _kernel_blocks(n_qubits: int, thetas: np.ndarray):
         yield (d.conj() * weights) @ d.swapaxes(1, 2)
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _kept_kernel(n_qubits: int, n_theta: int) -> tuple[np.ndarray, ...]:
     """The blocks of ``_kernel_blocks`` over the grid's theta, read-only."""
     blocks = tuple(_kernel_blocks(n_qubits, np.linspace(0.0, math.pi, n_theta)))
@@ -219,7 +220,7 @@ def wigner_function(rho: ElectronDensityMatrix, n_theta: int = DEFAULT_GRID[0],
     W(theta, phi) = sum_k e^{i phi k} sum_{m' - m = k} g_{mm'} rho_{mm'}:
     phi enters only through the diagonal offset k.  g does not depend on
     rho: its blocks over all theta, at most ``KEPT_KERNEL_BYTES`` together,
-    are built once per grid shape and kept read-only; a larger g is built
+    are kept read-only for the last grid shape; a larger g is built
     per block on every call (one stack of d matrices and one batched
     product), so the memory held after a call stays bounded at any N.  Per
     block, one sum of g o rho along its diagonals and one (rows, 2 dim - 1)

@@ -82,6 +82,23 @@ def test_only_the_rwa_action_moves_onto_sectors():
         action.to_band([0, 2, 4])
 
 
+@pytest.mark.parametrize("rwa", [True, False])
+def test_apply_refuses_an_out_that_is_not_contiguous(rwa, rng):
+    # a flat copy of a strided out would take the exchange terms and lose
+    # them while the diagonal landed in out: the apply raises before writing.
+    # A strided psi is only read, through a copy, and gives the same H psi.
+    params = cq.ModelParams(n_qubits=2, gamma=0.1, rwa=rwa)
+    state = random_state(rng, 2, 5)
+    action = cq.HamiltonianAction(params, state.dicke, state.fock)
+    wide = np.zeros((3, 12), dtype=complex)
+    with pytest.raises(ValueError, match="contiguous"):
+        action.apply(state.amplitudes, wide[:, ::2])
+    assert not wide.any()
+    wide[:, ::2] = state.amplitudes
+    got = action.apply(wide[:, ::2], np.empty_like(state.amplitudes))
+    assert np.array_equal(got, cq.apply_hamiltonian(state, params))
+
+
 @pytest.mark.parametrize("omega,gamma", [(1.5, 0.2), (0.8, 0.2 * 0.6)])
 def test_full_minus_rwa_is_the_counter_rotating_pair(omega, gamma, rng):
     n_max = 6

@@ -255,14 +255,21 @@ def test_kernel_is_built_once_per_grid_shape(monkeypatch, random_density):
     kernel = cq.wigner._kept_kernel(16, 181)
     assert sum(g.nbytes for g in kernel) <= cq.wigner.KEPT_KERNEL_BYTES
     assert not any(g.flags.writeable for g in kernel)
+    # one shape is kept at a time: another n_theta within the budget
+    # replaces it, and the default grid is then built again
+    built.clear()
+    cq.wigner_function(cq.ElectronDensityMatrix(second_rho, space), n_theta=40, n_phi=7)
+    cq.wigner_function(cq.ElectronDensityMatrix(second_rho, space), n_phi=7)
+    assert built == [32, 8, 32, 32, 32, 32, 32, 21]
     monkeypatch.setattr(cq.wigner, "KEPT_KERNEL_BYTES", 0)
     fresh = cq.wigner_function(cq.ElectronDensityMatrix(second_rho, space), n_phi=7)
     assert np.array_equal(fresh.values, second.values)
     built.clear()
+    kept = cq.wigner._kept_kernel.cache_info().misses
     cq.wigner_function(cq.ElectronDensityMatrix(second_rho, space), n_theta=40, n_phi=7)
     cq.wigner_function(cq.ElectronDensityMatrix(second_rho, space), n_theta=40, n_phi=7)
     assert built == [32, 8] * 2
-    assert cq.wigner._kept_kernel.cache_info().currsize == 1
+    assert cq.wigner._kept_kernel.cache_info().misses == kept
 
 
 @pytest.mark.parametrize("pole", [0, -1])
