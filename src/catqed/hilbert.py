@@ -16,6 +16,16 @@ A state decides its conserved parity once, on first use (``parity``).  Its
 split by photon parity forms each outcome's weight and Gram once
 (``photon_parity_weight``, ``photon_parity_gram``), for the trace-out and
 every photon-parity readout.
+
+An evolver hands out its samples with the parity of the state they evolved
+from (``CompositeState.sampled``), so none is scanned for it.  Under the RWA
+it hands them out as the two photon-parity parts u_o of the live window (the
+columns the live excitation sectors span) rather than as the zero-filled
+grid: the weights, Grams, photon moments and truncation tail read the
+parts, and ``amplitudes`` places them on the grid only for a reader that
+asks for it.  The parts give every readout the value the grid gives, bit for bit:
+sums over rows add them in order (``column_weights``), and sums over
+columns run on the columns the grid has (``_window_norm``).
 """
 
 from __future__ import annotations
@@ -43,9 +53,29 @@ def per_sample(values) -> float | np.ndarray:
     return float(values) if values.ndim == 0 else values
 
 
+def column_weights(u: np.ndarray, row_weights: np.ndarray | None = None) -> np.ndarray:
+    """sum_k w_k |u_kn|^2 over the rows k of the last two axes, for each
+    column n of each sample: w_k = 1 without ``row_weights``.  The rows are
+    added in order on the float views, so no array of the size of ``u`` is
+    made and zero rows leave every sum as it is."""
+    spec, extra = (("...kn,...kn->...n", ()) if row_weights is None
+                   else ("...kn,...kn,k->...n", (row_weights,)))
+    return np.einsum(spec, u.real, u.real, *extra) + np.einsum(spec, u.imag, u.imag, *extra)
+
+
 def squared_norm(u: np.ndarray) -> np.ndarray:
     """|u|^2 over the last two axes, one per sample."""
     return np.sum(u.real**2 + u.imag**2, axis=(-2, -1))
+
+
+def _window_norm(u: np.ndarray, at: int, width: int) -> np.ndarray:
+    """``squared_norm`` of the ``width`` columns of which ``u`` holds those
+    from ``at`` on, the others being zero: the squares are summed on those
+    columns, so the sum is the one the zero-filled columns give, bit for
+    bit (a pairwise sum groups its terms by position)."""
+    squares = np.zeros(u.shape[:-1] + (width,))
+    np.add(u.real**2, u.imag**2, out=squares[..., at:at + u.shape[-1]])
+    return np.sum(squares, axis=(-2, -1))
 
 
 def gram(u: np.ndarray) -> np.ndarray:
@@ -104,24 +134,10 @@ class FockSpace:
     def dim(self) -> int:
         return self.n_max + 1
 
-    def tail_population(self, amplitudes: np.ndarray) -> float | np.ndarray:
-        """Probability weight in the top TAIL_WIDTH + 1 Fock levels of a
-        joint state (per sample for a stack)."""
-        lo = max(0, self.n_max - TAIL_WIDTH)
-        return per_sample(squared_norm(amplitudes[..., lo:]))
-
-    def check_tail(self, amplitudes: np.ndarray, times: float | np.ndarray) -> None:
-        """Refuse a joint state whose tail population exceeds
-        TAIL_TOLERANCE: the cutoff no longer holds it.  A stack of samples
-        takes one time each and is refused at its first such sample."""
-        tails = np.atleast_1d(self.tail_population(amplitudes))
-        over = np.flatnonzero(tails > TAIL_TOLERANCE)
-        if over.size:
-            first = over[0]
-            raise TruncationError(
-                f"tail population {tails[first]:.3e} exceeds {TAIL_TOLERANCE:.1e} at "
-                f"t = {np.atleast_1d(times)[first]:.6g} for n_max = {self.n_max}; "
-                "raise the cutoff")
+    @property
+    def tail_start(self) -> int:
+        """First of the top TAIL_WIDTH + 1 Fock levels the tail counts."""
+        return max(0, self.n_max - TAIL_WIDTH)
 
 
 class CompositeState:
@@ -131,9 +147,13 @@ class CompositeState:
     records the evolution time (units of 1/delta) at which the state holds.
     A stack of samples has amplitudes of shape (samples, dicke.dim,
     fock.dim) and one time per sample; every sample is validated.
+
+    A state ``sampled`` as its two photon-parity parts holds no grid until
+    ``amplitudes`` is read; the grid is then built once, read-only.
     """
 
-    __slots__ = ("amplitudes", "dicke", "fock", "time", "_parity", "_split")
+    __slots__ = ("dicke", "fock", "time", "_grid", "_parts", "_first", "_cut",
+                 "_parity", "_split")
 
     def __init__(self, amplitudes, dicke: DickeSpace, fock: FockSpace,
                  time: float | np.ndarray = 0.0, copy: bool = True,
@@ -154,29 +174,113 @@ class CompositeState:
             if dev > NORM_ATOL:
                 raise StateValidationError(
                     f"state norm deviates from 1 by {dev:.3e} (> {NORM_ATOL})")
-        arr.flags.writeable = False
-        times.flags.writeable = False
-        object.__setattr__(self, "amplitudes", arr)
-        object.__setattr__(self, "dicke", dicke)
-        object.__setattr__(self, "fock", fock)
-        object.__setattr__(self, "time", per_sample(times))
-        object.__setattr__(self, "_split", {})
+        self._fill(arr, None, 0, None, dicke, fock, times)
+
+    def _fill(self, grid, parts, first, cut, dicke, fock, times) -> None:
+        times = np.array(times, dtype=float)
+        for array in (grid, times, *(parts or ())):
+            if array is not None:
+                array.flags.writeable = False
+        for name, value in (("_grid", grid), ("_parts", parts), ("_first", first),
+                            ("_cut", cut), ("dicke", dicke), ("fock", fock),
+                            ("time", per_sample(times)), ("_split", {})):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def sampled(cls, storage, dicke: DickeSpace, fock: FockSpace, time: np.ndarray,
+                parity: int | None, first_column: int | None = None) -> CompositeState:
+        """A stack of samples evolved from a state of parity ``parity`` (None
+        for no definite parity), which both models conserve, so no sample is
+        scanned for it; the samples are taken as normalized.  ``storage`` is
+        the stack of (m, n) grids, or with ``first_column`` the parts
+        (u_0, u_1): u_o holds the columns n = o (mod 2) of the window that
+        starts at ``first_column``, on the rows k = o + parity (mod 2), or on
+        every row for no parity.  Every cell outside the parts is zero."""
+        state = cls.__new__(cls)
+        times = np.array(time, dtype=float)
+        if first_column is None:
+            state._fill(storage, None, 0, None, dicke, fock, times)
+        else:
+            state._fill(None, tuple(storage), first_column, parity, dicke, fock, times)
+        object.__setattr__(state, "_parity", parity)
+        return state
 
     def __setattr__(self, name, value):
         raise AttributeError("CompositeState is immutable")
 
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The (m, n) grid (a stack of them for a stack of samples)."""
+        if self._grid is None:
+            grid = self._placed(0)
+            grid.flags.writeable = False
+            object.__setattr__(self, "_grid", grid)
+        return self._grid
+
+    def _placed(self, start: int) -> np.ndarray:
+        """The parts on the grid's columns n >= ``start``, zero elsewhere."""
+        grid = np.zeros(np.shape(self.time) + (self.dicke.dim, self.fock.dim - start),
+                        dtype=np.complex128)
+        for offset, part in enumerate(self._parts):
+            first = self._first_column(offset)
+            skip = max(0, -(-(start - first) // 2))     # part columns below start
+            if skip < part.shape[-1]:
+                columns = grid[..., self._rows(offset, self._cut), first + 2 * skip - start::2]
+                columns[..., :part.shape[-1] - skip] = part[..., skip:]
+        return grid
+
+    def _first_column(self, offset: int) -> int:
+        """Column of the first cell of part u_o, o = ``offset``."""
+        return self._first + (offset - self._first) % 2
+
+    @staticmethod
+    def _rows(offset: int, parity: int | None) -> slice:
+        """Rows that hold photon parity o = ``offset`` in a state of parity
+        ``parity``: k = o + parity (mod 2), or every row for no parity."""
+        return slice(None) if parity is None else slice((offset + parity) % 2, None, 2)
+
     def norm(self) -> float | np.ndarray:
         return per_sample(_norms(self.amplitudes))
 
+    def column_weights(self, row_weights: np.ndarray | None = None) -> np.ndarray:
+        """``column_weights`` of the state for each photon number n, one row
+        per sample of a stack: sum_k w_k |c_kn|^2, with w_k the
+        ``row_weights`` of the Dicke rows (1 without).  Read from the parts
+        of a sampled state and placed on their columns, it is the grid's
+        value bit for bit."""
+        if self._parts is None:
+            return column_weights(self._grid, row_weights)
+        out = np.zeros(np.shape(self.time) + (self.fock.dim,))
+        for offset, part in enumerate(self._parts):
+            rows = self._rows(offset, self._cut)
+            out[..., self._first_column(offset)::2][..., :part.shape[-1]] = column_weights(
+                part, None if row_weights is None else row_weights[rows])
+        return out
+
     def tail_population(self) -> float | np.ndarray:
-        return self.fock.tail_population(self.amplitudes)
+        """Probability weight in the top TAIL_WIDTH + 1 Fock levels (per
+        sample for a stack)."""
+        start = self.fock.tail_start
+        tail = self._grid[..., start:] if self._parts is None else self._placed(start)
+        return per_sample(squared_norm(tail))
+
+    def check_tail(self) -> None:
+        """Refuse a state whose tail population exceeds TAIL_TOLERANCE: the
+        cutoff no longer holds it.  A stack of samples is refused at its
+        first such sample."""
+        tails = np.atleast_1d(self.tail_population())
+        over = np.flatnonzero(tails > TAIL_TOLERANCE)
+        if over.size:
+            first = over[0]
+            raise TruncationError(
+                f"tail population {tails[first]:.3e} exceeds {TAIL_TOLERANCE:.1e} at "
+                f"t = {np.atleast_1d(self.time)[first]:.6g} for n_max = {self.fock.n_max}; "
+                "raise the cutoff")
 
     def photon_distribution(self) -> np.ndarray:
         """Marginal photon-number probabilities p(n), one row per sample
         of a stack."""
-        a = self.amplitudes
-        return (np.einsum("...mn,...mn->...n", a.real, a.real)
-                + np.einsum("...mn,...mn->...n", a.imag, a.imag))
+        return self.column_weights()
 
     @property
     def parity(self) -> int | None:
@@ -184,13 +288,21 @@ class CompositeState:
         samples together: 0 or 1 when every cell of the other parity is
         exactly zero (both models keep them so for an even or odd cat with
         the emitters down), else None.  Decided on first use and kept, since
-        the amplitudes are frozen."""
+        the amplitudes are frozen; a state read as parts on every row
+        decides it from the parts."""
         if not hasattr(self, "_parity"):
-            a = self.amplitudes
+            if self._parts is None:
+                a = self._grid
+                odd, even = (a[..., 0::2, 1::2], a[..., 1::2, 0::2]), \
+                    (a[..., 0::2, 0::2], a[..., 1::2, 1::2])
+            else:
+                u0, u1 = self._parts
+                odd, even = (u0[..., 1::2, :], u1[..., 0::2, :]), \
+                    (u0[..., 0::2, :], u1[..., 1::2, :])
             parity = None
-            if not (a[..., 0::2, 1::2].any() or a[..., 1::2, 0::2].any()):
+            if not any(cells.any() for cells in odd):
                 parity = 0
-            elif not (a[..., 0::2, 0::2].any() or a[..., 1::2, 1::2].any()):
+            elif not any(cells.any() for cells in even):
                 parity = 1
             object.__setattr__(self, "_parity", parity)
         return self._parity
@@ -199,10 +311,15 @@ class CompositeState:
         """The samples ``index`` selects.  Any subset of a stack of definite
         parity has that parity, so it keeps it and what the split has formed;
         a subset of a stack of no parity may have one, so it decides afresh."""
-        if self.amplitudes.ndim == 2:
+        if np.ndim(self.time) == 0:
             raise DimensionMismatchError("a single state is not a stack of samples to index")
-        part = CompositeState(self.amplitudes[index], self.dicke, self.fock,
-                              time=self.time[index], copy=False, validate=False)
+        part = CompositeState.__new__(CompositeState)
+        if self._parts is None:
+            part._fill(self._grid[index], None, 0, None, self.dicke, self.fock,
+                       self.time[index])
+        else:
+            part._fill(None, tuple(u[index] for u in self._parts), self._first, self._cut,
+                       self.dicke, self.fock, self.time[index])
         if getattr(self, "_parity", None) is not None:
             object.__setattr__(part, "_parity", self._parity)
             part._split.update((key, kept[index]) for key, kept in self._split.items())
@@ -210,21 +327,36 @@ class CompositeState:
 
     def photon_parity_weight(self, offset: int) -> np.ndarray:
         """|u_o|^2, the probability of photon parity o = ``offset``, per sample."""
-        return self._split_part(offset, squared_norm)[1]
+        return self._split_part(offset, "weight")[1]
 
     def photon_parity_gram(self, offset: int) -> tuple[slice, np.ndarray]:
         """Rows of photon parity o = ``offset`` and u_o u_o^dag on them, per sample."""
-        return self._split_part(offset, gram)
+        return self._split_part(offset, "gram")
 
-    def _split_part(self, offset: int, form) -> tuple[slice, np.ndarray]:
-        """Rows of photon parity o = ``offset`` and ``form`` of its amplitudes
-        u_o, formed once per state: u_o holds the columns n = o (mod 2) on the
-        rows k = o + Pi (mod 2) for a state of definite parity (the other
-        rows are zero there), else on every row."""
-        rows = slice(None) if self.parity is None else slice((offset + self.parity) % 2, None, 2)
+    def _split_part(self, offset: int, form: str) -> tuple[slice, np.ndarray]:
+        """Rows of photon parity o = ``offset`` and the ``form`` ("weight" or
+        "gram") of its amplitudes u_o, formed once per state: u_o holds the
+        columns n = o (mod 2) on the rows k = o + Pi (mod 2) for a state of
+        definite parity (the other rows are zero there), else on every row.
+        A sampled state's part holds u_o on the columns of its window."""
+        rows = self._rows(offset, self.parity)
         key = (form, offset)
         if key not in self._split:
-            self._split[key] = form(self.amplitudes[..., rows, offset::2])
+            if self._parts is None:
+                u = self._grid[..., rows, offset::2]
+            else:
+                # parts cut on every row keep the rows of a parity decided since
+                u = self._parts[offset]
+                if self._cut is None:
+                    u = u[..., rows, :]
+            if form == "gram":
+                self._split[key] = gram(u)
+            elif self._parts is None:
+                self._split[key] = squared_norm(u)
+            else:
+                # summed over the grid's columns n = o (mod 2)
+                self._split[key] = _window_norm(u, (self._first_column(offset) - offset) // 2,
+                                                (self.fock.dim - offset + 1) // 2)
         return rows, self._split[key]
 
 
@@ -277,7 +409,7 @@ def reduce_to_electron(state: CompositeState) -> ElectronDensityMatrix:
     stack of samples.  For a state of definite parity the entries between
     opposite parities of k vanish."""
     dim = state.dicke.dim
-    rho = np.zeros(state.amplitudes.shape[:-2] + (dim, dim), dtype=np.complex128)
+    rho = np.zeros(np.shape(state.time) + (dim, dim), dtype=np.complex128)
     for offset in (0, 1):
         rows, block = state.photon_parity_gram(offset)
         rho[..., rows, rows] += block

@@ -186,7 +186,7 @@ def parity_postselect(state: CompositeState, outcome: ParityOutcome) -> Postsele
     rows, block = state.photon_parity_gram(outcome.offset)
     _refuse_impossible(prob, f"parity outcome {outcome.label!r}")
     dim = state.dicke.dim
-    rho = np.zeros(state.amplitudes.shape[:-2] + (dim, dim), dtype=np.complex128)
+    rho = np.zeros(np.shape(state.time) + (dim, dim), dtype=np.complex128)
     rho[..., rows, rows] = block / prob[..., None, None]
     return _result(prob, rho, state, outcome.label)
 

@@ -8,6 +8,10 @@ every electron state a monitor reads (the trace-out, a parity branch or a
 quadrature readout) is formed once per block in its ``memo``, as one stack
 over the block's samples, however many monitors read it; the trace-out and
 the parity readouts share the block's photon-parity Grams (see ``hilbert``).
+An RWA block holds its samples as the two photon-parity parts of the live
+window: the parity readouts, the tail and the photon-number and jz moments
+read the parts, and only ``jx``, ``jy``, ``energy`` and the quadrature
+readouts ask for the grid, which the block then builds once.
 
 Conditioned quantities are undefined where the conditioning outcome has
 (numerically) zero probability; those samples record NaN (or a probability
@@ -70,7 +74,7 @@ def _conditioned(ctx: MonitorContext,
     (once more only if a window's finer rule refuses one of those)."""
     if outcome not in ctx.memo:
         state = ctx.state
-        possible, result = np.ones(len(state.amplitudes), dtype=bool), None
+        possible, result = np.ones(np.shape(state.time), dtype=bool), None
         while result is None and possible.any():
             kept = state if possible.all() else state[possible]
             try:

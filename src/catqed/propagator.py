@@ -46,7 +46,14 @@ empty as they start, so the norm dropped with them is constant in time
 and below LIVE_SECTOR_POPULATION per sector.  An even cat fills only the
 even sectors, and a large amplitude only those inside the Poisson tails; a
 kitten fills two islands, which is why the live set is a list rather than
-an interval.  Each sample is scattered onto the (m, n) grid.
+an interval.  The live sectors span a window of columns n, and each sample
+leaves the evolver as the two photon-parity parts of that window
+(``CompositeState.sampled``): u_o holds the columns n = o (mod 2) on the
+rows of the initial state's conserved parity, which both models keep, or on
+every row for a state of no definite parity.  A map built once per run
+gathers each part from the band; cells outside the window and dead sectors
+inside it are exact zeros on the grid, so every readout sees the numbers
+the grid holds, and no grid is built unless a reader asks for it.
 
 The evolver builds one ``HamiltonianAction`` per run and owns everything
 about expanding it: under the RWA it forms H' by taking omega K off the
@@ -58,8 +65,9 @@ diagonal of H' vanishes and the apply skips it.
 The result is exact on the truncated space up to rounding, so ``dt`` only
 fixes the sampling grid.  Each sample is renormalized; its
 pre-renormalization norm deviation is kept as a diagnostic.  ``_evolve``
-writes consecutive sampled states into the evolver's blocks of at most
-SAMPLE_BLOCK_BYTES of amplitudes, for ``run`` and ``snapshots`` alike, and
+hands out consecutive sampled states in the evolver's blocks of at most
+SAMPLE_BLOCK_BYTES of amplitudes (of the parts under the RWA, of the grid
+otherwise), for ``run`` and ``snapshots`` alike, and
 ``run`` evaluates every monitor once per block, through one
 ``MonitorContext`` (see ``monitors``), never inside the recurrence.  ``run``
 and ``_evolve`` let go of a block before the next is allocated, so a run
@@ -102,8 +110,9 @@ CHEBYSHEV_TOL = 1e-16
 MAX_CHEBYSHEV_TERMS = 10_000_000
 
 # Amplitudes of one block of samples evaluated and read out together (at
-# least one sample).  At N = 8 with 189 Fock levels a block holds 9
-# samples, which shares one recurrence and the readouts' per-call
+# least one sample).  The flagship's even cat at N = 8 with 189 Fock
+# levels holds 842 amplitudes in its two parts, so a block holds 19
+# samples, which share one recurrence and the readouts' per-call
 # overhead; a larger budget raises the peak memory of a run.
 SAMPLE_BLOCK_BYTES = 1 << 18
 
@@ -204,28 +213,33 @@ class _Chebyshev:
     ``psi`` is the state at grid step ``step`` (of ``dt``), in the frame
     rotating with omega K on the band of live sectors for the RWA model
     (where only H' is expanded), and on the (m, n) grid in the lab frame
-    otherwise; ``lab_amplitudes`` puts band states back onto the grid.
-    ``action`` is the one ``HamiltonianAction`` of the run, rewritten in
-    place so that its ``apply`` yields 2 H_n psi.
+    otherwise; ``_state`` hands out the lab-frame samples, gathered from
+    the band into the two photon-parity parts under the RWA.  ``action``
+    is the one ``HamiltonianAction`` of the run, rewritten in place so
+    that its ``apply`` yields 2 H_n psi.
     """
 
     def __init__(self, initial: CompositeState, params: ModelParams, dt: float):
         self.action = action = HamiltonianAction(params, initial.dicke, initial.fock)
+        self._spaces, self._parity = (initial.dicke, initial.fock), initial.parity
         # omega (Jz + n) of each band row; None in the lab frame
         self._omega_k = None
+        cells = initial.amplitudes.size
         if params.rwa:
             # H' = H - omega K leaves (delta - omega) m on the diagonal
             m = initial.dicke.m_values()
             action.diag[...] = ((params.delta - params.omega) * m)[:, None]
             sectors = _live_sectors(initial.amplitudes)
             # flat band and grid indices of the band's real (unpadded) cells
-            cells = action.to_band(sectors).ravel()
-            self._band_cells = np.flatnonzero(cells >= 0)
-            self._grid_cells = cells[self._band_cells]
+            band = action.to_band(sectors).ravel()
+            self._band_cells = np.flatnonzero(band >= 0)
+            self._grid_cells = band[self._band_cells]
             self._omega_k = params.omega * (sectors - initial.dicke.j)
+            self._first, self._gather = self._parts_map(band.size)
+            cells = sum(source.size for source in self._gather)
         # samples of a block: at least one, at most SAMPLE_BLOCK_BYTES of
-        # amplitudes on the grid
-        self.block = max(1, SAMPLE_BLOCK_BYTES // (16 * initial.amplitudes.size))
+        # amplitudes, on the grid or in the parts
+        self.block = max(1, SAMPLE_BLOCK_BYTES // (16 * cells))
         # the ring of ``_reserve``; psi enters it from the initial amplitudes
         self._ring, self._initial = None, initial.amplitudes
         lo, hi = action.spectral_bounds()
@@ -243,6 +257,25 @@ class _Chebyshev:
         # the last block's step offsets from psi with the (coeffs, folds) of
         # its ``_coefficients``: one plan serves every block of a regular grid
         self._plan: tuple = ((), None, None)
+
+    def _parts_map(self, zero: int) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
+        """The window's first column and, for each photon-parity part u_o,
+        the band index of each of its cells (see ``CompositeState.sampled``),
+        ``zero`` for the cells no live sector reaches.  The window spans the
+        columns of the band's cells; every nonzero cell lies in a part,
+        since a state of parity Pi fills only the sectors K = Pi (mod 2)."""
+        dicke, fock = self._spaces
+        columns = self._grid_cells % fock.dim
+        first, last = int(columns.min()), int(columns.max())
+        source = np.full(dicke.dim * fock.dim, zero)
+        source[self._grid_cells] = self._band_cells
+        rows = np.arange(dicke.dim)
+        parts = []
+        for offset in (0, 1):
+            part_rows = rows[CompositeState._rows(offset, self._parity)]
+            part_columns = np.arange(first + (offset - first) % 2, last + 1, 2)
+            parts.append(source[np.add.outer(part_rows * fock.dim, part_columns)])
+        return first, tuple(parts)
 
     @property
     def psi(self) -> np.ndarray:
@@ -263,16 +296,6 @@ class _Chebyshev:
                 ring[0].flat[self._band_cells] = self._initial.flat[self._grid_cells]
             self._ring, self._slots, self._initial = ring, list(ring), None
         return self._ring
-
-    def lab_amplitudes(self, times: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
-        """Write the lab-frame states at ``times`` of the band states
-        ``rows`` (one flat row each) into ``out``, a stack of (m, n) grids
-        that holds zeros."""
-        count = len(times)
-        phases = np.exp(np.multiply.outer(-1j * times, self._omega_k))
-        bands = rows.reshape(count, *self.psi.shape) * phases[:, :, None]
-        out.reshape(count, -1)[:, self._grid_cells] = \
-            bands.reshape(count, -1)[:, self._band_cells]
 
     def blocks(self, steps: Sequence[int]) -> list[Sequence[int]]:
         """Consecutive runs of the increasing grid ``steps``, none before
@@ -303,28 +326,46 @@ class _Chebyshev:
         self._reserve(max([3, *map(len, runs)]))
         return runs
 
-    def sample(self, steps: Sequence[int], out: np.ndarray) -> np.ndarray:
-        """Write the lab-frame states at ``steps``, one run of ``blocks``,
-        into ``out``, a stack that holds zeros, and move psi to the last of
-        them.  The run is read off one recurrence from psi; returns every
-        sample's |pre-renorm norm - 1|."""
-        count = len(steps)
-        rows = (out.reshape(count, -1) if self._omega_k is None
-                else np.empty((count, self.psi.size), dtype=np.complex128))
+    def sample(self, steps: Sequence[int]) -> tuple[CompositeState, np.ndarray]:
+        """The lab-frame states at ``steps``, one run of ``blocks``, as one
+        stack, and every sample's |pre-renorm norm - 1|; psi moves to the
+        last of them.  The run is read off one recurrence from psi."""
+        count, size = len(steps), self.psi.size
+        # a band row ends in one zero cell, the source of the parts' dead cells
+        rows = np.empty((count, size + (self._omega_k is not None)), dtype=np.complex128)
+        rows[:, size:] = 0.0
+        states = rows[:, :size]
         drift = np.zeros(count)
         offsets = tuple(s - self.step for s in steps)
         first = int(offsets[0] == 0)
         if first:                                 # psi itself, unchanged
-            rows[0] = self.psi.reshape(-1)
+            states[0] = self.psi.reshape(-1)
         if first < count:
             if offsets != self._plan[0]:
                 self._plan = offsets, *self._coefficients(offsets[first:])
-            self._expand(*self._plan[1:], rows[first:], drift[first:])
-            self.psi[...] = rows[-1].reshape(self.psi.shape)
+            self._expand(*self._plan[1:], states[first:], drift[first:])
+            self.psi[...] = states[-1].reshape(self.psi.shape)
         self.step = steps[-1]
-        if self._omega_k is not None:
-            self.lab_amplitudes(np.asarray(steps) * self.dt, rows, out)
-        return drift
+        return self._state(np.asarray(steps) * self.dt, rows), drift
+
+    def _state(self, times: np.ndarray, rows: np.ndarray) -> CompositeState:
+        """The stacked lab-frame state at ``times`` of ``rows``, one flat
+        state each as ``sample`` holds them, with the parity of the initial
+        state.  In the lab frame the rows are the (m, n) grids; under the RWA
+        each band row is turned by the phases of its sectors and gathered
+        into the two photon-parity parts."""
+        dicke, fock = self._spaces
+        if self._omega_k is None:
+            grids = rows.reshape((len(times),) + self.action.shape)
+            return CompositeState.sampled(grids, dicke, fock, times, self._parity)
+        phases = np.exp(np.multiply.outer(-1j * times, self._omega_k))
+        bands = rows[:, :-1].view()
+        bands.shape = (len(times),) + self.action.shape     # a view, never a copy
+        for k in range(bands.shape[-1]):                    # one k of every sector at a time
+            bands[..., k] *= phases
+        parts = [np.take(rows, source, axis=1) for source in self._gather]
+        return CompositeState.sampled(parts, dicke, fock, times, self._parity,
+                                      first_column=self._first)
 
     def _coefficients(self, offsets: tuple[int, ...]) -> tuple[np.ndarray, list]:
         """Coefficients of the samples ``offsets`` steps past psi, each row
@@ -408,13 +449,10 @@ def _evolve(initial: CompositeState, params: ModelParams, steps: Sequence[int],
     reference to a block before it allocates the next."""
     evolver = _Chebyshev(initial, params, dt)
     for chunk in evolver.blocks(steps):
-        amplitudes = np.zeros((len(chunk),) + initial.amplitudes.shape, dtype=np.complex128)
-        drift = evolver.sample(chunk, amplitudes)
-        times = np.asarray(chunk) * dt
-        initial.fock.check_tail(amplitudes, times)
-        yield CompositeState(amplitudes, initial.dicke, initial.fock, time=times,
-                             copy=False, validate=False), drift
-        del amplitudes
+        state, drift = evolver.sample(chunk)
+        state.check_tail()
+        yield state, drift
+        del state
 
 
 def run(initial: CompositeState, params: ModelParams, plan: PropagationPlan,

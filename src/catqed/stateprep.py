@@ -212,5 +212,6 @@ def prepare_initial(spec: PhotonicSpec, n_qubits: int,
     vec = photonic_vector(spec, n_max)
     c = np.zeros((dicke.dim, fock.dim), dtype=np.complex128)
     c[0, :] = vec
-    fock.check_tail(c, 0.0)
-    return CompositeState(c, dicke, fock, time=0.0, copy=False)
+    state = CompositeState(c, dicke, fock, time=0.0, copy=False)
+    state.check_tail()
+    return state

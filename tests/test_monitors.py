@@ -41,15 +41,18 @@ def test_each_state_is_formed_once_per_block(monkeypatch, per_block, blocks):
     _counted(monkeypatch, monitors, "quadrature_postselect", log)
     _counted(monkeypatch, monitors, "reduce_to_electron", log)
     _counted(monkeypatch, measurement, "hermite_functions", log)
-    real_norm = hilbert.squared_norm
+    real_norm, real_window_norm = hilbert.squared_norm, hilbert._window_norm
     monkeypatch.setattr(hilbert, "squared_norm", lambda u: norms.append(u.shape) or real_norm(u))
+    monkeypatch.setattr(hilbert, "_window_norm", lambda u, at, width:
+                        norms.append(u.shape) or real_window_norm(u, at, width))
     series = cq.run(state, params, plan,
                     extra_monitors=cq.build_quadrature_monitors(spec))
     assert series.times.size == 11
     for name in ("quadrature_postselect", "reduce_to_electron"):
         assert log.count(name) == blocks, name
     # prob_even and prob_odd are the state's two photon-parity weights, formed
-    # once per block; check_tail's sums span the top TAIL_WIDTH + 1 levels
+    # once per block (on its parts under the RWA, summed over the grid's
+    # columns); check_tail's sums span the top TAIL_WIDTH + 1 levels
     assert sum(shape[-1] != hilbert.TAIL_WIDTH + 1 for shape in norms) == 2 * blocks
     # the window tables are built inside the first block's readout only
     first, *later = [i for i, name in enumerate(log) if name == "quadrature_postselect"]

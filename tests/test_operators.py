@@ -63,14 +63,15 @@ def test_apply_hamiltonian_matches_dense(params, rng):
     assert evolver._center == pytest.approx(centre, abs=1e-12)
     assert evolver._half_width == pytest.approx(half_width, abs=1e-12)
     # under the RWA the evolver holds psi on the band of excitation sectors
-    # (every sector of a random state); at t = 0 ``lab_amplitudes`` puts a
-    # band array back onto the grid unchanged
+    # (every sector of a random state); at t = 0 its gather puts a band
+    # array, one zero cell past its end, into the photon-parity parts of the
+    # grid unchanged
     mapped = evolver.action.apply(evolver.psi, np.empty_like(evolver.psi))
-    on_grid = mapped
+    rows = mapped.reshape(1, -1)
     if params.rwa:
         assert not np.delete(mapped.ravel(), evolver._band_cells).any()
-        on_grid = np.zeros((1,) + state.amplitudes.shape, dtype=complex)
-        evolver.lab_amplitudes(np.zeros(1), mapped.reshape(1, -1), on_grid)
+        rows = np.append(rows, 0.0).reshape(1, -1)
+    on_grid = evolver._state(np.zeros(1), rows).amplitudes
     ref = 2.0 / half_width * (expanded @ psi - centre * psi)
     assert np.abs(on_grid.ravel() - ref).max() < 1e-13
 

@@ -240,28 +240,33 @@ FLAGSHIP_MONITORS = ("qfi_density", "qfi_density_even", "prob_even", "prob_odd")
 @pytest.mark.parametrize("monitors", [FLAGSHIP_MONITORS, FLAGSHIP_MONITORS + ("qfi_density_odd",)],
                          ids=["flagship", "with-odd-outcome"])
 def test_a_run_scans_each_block_once(monitors, monkeypatch):
-    # flagship inputs: 101 samples in 12 blocks of at most 9.  The odd outcome
-    # is impossible at t = 0, so that monitor reads the first block's 8
-    # possible samples as a sub-stack, which keeps the block's parity
+    # flagship inputs: 101 samples in 6 blocks of at most 19.  Both models
+    # conserve the parity, so the run scans its initial state once and every
+    # block carries that parity.  The odd outcome is impossible at t = 0, so
+    # that monitor reads the first block's 18 possible samples as a
+    # sub-stack, which keeps the block's parity
     params = cq.ModelParams(n_qubits=8, gamma=0.01)
     initial = cq.prepare_initial(cq.PhotonicSpec("even_cat", 10.0), 8, n_max=188)
     plan = cq.PropagationPlan(t_max=10.0, sample_stride=100, monitors=monitors)
-    scanned = count_scans(monkeypatch)
-    series = cq.run(initial, params, plan)
+    scanned, blocks = count_scans(monkeypatch), []
+    spy = ("blocks", lambda ctx: blocks.append(ctx.state) or np.zeros(ctx.norm_drift.size))
+    series = cq.run(initial, params, plan, extra_monitors=[spy])
     assert series.times.size == 101
-    sizes = [np.size(state.time) for state in scanned]
-    assert sizes == [9] * 11 + [2]
-    assert all(state.parity == 0 for state in scanned)
+    assert [np.size(state.time) for state in blocks] == [19] * 5 + [6]
+    assert all(state.parity == 0 for state in blocks)
+    assert scanned == [initial]
 
 
 def test_a_snapshot_is_scanned_once_for_its_three_parity_readouts(monkeypatch):
+    # the one scan is the initial state's; the snapshot carries its parity
     params = MODELS["rwa"]
-    snap = cq.snapshots(cat_initial(3.0, -1.0), params, [2.5])[0]
+    initial = cat_initial(3.0, -1.0)
     scanned = count_scans(monkeypatch)
+    snap = cq.snapshots(initial, params, [2.5])[0]
     cq.reduce_to_electron(snap)
     for outcome in cq.ParityOutcome:
         cq.parity_postselect(snap, outcome)
-    assert scanned == [snap]
+    assert scanned == [initial]
     assert snap.parity == 1
 
 
@@ -272,10 +277,10 @@ def test_a_snapshot_is_scanned_once_for_its_three_parity_readouts(monkeypatch):
     (("prob_even", "prob_odd"), 0)],
     ids=["flagship", "with-odd-outcome", "odd-outcome-first", "probabilities"])
 def test_a_block_forms_each_photon_parity_gram_once(monitors, per_block, monkeypatch):
-    # the trace-out and the parity readouts share the two Grams of a block,
-    # also where the odd outcome is refused at t = 0 and its 8 possible
-    # samples are read as a sub-stack; the parity probabilities are the
-    # weights, which need none
+    # the trace-out and the parity readouts share the two Grams of each of
+    # the 6 blocks, also where the odd outcome is refused at t = 0 and its 18
+    # possible samples are read as a sub-stack; the parity probabilities
+    # are the weights, which need none
     formed = []
     real_gram = hilbert.gram
     monkeypatch.setattr(hilbert, "gram", lambda u: formed.append(u.shape) or real_gram(u))
@@ -283,20 +288,24 @@ def test_a_block_forms_each_photon_parity_gram_once(monitors, per_block, monkeyp
     initial = cq.prepare_initial(cq.PhotonicSpec("even_cat", 10.0), 8, n_max=188)
     plan = cq.PropagationPlan(t_max=10.0, sample_stride=100, monitors=monitors)
     cq.run(initial, params, plan)
-    assert len(formed) == 12 * per_block
+    assert len(formed) == 6 * per_block
     assert sorted(set(shape[-2] for shape in formed)) == ([4, 5] if per_block else [])
 
 
 def test_a_block_forms_each_photon_parity_weight_once(monkeypatch):
-    # prob_even and prob_odd read the two weights the state keeps; check_tail's
-    # sums over the top TAIL_WIDTH + 1 levels are the other squared norms
+    # prob_even and prob_odd read the two weights each of the 6 blocks keeps,
+    # formed on its parts: the live sectors K = 10 .. 188 span the columns
+    # 2 .. 188, so u_0 holds 5 even rows x 94 even columns and u_1 4 odd rows
+    # x 93 odd columns.  check_tail's sums span the top TAIL_WIDTH + 1 levels
     formed = []
-    real_norm = hilbert.squared_norm
+    real_norm, real_window_norm = hilbert.squared_norm, hilbert._window_norm
     monkeypatch.setattr(hilbert, "squared_norm",
                         lambda u: formed.append(u.shape) or real_norm(u))
+    monkeypatch.setattr(hilbert, "_window_norm", lambda u, at, width:
+                        formed.append(u.shape) or real_window_norm(u, at, width))
     params = cq.ModelParams(n_qubits=8, gamma=0.01)
     initial = cq.prepare_initial(cq.PhotonicSpec("even_cat", 10.0), 8, n_max=188)
     plan = cq.PropagationPlan(t_max=10.0, sample_stride=100, monitors=("prob_even", "prob_odd"))
     cq.run(initial, params, plan)
     weights = [shape[-2:] for shape in formed if shape[-1] != hilbert.TAIL_WIDTH + 1]
-    assert sorted(weights) == [(4, 94)] * 12 + [(5, 95)] * 12
+    assert sorted(weights) == [(4, 93)] * 6 + [(5, 94)] * 6

@@ -188,9 +188,8 @@ def test_the_block_cut_depends_on_the_steps_alone(monkeypatch):
     assert evolver.blocks(steps) == runs
     assert [step for run in runs for step in run] == steps
     assert len(runs) > 3 and len(set(map(len, runs))) > 1
-    first = runs[0]
-    evolver.sample(first, np.zeros((len(first),) + initial.amplitudes.shape, dtype=complex))
-    assert evolver.blocks(steps[len(first):]) == runs[1:]
+    evolver.sample(runs[0])
+    assert evolver.blocks(steps[len(runs[0]):]) == runs[1:]
 
 
 def test_the_ring_is_allocated_once(monkeypatch):
@@ -202,11 +201,11 @@ def test_the_ring_is_allocated_once(monkeypatch):
     rings = []
     sample = _Chebyshev.sample
 
-    def spied(self, steps, out):
+    def spied(self, steps):
         rings.append((len(steps), self._ring))
-        drift = sample(self, steps, out)
+        sampled = sample(self, steps)
         rings.append((len(steps), self._ring))
-        return drift
+        return sampled
 
     monkeypatch.setattr(_Chebyshev, "sample", spied)
     cq.snapshots(initial, params, [0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
@@ -218,22 +217,27 @@ def test_the_ring_is_allocated_once(monkeypatch):
 def test_the_ring_holds_one_slot_per_sample_of_the_longest_run(monkeypatch):
     # snapshots at three times read one run of three samples, so the ring
     # holds three slots, not one per sample of a full block; a run of many
-    # samples fills whole blocks and holds max(block, 3)
+    # samples fills whole blocks and holds max(block, 3).  A block is sized
+    # on the two photon-parity parts of a sample: the even cat's live
+    # sectors span all 73 columns, so u_0 holds 9 even rows x 37 even
+    # columns and u_1 8 odd rows x 36 odd columns, 621 amplitudes, and
+    # 256 KiB holds 26 samples (13 of the 17 x 73 grid)
     params = cq.ModelParams(n_qubits=16, gamma=0.01)
     initial = cq.prepare_initial(cq.PhotonicSpec("even_cat", 4.0), 16)
+    sample_bytes = 16 * (9 * 37 + 8 * 36)
     rings = []
     sample = _Chebyshev.sample
 
-    def spied(self, steps, out):
+    def spied(self, steps):
         rings.append((self.block, len(self._ring)))
-        return sample(self, steps, out)
+        return sample(self, steps)
 
     monkeypatch.setattr(_Chebyshev, "sample", spied)
     cq.snapshots(initial, params, [0.0, 7.85, 15.7])
-    assert rings == [(13, 3)]
+    assert rings == [(26, 3)]
     plan = cq.PropagationPlan(t_max=0.5, sample_stride=10, monitors=("norm_drift",))
-    for block_bytes, block in ((propagator.SAMPLE_BLOCK_BYTES, 13),
-                               (initial.amplitudes.nbytes, 1)):
+    for block_bytes, block in ((propagator.SAMPLE_BLOCK_BYTES, 26), (sample_bytes, 1),
+                               (2 * sample_bytes - 1, 1), (2 * sample_bytes, 2)):
         monkeypatch.setattr(propagator, "SAMPLE_BLOCK_BYTES", block_bytes)
         rings.clear()
         cq.run(initial, params, plan)
@@ -364,16 +368,20 @@ def test_run_is_deterministic():
 
 
 def test_a_run_keeps_one_block_of_samples_alive():
-    """Flagship monitors at N = 8, 189 Fock levels: a block is 9 samples,
-    245 KB.  Twelve blocks peak within half a block of two (0.77 and 0.79
-    MiB traced); while the previous block stayed referenced as the next was
-    allocated and propagated, twelve peaked a block higher (1.02 MiB)."""
+    """Flagship monitors at N = 8, 189 Fock levels: a sample's two
+    photon-parity parts hold 842 amplitudes, so a block is 19 samples,
+    256 KB.  Six blocks peak within half a block of two (0.87 and 0.88 MiB
+    traced, the short run one whole block and one sample).  While the
+    previous block stayed referenced as the next was allocated and
+    propagated, six peaked a block higher (1.14 MiB)."""
     params = cq.ModelParams(n_qubits=8, gamma=0.01)
     initial = cq.prepare_initial(cq.PhotonicSpec("even_cat", 10.0), 8, n_max=188)
     names = ("qfi_density", "qfi_density_even", "prob_even", "photon_number")
-    block_bytes = propagator._Chebyshev(initial, params, 1e-3).block * initial.amplitudes.nbytes
+    evolver = propagator._Chebyshev(initial, params, 1e-3)
+    block_bytes = evolver.block * 16 * sum(source.size for source in evolver._gather)
+    assert evolver.block == 19
     peaks = []
-    for t_max in (0.009, 0.1):
+    for t_max in (0.019, 0.1):
         plan = cq.PropagationPlan(t_max=t_max, sample_stride=1, monitors=names)
         cq.run(initial, params, plan)
         tracemalloc.start()
