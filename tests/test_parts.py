@@ -143,8 +143,8 @@ def test_a_sub_stack_of_parts_on_every_row_decides_its_parity_from_the_parts():
 
 
 def test_amplitudes_built_from_the_parts_are_the_scattered_grid():
-    # the parent's scatter: each band row turned by its sectors' phases and
-    # written onto the grid cells of the band's real cells
+    # the grid scatter the parts replace: each band row turned by its
+    # sectors' phases and written onto the grid cells of the band's real cells
     rng = np.random.default_rng(7)
     for make in (flagship, odd_cat, lambda: small("kitten")):
         params, initial = make()
