@@ -17,15 +17,16 @@ split by photon parity forms each outcome's weight and Gram once
 (``photon_parity_weight``, ``photon_parity_gram``), for the trace-out and
 every photon-parity readout.
 
-An evolver hands out its samples with the parity of the state they evolved
-from (``CompositeState.sampled``), so none is scanned for it.  Under the RWA
-it hands them out as the two photon-parity parts u_o of the live window (the
-columns the live excitation sectors span) rather than as the zero-filled
-grid: the weights, Grams, photon moments and truncation tail read the
-parts, and ``amplitudes`` places them on the grid only for a reader that
-asks for it.  The parts give every readout the value the grid gives, bit for bit:
-sums over rows add them in order (``column_weights``), and sums over
-columns run on the columns the grid has (``_window_norm``).
+Every state is read through its two photon-parity parts u_o, the columns
+n = o (mod 2) of a window: a state made from a grid holds the views
+grid[..., o::2] as its parts.  An evolver hands out its samples with the
+parity of the state they evolved from (``CompositeState.sampled``), so none
+is scanned for it; under the RWA, as the parts of the live window (the
+columns the live excitation sectors span), which ``amplitudes`` places on
+the grid only for a reader that asks for it.  The parts give every readout
+the grid's value bit for bit: sums over rows add them in order
+(``column_weights``), and sums over columns run on the columns the grid
+has (``_window_norm``).
 """
 
 from __future__ import annotations
@@ -81,13 +82,6 @@ def _window_norm(u: np.ndarray, at: int, width: int) -> np.ndarray:
 def gram(u: np.ndarray) -> np.ndarray:
     """u u^dag over the last two axes, one per sample."""
     return u @ u.conj().swapaxes(-1, -2)
-
-
-def _norms(amplitudes: np.ndarray) -> np.ndarray:
-    """2-norm over the last two axes of a C-ordered complex array, summed
-    on its float view so that no array of its size is allocated."""
-    flat = amplitudes.view(np.float64).reshape(*amplitudes.shape[:-2], -1)
-    return np.sqrt(np.einsum("...k,...k->...", flat, flat))
 
 
 @dataclass(frozen=True)
@@ -148,8 +142,9 @@ class CompositeState:
     A stack of samples has amplitudes of shape (samples, dicke.dim,
     fock.dim) and one time per sample; every sample is validated.
 
-    A state ``sampled`` as its two photon-parity parts holds no grid until
-    ``amplitudes`` is read; the grid is then built once, read-only.
+    Every reader reads the parts; a state made from a grid hands out that
+    grid as ``amplitudes``.  One ``sampled`` as its parts, or a sub-stack,
+    holds no grid until ``amplitudes`` is read; it is then built once.
     """
 
     __slots__ = ("dicke", "fock", "time", "_grid", "_parts", "_first", "_cut",
@@ -168,19 +163,26 @@ class CompositeState:
             raise DimensionMismatchError(
                 f"times of shape {times.shape} for amplitudes of shape {arr.shape}")
         if validate:
-            if not np.all(np.isfinite(arr.view(np.float64))):
+            # summed on the float view, so no array of the grid's size is made
+            flat = arr.view(np.float64).reshape(*arr.shape[:-2], -1)
+            if not np.all(np.isfinite(flat)):
                 raise StateValidationError("non-finite amplitude encountered")
-            dev = np.max(np.abs(_norms(arr) - 1.0))
+            dev = np.max(np.abs(np.sqrt(np.einsum("...k,...k->...", flat, flat)) - 1.0))
             if dev > NORM_ATOL:
                 raise StateValidationError(
                     f"state norm deviates from 1 by {dev:.3e} (> {NORM_ATOL})")
-        self._fill(arr, None, 0, None, dicke, fock, times)
+        self._fill(dicke, fock, times, grid=arr)
 
-    def _fill(self, grid, parts, first, cut, dicke, fock, times) -> None:
+    def _fill(self, dicke, fock, times, grid=None, parts=None, first=0, cut=None) -> None:
+        """Freeze and keep the parts (u_0, u_1) of the window from column
+        ``first`` on the rows of parity ``cut`` (None: every row), or the
+        ``grid`` and its views grid[..., o::2] as the parts."""
         times = np.array(times, dtype=float)
-        for array in (grid, times, *(parts or ())):
-            if array is not None:
-                array.flags.writeable = False
+        if parts is None:
+            grid.flags.writeable = False
+            parts = (grid[..., 0::2], grid[..., 1::2])
+        for array in (times, *parts):
+            array.flags.writeable = False
         for name, value in (("_grid", grid), ("_parts", parts), ("_first", first),
                             ("_cut", cut), ("dicke", dicke), ("fock", fock),
                             ("time", per_sample(times)), ("_split", {})):
@@ -192,16 +194,16 @@ class CompositeState:
         """A stack of samples evolved from a state of parity ``parity`` (None
         for no definite parity), which both models conserve, so no sample is
         scanned for it; the samples are taken as normalized.  ``storage`` is
-        the stack of (m, n) grids, or with ``first_column`` the parts
-        (u_0, u_1): u_o holds the columns n = o (mod 2) of the window that
-        starts at ``first_column``, on the rows k = o + parity (mod 2), or on
-        every row for no parity.  Every cell outside the parts is zero."""
+        the stack of (m, n) grids, whose parts are then views of it, or with
+        ``first_column`` the parts (u_0, u_1): u_o holds the columns
+        n = o (mod 2) of the window that starts at ``first_column``, on the
+        rows k = o + parity (mod 2), or on every row for no parity.  Every
+        cell outside the parts is zero."""
         state = cls.__new__(cls)
-        times = np.array(time, dtype=float)
         if first_column is None:
-            state._fill(storage, None, 0, None, dicke, fock, times)
+            state._fill(dicke, fock, time, grid=storage)
         else:
-            state._fill(None, tuple(storage), first_column, parity, dicke, fock, times)
+            state._fill(dicke, fock, time, parts=tuple(storage), first=first_column, cut=parity)
         object.__setattr__(state, "_parity", parity)
         return state
 
@@ -212,9 +214,8 @@ class CompositeState:
     def amplitudes(self) -> np.ndarray:
         """The (m, n) grid (a stack of them for a stack of samples)."""
         if self._grid is None:
-            grid = self._placed(0)
-            grid.flags.writeable = False
-            object.__setattr__(self, "_grid", grid)
+            object.__setattr__(self, "_grid", self._placed(0))
+            self._grid.flags.writeable = False
         return self._grid
 
     def _placed(self, start: int) -> np.ndarray:
@@ -240,16 +241,14 @@ class CompositeState:
         return slice(None) if parity is None else slice((offset + parity) % 2, None, 2)
 
     def norm(self) -> float | np.ndarray:
-        return per_sample(_norms(self.amplitudes))
+        """sqrt(|u_0|^2 + |u_1|^2) from the photon-parity weights (per sample)."""
+        return per_sample(np.sqrt(self.photon_parity_weight(0) + self.photon_parity_weight(1)))
 
     def column_weights(self, row_weights: np.ndarray | None = None) -> np.ndarray:
         """``column_weights`` of the state for each photon number n, one row
         per sample of a stack: sum_k w_k |c_kn|^2, with w_k the
         ``row_weights`` of the Dicke rows (1 without).  Read from the parts
-        of a sampled state and placed on their columns, it is the grid's
-        value bit for bit."""
-        if self._parts is None:
-            return column_weights(self._grid, row_weights)
+        and placed on their columns, it is the grid's value bit for bit."""
         out = np.zeros(np.shape(self.time) + (self.fock.dim,))
         for offset, part in enumerate(self._parts):
             rows = self._rows(offset, self._cut)
@@ -260,9 +259,7 @@ class CompositeState:
     def tail_population(self) -> float | np.ndarray:
         """Probability weight in the top TAIL_WIDTH + 1 Fock levels (per
         sample for a stack)."""
-        start = self.fock.tail_start
-        tail = self._grid[..., start:] if self._parts is None else self._placed(start)
-        return per_sample(squared_norm(tail))
+        return per_sample(squared_norm(self._placed(self.fock.tail_start)))
 
     def check_tail(self) -> None:
         """Refuse a state whose tail population exceeds TAIL_TOLERANCE: the
@@ -278,8 +275,7 @@ class CompositeState:
                 "raise the cutoff")
 
     def photon_distribution(self) -> np.ndarray:
-        """Marginal photon-number probabilities p(n), one row per sample
-        of a stack."""
+        """Marginal photon-number probabilities p(n), one row per sample of a stack."""
         return self.column_weights()
 
     @property
@@ -288,22 +284,12 @@ class CompositeState:
         samples together: 0 or 1 when every cell of the other parity is
         exactly zero (both models keep them so for an even or odd cat with
         the emitters down), else None.  Decided on first use and kept, since
-        the amplitudes are frozen; a state read as parts on every row
-        decides it from the parts."""
+        the amplitudes are frozen.  Only a state whose parts lie on every
+        row decides it, from its parts."""
         if not hasattr(self, "_parity"):
-            if self._parts is None:
-                a = self._grid
-                odd, even = (a[..., 0::2, 1::2], a[..., 1::2, 0::2]), \
-                    (a[..., 0::2, 0::2], a[..., 1::2, 1::2])
-            else:
-                u0, u1 = self._parts
-                odd, even = (u0[..., 1::2, :], u1[..., 0::2, :]), \
-                    (u0[..., 0::2, :], u1[..., 1::2, :])
-            parity = None
-            if not any(cells.any() for cells in odd):
-                parity = 0
-            elif not any(cells.any() for cells in even):
-                parity = 1
+            # parity Pi when the cells of the other one, rows k = o + 1 - Pi of u_o, are zero
+            parity = next((pi for pi in (0, 1) if not any(
+                u[..., self._rows(o, 1 - pi), :].any() for o, u in enumerate(self._parts))), None)
             object.__setattr__(self, "_parity", parity)
         return self._parity
 
@@ -314,12 +300,8 @@ class CompositeState:
         if np.ndim(self.time) == 0:
             raise DimensionMismatchError("a single state is not a stack of samples to index")
         part = CompositeState.__new__(CompositeState)
-        if self._parts is None:
-            part._fill(self._grid[index], None, 0, None, self.dicke, self.fock,
-                       self.time[index])
-        else:
-            part._fill(None, tuple(u[index] for u in self._parts), self._first, self._cut,
-                       self.dicke, self.fock, self.time[index])
+        part._fill(self.dicke, self.fock, self.time[index],
+                   parts=tuple(u[index] for u in self._parts), first=self._first, cut=self._cut)
         if getattr(self, "_parity", None) is not None:
             object.__setattr__(part, "_parity", self._parity)
             part._split.update((key, kept[index]) for key, kept in self._split.items())
@@ -338,21 +320,16 @@ class CompositeState:
         "gram") of its amplitudes u_o, formed once per state: u_o holds the
         columns n = o (mod 2) on the rows k = o + Pi (mod 2) for a state of
         definite parity (the other rows are zero there), else on every row.
-        A sampled state's part holds u_o on the columns of its window."""
+        The part holds u_o on the columns of its window."""
         rows = self._rows(offset, self.parity)
         key = (form, offset)
         if key not in self._split:
-            if self._parts is None:
-                u = self._grid[..., rows, offset::2]
-            else:
-                # parts cut on every row keep the rows of a parity decided since
-                u = self._parts[offset]
-                if self._cut is None:
-                    u = u[..., rows, :]
+            # parts cut on every row keep the rows of a parity decided since
+            u = self._parts[offset]
+            if self._cut is None:
+                u = u[..., rows, :]
             if form == "gram":
                 self._split[key] = gram(u)
-            elif self._parts is None:
-                self._split[key] = squared_norm(u)
             else:
                 # summed over the grid's columns n = o (mod 2)
                 self._split[key] = _window_norm(u, (self._first_column(offset) - offset) // 2,

@@ -8,10 +8,10 @@ every electron state a monitor reads (the trace-out, a parity branch or a
 quadrature readout) is formed once per block in its ``memo``, as one stack
 over the block's samples, however many monitors read it; the trace-out and
 the parity readouts share the block's photon-parity Grams (see ``hilbert``).
-An RWA block holds its samples as the two photon-parity parts of the live
-window: the parity readouts, the tail and the photon-number and jz moments
-read the parts, and only ``jx``, ``jy``, ``energy`` and the quadrature
-readouts ask for the grid, which the block then builds once.
+Every block is read through its two photon-parity parts (views of a
+full-model block's grid, the live window of an RWA block): the parity
+readouts, tail and photon-number and jz moments read them, and only ``jx``,
+``jy``, ``energy`` and the quadrature readouts ask for the grid.
 
 Conditioned quantities are undefined where the conditioning outcome has
 (numerically) zero probability; those samples record NaN (or a probability

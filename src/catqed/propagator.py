@@ -46,14 +46,15 @@ empty as they start, so the norm dropped with them is constant in time
 and below LIVE_SECTOR_POPULATION per sector.  An even cat fills only the
 even sectors, and a large amplitude only those inside the Poisson tails; a
 kitten fills two islands, which is why the live set is a list rather than
-an interval.  The live sectors span a window of columns n, and each sample
-leaves the evolver as the two photon-parity parts of that window
-(``CompositeState.sampled``): u_o holds the columns n = o (mod 2) on the
-rows of the initial state's conserved parity, which both models keep, or on
-every row for a state of no definite parity.  A map built once per run
-gathers each part from the band; cells outside the window and dead sectors
-inside it are exact zeros on the grid, so every readout sees the numbers
-the grid holds, and no grid is built unless a reader asks for it.
+an interval.  Every state is read through its two photon-parity parts
+(``CompositeState.sampled``): a full-model sample holds views of its grid,
+and an RWA sample the parts of the window of columns the live sectors span,
+u_o on the columns n = o (mod 2) and the rows of the initial state's
+conserved parity, which both models keep (every row for no definite
+parity).  A map built once per run gathers each part from the band; cells
+outside the window and dead sectors inside it are exact zeros on the grid,
+so every readout sees the grid's numbers, and no grid is built unless a
+reader asks for it.
 
 The evolver builds one ``HamiltonianAction`` per run and owns everything
 about expanding it: under the RWA it forms H' by taking omega K off the
@@ -67,7 +68,7 @@ fixes the sampling grid.  Each sample is renormalized; its
 pre-renormalization norm deviation is kept as a diagnostic.  ``_evolve``
 hands out consecutive sampled states in the evolver's blocks of at most
 SAMPLE_BLOCK_BYTES of amplitudes (of the parts under the RWA, of the grid
-otherwise), for ``run`` and ``snapshots`` alike, and
+in the full model), for ``run`` and ``snapshots`` alike, and
 ``run`` evaluates every monitor once per block, through one
 ``MonitorContext`` (see ``monitors``), never inside the recurrence.  ``run``
 and ``_evolve`` let go of a block before the next is allocated, so a run
@@ -135,8 +136,10 @@ class PropagationPlan:
             raise ConfigError(f"t_max must be positive and finite, got {self.t_max!r}")
         if not 0.0 < self.dt <= self.t_max:
             raise ConfigError(f"dt must lie in (0, t_max], got {self.dt!r}")
-        if self.sample_stride is not None and self.sample_stride < 1:
-            raise ConfigError("sample_stride must be >= 1")
+        stride = self.sample_stride
+        if stride is not None and (isinstance(stride, bool)
+                                   or not isinstance(stride, (int, np.integer)) or stride < 1):
+            raise ConfigError(f"sample_stride must be a positive integer, got {stride!r}")
         resolve_monitors(self.monitors)
 
     @property

@@ -1,9 +1,12 @@
-"""RWA samples held as their two photon-parity parts.
+"""States read through their two photon-parity parts.
 
 Under the RWA the evolver hands out each block of samples as the parts u_o
 of the live window (``CompositeState.sampled``) instead of the zero-filled
-(m, n) grid.  Every readout of the parts must be the grid's bit for bit: the
-grid path here is a state holding the same amplitudes as a grid.
+(m, n) grid; a state made from a grid holds views of its even and odd
+columns as its parts.  Every readout must be the grid's bit for bit.  The
+grid path here is a state holding the same amplitudes as a grid, and the
+grid reference (``grid_readouts``) is the arithmetic on the whole grid that
+read grid states before every state was read through its parts.
 """
 
 import numpy as np
@@ -27,6 +30,41 @@ def grid_path(monkeypatch):
     real = _Chebyshev._state
     monkeypatch.setattr(_Chebyshev, "_state",
                         lambda self, times, rows: on_grid(real(self, times, rows)))
+
+
+def grid_readouts(grid, fock, m):
+    """Parity, photon distribution, jz column weights, tail and the two
+    photon-parity weights and Grams of the (m, n) ``grid``, read on the grid
+    itself: the parity from the checkerboard of its cells, the column
+    weights and tail over its whole rows, and u_o = grid[..., rows, o::2]."""
+    odd = (grid[..., 0::2, 1::2], grid[..., 1::2, 0::2])
+    even = (grid[..., 0::2, 0::2], grid[..., 1::2, 1::2])
+    parity = None
+    if not any(cells.any() for cells in odd):
+        parity = 0
+    elif not any(cells.any() for cells in even):
+        parity = 1
+    out = {"parity": parity, "photon_distribution": hilbert.column_weights(grid),
+           "jz_weights": hilbert.column_weights(grid, m),
+           "tail_population": hilbert.squared_norm(grid[..., fock.tail_start:])}
+    for offset in (0, 1):
+        rows = slice(None) if parity is None else slice((offset + parity) % 2, None, 2)
+        u = grid[..., rows, offset::2]
+        out[f"rows_{offset}"] = rows
+        out[f"weight_{offset}"] = hilbert.squared_norm(u)
+        out[f"gram_{offset}"] = hilbert.gram(u)
+    return out
+
+
+def readouts(state):
+    """The readouts of ``grid_readouts``, read through the state's parts."""
+    out = {"parity": state.parity, "photon_distribution": state.photon_distribution(),
+           "jz_weights": state.column_weights(state.dicke.m_values()),
+           "tail_population": state.tail_population()}
+    for offset in (0, 1):
+        out[f"rows_{offset}"], out[f"gram_{offset}"] = state.photon_parity_gram(offset)
+        out[f"weight_{offset}"] = state.photon_parity_weight(offset)
+    return out
 
 
 def flagship():
@@ -68,6 +106,60 @@ CASES = {
 
 
 GRAM_READOUTS = ("qfi_density", "qfi_density_even", "qfi_density_odd")
+
+
+def full_even_cat():
+    params = cq.ModelParams(n_qubits=4, gamma=0.3, delta=1.2, rwa=False)
+    return params, cq.prepare_initial(cq.PhotonicSpec("even_cat", 2.0), 4, n_max=56)
+
+
+def full_kitten():
+    params = cq.ModelParams(n_qubits=8, gamma=0.01, rwa=False)
+    return params, cq.prepare_initial(cq.PhotonicSpec("kitten", 6.0), 8, n_max=96)
+
+
+FULL = {
+    "full-even-cat": (full_even_cat, cq.PropagationPlan(t_max=2.0, dt=0.01, sample_stride=7)),
+    "full-kitten": (full_kitten, cq.PropagationPlan(t_max=0.4, dt=0.01)),
+}
+
+
+@pytest.mark.parametrize("case", [*CASES, *FULL])
+def test_readouts_are_the_grid_arithmetic_bit_for_bit(case):
+    # every block of the case, a strided and a masked sub-stack and its last
+    # sample, each in the form the evolver hands out (parts of the window
+    # under the RWA, a grid in the full model) and as a grid state; only a
+    # headline window's Grams may differ from the whole grid's, in the last
+    # bits (see test_run_readouts_are_the_grid_paths_bit_for_bit)
+    make, plan = {**CASES, **FULL}[case]
+    params, initial = make()
+    steps = range(0, plan.n_steps + 1, plan.stride())
+    for block, _ in _evolve(initial, params, steps, plan.dt):
+        indices = [slice(None), slice(None, None, 2), np.arange(block.time.size) % 3 != 1, -1]
+        states = [block] + [block[index] for index in indices[1:]]
+        read = [readouts(state) for state in states]
+        for index, state, got in zip(indices, states, read):
+            grid = state.amplitudes
+            assert np.array_equal(grid, block.amplitudes[index])
+            want = grid_readouts(grid, state.fock, state.dicke.m_values())
+            for form, values in (("sampled", got), ("grid", readouts(on_grid(state)))):
+                for name, value in values.items():
+                    if case == "headline" and form == "sampled" and name.startswith("gram"):
+                        assert np.allclose(value, want[name], rtol=1e-14, atol=0.0), name
+                    else:
+                        assert np.array_equal(value, want[name]), (form, name)
+
+
+def test_the_norm_is_read_from_the_photon_parity_weights():
+    # a sampled block's norm builds no grid, and is the grid's to rounding
+    for make in (flagship, odd_cat, lambda: small("kitten")):
+        params, initial = make()
+        block = next(_evolve(initial, params, [0, 40, 300, 900], 1e-2))[0]
+        norm = block.norm()
+        assert block._grid is None
+        assert np.allclose(norm, np.linalg.norm(block.amplitudes, axis=(1, 2)),
+                           rtol=0.0, atol=1e-15)
+        assert np.allclose(initial.norm(), 1.0, rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("case", CASES)

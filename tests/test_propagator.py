@@ -474,8 +474,10 @@ def test_plan_validation():
         cq.PropagationPlan(t_max=-1.0)
     with pytest.raises(cq.ConfigError):
         cq.PropagationPlan(t_max=1.0, dt=2.0)
-    with pytest.raises(cq.ConfigError):
-        cq.PropagationPlan(t_max=1.0, sample_stride=0)
+    for stride in (0, -3, 2.5, 2.0, True, "2"):
+        with pytest.raises(cq.ConfigError, match="sample_stride must be a positive integer"):
+            cq.PropagationPlan(t_max=1.0, sample_stride=stride)
+    assert cq.PropagationPlan(t_max=1.0, sample_stride=np.int64(3)).stride() == 3
     for t_max, dt in [(math.inf, 1e-3), (math.nan, 1e-3), (1.0, math.nan)]:
         with pytest.raises(cq.ConfigError):
             cq.PropagationPlan(t_max=t_max, dt=dt)
