@@ -91,7 +91,8 @@ class DickeSpace:
     n_qubits: int
 
     def __post_init__(self):
-        if not isinstance(self.n_qubits, (int, np.integer)) or self.n_qubits < 1:
+        if (isinstance(self.n_qubits, bool) or not isinstance(self.n_qubits, (int, np.integer))
+                or self.n_qubits < 1):
             raise DimensionMismatchError(
                 f"n_qubits must be a positive integer, got {self.n_qubits!r}")
 
@@ -120,7 +121,8 @@ class FockSpace:
     n_max: int
 
     def __post_init__(self):
-        if not isinstance(self.n_max, (int, np.integer)) or self.n_max < 1:
+        if (isinstance(self.n_max, bool) or not isinstance(self.n_max, (int, np.integer))
+                or self.n_max < 1):
             raise DimensionMismatchError(
                 f"n_max must be a positive integer, got {self.n_max!r}")
 

@@ -20,11 +20,12 @@ coefficients are zero-padded to the flat length, so that pairs wrapping
 round a grid row exchange nothing.
 
 Under the RWA the excitation number K = Jz + J + n commutes with H
-(Tavis and Cummings, Phys. Rev. 170, 379 (1968)), and ``to_band`` moves an
-action onto a list of sectors: row s of the band holds the cells
-(k, K_s - k), k = 0 .. N, of sector K_s, and H is tridiagonal along that
-row.  Laid out flat, each co-rotating pair is two neighbouring cells, so
-the same flat shifted-slice code serves the grid and the band.
+(Tavis and Cummings, Phys. Rev. 170, 379 (1968)), and an action built on a
+list of sectors holds their band alone: row s of the band holds the cells
+(k, K_s - k), k = 0 .. N, of sector K_s, with the grid's per-cell values,
+and H is tridiagonal along that row.  Laid out flat, each co-rotating pair
+is two neighbouring cells, so the same flat shifted-slice code serves the
+grid and the band.
 """
 
 from __future__ import annotations
@@ -51,10 +52,12 @@ class ModelParams:
     rwa: bool = True
 
     def __post_init__(self):
-        if not isinstance(self.n_qubits, (int, np.integer)) or self.n_qubits < 1:
+        if (isinstance(self.n_qubits, bool) or not isinstance(self.n_qubits, (int, np.integer))
+                or self.n_qubits < 1):
             raise ConfigError(f"n_qubits must be a positive integer, got {self.n_qubits!r}")
-        if not all(map(math.isfinite, (self.gamma, self.delta, self.omega))):
-            raise ConfigError(f"gamma, delta and omega must be finite, got "
+        rates = (self.gamma, self.delta, self.omega)
+        if any(isinstance(x, (bool, np.bool_)) or not math.isfinite(x) for x in rates):
+            raise ConfigError(f"gamma, delta and omega must be finite numbers, got "
                               f"{self.gamma!r}, {self.delta!r}, {self.omega!r}")
         if self.gamma < 0.0:
             raise ConfigError(f"gamma must be nonnegative, got {self.gamma!r}")
@@ -73,7 +76,7 @@ class ModelParams:
 
 
 class HamiltonianAction:
-    """Precomputed H|psi> on one grid, or on a band of excitation sectors.
+    """Precomputed H|psi> on the (m, n) grid, or on a band of excitation sectors.
 
     ``diag`` holds delta m + omega n and ``coupling`` the coefficient
     -i (g/2) sqrt(n) s+(m) shared by the four exchange terms, one per flat
@@ -85,58 +88,51 @@ class HamiltonianAction:
     one scratch buffer, so a single instance must not be shared by
     concurrent callers.
 
-    ``sectors`` is None on the (m, n) grid of shape ``shape``; after
-    ``to_band`` it lists the sectors K of the (sector, k) band.
+    With ``sectors`` None it lives on the (m, n) grid of shape ``shape``.
+    Under the RWA increasing ``sectors`` K = k + n build it on their
+    (sector, k) band alone, by the grid's per-cell formulas; ``cells``
+    (None on the grid) holds each band cell's flat grid index, -1 for
+    padding where a sector lacks that k.  Padding takes no coupling, so it
+    exchanges nothing with the real cells, and the diagonal of its sector's
+    nearest real cell, so the Gershgorin interval stays theirs.
     """
 
-    def __init__(self, params: ModelParams, dicke: DickeSpace, fock: FockSpace):
+    def __init__(self, params: ModelParams, dicke: DickeSpace, fock: FockSpace,
+                 sectors=None):
         if dicke.n_qubits != params.n_qubits:
             raise DimensionMismatchError("params.n_qubits does not match dicke space")
-        self.params = params
-        self.sectors = None
-        self.shape = (dicke.dim, fock.dim)
-        # flat distance of a co-rotating pair: n_max on the grid, 1 on the band
-        self._offset = fock.n_max
-        m = dicke.m_values()
-        n = np.arange(fock.dim, dtype=float)
-        self.diag = (params.delta * m[:, None] + params.omega * n[None, :]).astype(np.complex128)
-        # coupling[k (n_max + 1) + n] multiplies psi[k, n] and psi[k + 1, n - 1]
-        # into each other's cells, and coupling[k (n_max + 1) + n + 1] psi[k, n]
-        # and psi[k + 1, n + 1]: all four share sqrt(n) * s+(m).
-        g = 0.5 * params.coupling
-        coupling = np.zeros((dicke.dim - 1, fock.dim), dtype=np.complex128)
-        coupling[:, 1:] = (-1j * g) * np.outer(dicke.raising_coefficients(), np.sqrt(n[1:]))
-        self.coupling = np.concatenate((coupling.reshape(-1), [0.0]))
+        self.params, self.sectors, self.cells = params, None, None
+        m, n_max, g = dicke.m_values(), fock.n_max, 0.5 * params.coupling
+        if sectors is None:
+            # flat distance of a co-rotating pair: n_max on the grid, 1 on the band
+            self.shape, self._offset = (dicke.dim, fock.dim), n_max
+            n = np.arange(fock.dim, dtype=float)
+            self.diag = (params.delta * m[:, None]
+                         + params.omega * n[None, :]).astype(np.complex128)
+            # coupling[k (n_max + 1) + n] multiplies psi[k, n] and psi[k + 1, n - 1]
+            # into each other's cells, and coupling[k (n_max + 1) + n + 1] psi[k, n]
+            # and psi[k + 1, n + 1]: all four share sqrt(n) * s+(m).
+            coupling = np.zeros((dicke.dim - 1, fock.dim), dtype=np.complex128)
+            coupling[:, 1:] = (-1j * g) * np.outer(dicke.raising_coefficients(), np.sqrt(n[1:]))
+            self.coupling = np.concatenate((coupling.reshape(-1), [0.0]))
+        else:
+            if not params.rwa:
+                raise ConfigError("only the RWA model conserves the excitation number")
+            self.sectors = sectors = np.asarray(sectors)
+            self.shape, self._offset = (sectors.size, dicke.dim), 1
+            k = np.arange(dicke.dim)
+            n = sectors[:, None] - k
+            inside = (n >= 0) & (n <= n_max)
+            self.cells = np.where(inside, k * (n_max + 1) + n, -1)
+            # the pair (k, n) -- (k + 1, n - 1) sits at band cell k
+            pair = inside & (n >= 1) & (k < dicke.dim - 1)
+            np.clip(n, 0, n_max, out=n)               # n of the sector's nearest real cell
+            s = np.append(dicke.raising_coefficients(), 0.0)
+            self.coupling = np.where(pair, (-1j * g) * (s * np.sqrt(n)), 0).reshape(-1)[:-1]
+            self.diag = (params.delta * m[sectors[:, None] - n]
+                         + params.omega * n).astype(np.complex128)
+            del n, inside, pair           # so the band's peak is its kept arrays
         self._tmp = np.empty_like(self.coupling)
-
-    def to_band(self, sectors) -> np.ndarray:
-        """Move the RWA action in place onto the band of the increasing
-        sectors ``sectors`` (values of K = k + n); no grid-sized array is
-        kept.  Returns the flat (m, n)-grid index of each band cell, -1 for
-        the padding cells of a sector that lacks that k (n < 0 or
-        n > n_max).  Padding takes no coupling, so it exchanges no
-        amplitude with the real cells, and the diagonal of its sector's
-        nearest real cell, so the Gershgorin interval stays theirs."""
-        if not self.params.rwa:
-            raise ConfigError("only the RWA model conserves the excitation number")
-        sectors = np.asarray(sectors)[:, None]
-        width, n_max = self.shape[0], self.shape[1] - 1
-        k = np.arange(width)
-        n = sectors - k
-        inside = (n >= 0) & (n <= n_max)
-        nearest = np.clip(k, sectors - n_max, sectors)
-        self.diag = self.diag[nearest, sectors - nearest]
-        cells = np.where(inside, k * (n_max + 1) + n, -1)
-        # the pair (k, n) -- (k + 1, n - 1) sits at band cell k
-        pair = inside & (n >= 1) & (k < width - 1)
-        coupling = np.zeros(n.shape, dtype=np.complex128)
-        coupling[pair] = self.coupling[cells[pair]]
-        self.coupling = coupling.reshape(-1)[:-1]
-        self._tmp = np.empty_like(self.coupling)
-        self.sectors = sectors[:, 0]
-        self.shape = n.shape
-        self._offset = 1
-        return cells
 
     @staticmethod
     def _pairs(a: np.ndarray, offset: int) -> tuple[np.ndarray, np.ndarray]:

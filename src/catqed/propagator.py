@@ -41,7 +41,7 @@ time, so under the RWA psi lives on a band of the live sectors only.  With
 k the Dicke index, sector K_s = k + n holds K = K_s - N/2, and it is live
 when its initial population exceeds LIVE_SECTOR_POPULATION.  Row s of the
 band holds the cells (k, K_s - k), k = 0 .. N, and H' is tridiagonal along
-it (``HamiltonianAction.to_band``).  The sectors left out stay exactly as
+it (``HamiltonianAction(sectors=)``).  The sectors left out stay exactly as
 empty as they start, so the norm dropped with them is constant in time
 and below LIVE_SECTOR_POPULATION per sector.  An even cat fills only the
 even sectors, and a large amplitude only those inside the Poisson tails; a
@@ -56,23 +56,23 @@ outside the window and dead sectors inside it are exact zeros on the grid,
 so every readout sees the grid's numbers, and no grid is built unless a
 reader asks for it.
 
-The evolver builds one ``HamiltonianAction`` per run and owns everything
-about expanding it: under the RWA it forms H' by taking omega K off the
-action's diagonal and moves the action onto the band, and it then maps the
-action in place onto 2 H_n, so each term T_{k+1} = 2 H_n T_k - T_{k-1} of
-the recurrence is one apply and one subtraction.  On resonance the mapped
-diagonal of H' vanishes and the apply skips it.
+The evolver builds one ``HamiltonianAction`` per run, under the RWA on
+the band of live sectors alone, takes each band row's omega K off its
+diagonal there, and maps it in place onto 2 H_n, so each term T_{k+1} =
+2 H_n T_k - T_{k-1} of the recurrence is one apply and one subtraction.
+On resonance the mapped diagonal of H' vanishes and the apply skips it.
 
 The result is exact on the truncated space up to rounding, so ``dt`` only
 fixes the sampling grid.  Each sample is renormalized; its
 pre-renormalization norm deviation is kept as a diagnostic.  ``_evolve``
-hands out consecutive sampled states in the evolver's blocks of at most
-SAMPLE_BLOCK_BYTES of amplitudes (of the parts under the RWA, of the grid
-in the full model), for ``run`` and ``snapshots`` alike, and
-``run`` evaluates every monitor once per block, through one
-``MonitorContext`` (see ``monitors``), never inside the recurrence.  ``run``
-and ``_evolve`` let go of a block before the next is allocated, so a run
-holds one block at a time.
+owns the run: it lays out the ring once, carries psi, its step and the
+last coefficient plan from block to block, and hands out consecutive
+sampled states in the evolver's blocks of at most SAMPLE_BLOCK_BYTES of
+amplitudes (of the parts under the RWA, of the grid in the full model),
+for ``run`` and ``snapshots`` alike.  ``run`` evaluates every monitor once
+per block, through one ``MonitorContext`` (see ``monitors``), never inside
+the recurrence.  ``run`` and ``_evolve`` let go of a block before the next
+is allocated, so a run holds one block at a time.
 """
 
 from __future__ import annotations
@@ -211,40 +211,37 @@ def _live_sectors(amplitudes: np.ndarray) -> np.ndarray:
 
 
 class _Chebyshev:
-    """Owns the expansion of one run and the state it has reached.
+    """The expansion of one run; ``_evolve`` owns the run itself.
 
-    ``psi`` is the state at grid step ``step`` (of ``dt``), in the frame
-    rotating with omega K on the band of live sectors for the RWA model
-    (where only H' is expanded), and on the (m, n) grid in the lab frame
-    otherwise; ``_state`` hands out the lab-frame samples, gathered from
-    the band into the two photon-parity parts under the RWA.  ``action``
-    is the one ``HamiltonianAction`` of the run, rewritten in place so
-    that its ``apply`` yields 2 H_n psi.
+    ``action`` is the run's one ``HamiltonianAction``: on the band of live
+    sectors under the RWA, where only H' is expanded, in the frame rotating
+    with omega K, and on the (m, n) grid in the lab frame otherwise; it is
+    mapped in place so that its ``apply`` yields 2 H_n psi.  ``_state``
+    hands out the lab-frame samples, gathered from the band into the two
+    photon-parity parts under the RWA.
     """
 
     def __init__(self, initial: CompositeState, params: ModelParams, dt: float):
-        self.action = action = HamiltonianAction(params, initial.dicke, initial.fock)
-        self._spaces, self._parity = (initial.dicke, initial.fock), initial.parity
-        # omega (Jz + n) of each band row; None in the lab frame
-        self._omega_k = None
-        cells = initial.amplitudes.size
+        self._spaces, self._parity, self.dt = (initial.dicke, initial.fock), initial.parity, dt
+        sectors = _live_sectors(initial.amplitudes) if params.rwa else None
+        self.action = action = HamiltonianAction(params, initial.dicke, initial.fock, sectors)
+        # omega (Jz + n) of each band row, None in the lab frame; the flat
+        # indices of the band's real (unpadded) cells and of their grid cells
+        self._omega_k, cells = None, initial.amplitudes.size
+        self._band_cells = self._grid_cells = slice(None)
         if params.rwa:
-            # H' = H - omega K leaves (delta - omega) m on the diagonal
-            m = initial.dicke.m_values()
-            action.diag[...] = ((params.delta - params.omega) * m)[:, None]
-            sectors = _live_sectors(initial.amplitudes)
-            # flat band and grid indices of the band's real (unpadded) cells
-            band = action.to_band(sectors).ravel()
+            self._omega_k = params.omega * (sectors - initial.dicke.j)
+            action.diag -= self._omega_k[:, None]      # H' = H - omega K
+            if params.delta == params.omega:           # H' = V exactly, no rounding residue
+                action.diag[...] = 0.0
+            band = action.cells.ravel()
             self._band_cells = np.flatnonzero(band >= 0)
             self._grid_cells = band[self._band_cells]
-            self._omega_k = params.omega * (sectors - initial.dicke.j)
             self._first, self._gather = self._parts_map(band.size)
             cells = sum(source.size for source in self._gather)
         # samples of a block: at least one, at most SAMPLE_BLOCK_BYTES of
         # amplitudes, on the grid or in the parts
         self.block = max(1, SAMPLE_BLOCK_BYTES // (16 * cells))
-        # the ring of ``_reserve``; psi enters it from the initial amplitudes
-        self._ring, self._initial = None, initial.amplitudes
         lo, hi = action.spectral_bounds()
         self._center, self._half_width = 0.5 * (hi + lo), 0.5 * (hi - lo)
         # A zero-width H' (RWA on resonance without coupling) is the constant
@@ -256,10 +253,6 @@ class _Chebyshev:
         action.coupling *= 2.0 / width
         if params.rwa and not action.diag.any():
             action.diag = None
-        self.dt, self.step = dt, 0
-        # the last block's step offsets from psi with the (coeffs, folds) of
-        # its ``_coefficients``: one plan serves every block of a regular grid
-        self._plan: tuple = ((), None, None)
 
     def _parts_map(self, zero: int) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
         """The window's first column and, for each photon-parity part u_o,
@@ -280,41 +273,18 @@ class _Chebyshev:
             parts.append(source[np.add.outer(part_rows * fock.dim, part_columns)])
         return first, tuple(parts)
 
-    @property
-    def psi(self) -> np.ndarray:
-        return self._reserve(3)[0]
-
-    def _reserve(self, slots: int) -> np.ndarray:
-        """The ring of ``_expand``, with at least ``slots`` vectors T_k
-        (one per row of a block's table, at least three); slot 0 holds psi
-        between blocks.  It is allocated on first use, holding the initial
-        state, and replaced only when asked for more slots."""
-        if self._ring is None or len(self._ring) < slots:
-            ring = np.zeros((slots,) + self.action.shape, dtype=np.complex128)
-            if self._ring is not None:
-                ring[0] = self._ring[0]
-            elif self._omega_k is None:
-                ring[0] = self._initial
-            else:
-                ring[0].flat[self._band_cells] = self._initial.flat[self._grid_cells]
-            self._ring, self._slots, self._initial = ring, list(ring), None
-        return self._ring
-
     def blocks(self, steps: Sequence[int]) -> list[Sequence[int]]:
-        """Consecutive runs of the increasing grid ``steps``, none before
-        ``step``, that ``sample`` reads off one coefficient table each: at
-        most ``block`` samples, cut before the sample whose table (the
-        run's samples past its start state times the Bessel orders of that
-        sample's interval) would pass MAX_CHEBYSHEV_TERMS.  A run starts
-        from the last step of the one before, so the runs depend on
-        ``steps`` and ``step`` alone; a sample interval that passes the
-        limit on its own is refused.  The ring of ``_expand`` is reserved
-        here, before any ``sample``: one slot per sample of the longest run,
-        at least three."""
+        """Consecutive runs of the increasing grid ``steps`` of a run from
+        step 0, each read off one coefficient table: at most ``block``
+        samples, cut before the sample whose table (the run's samples past
+        its start state times the Bessel orders of that sample's interval)
+        would pass MAX_CHEBYSHEV_TERMS.  A run starts from the last step of
+        the one before, so the runs depend on ``steps`` alone; a sample
+        interval that passes the limit on its own is refused."""
         def orders(j: int, limit: float = math.inf, context: str = "") -> int:
             return bessel_cut(self._half_width * ((steps[j] - base) * self.dt), limit, context)
 
-        runs, start, base = [], 0, self.step
+        runs, start, base = [], 0, 0
         while start < len(steps):
             first = start + (steps[start] == base)    # a zero offset is psi itself
             stop = min(start + self.block, len(steps))
@@ -326,34 +296,11 @@ class _Chebyshev:
                                                    key=lambda j: (j + 1 - first) * orders(j))
             runs.append(steps[start:stop])
             start, base = stop, steps[stop - 1]
-        self._reserve(max([3, *map(len, runs)]))
         return runs
-
-    def sample(self, steps: Sequence[int]) -> tuple[CompositeState, np.ndarray]:
-        """The lab-frame states at ``steps``, one run of ``blocks``, as one
-        stack, and every sample's |pre-renorm norm - 1|; psi moves to the
-        last of them.  The run is read off one recurrence from psi."""
-        count, size = len(steps), self.psi.size
-        # a band row ends in one zero cell, the source of the parts' dead cells
-        rows = np.empty((count, size + (self._omega_k is not None)), dtype=np.complex128)
-        rows[:, size:] = 0.0
-        states = rows[:, :size]
-        drift = np.zeros(count)
-        offsets = tuple(s - self.step for s in steps)
-        first = int(offsets[0] == 0)
-        if first:                                 # psi itself, unchanged
-            states[0] = self.psi.reshape(-1)
-        if first < count:
-            if offsets != self._plan[0]:
-                self._plan = offsets, *self._coefficients(offsets[first:])
-            self._expand(*self._plan[1:], states[first:], drift[first:])
-            self.psi[...] = states[-1].reshape(self.psi.shape)
-        self.step = steps[-1]
-        return self._state(np.asarray(steps) * self.dt, rows), drift
 
     def _state(self, times: np.ndarray, rows: np.ndarray) -> CompositeState:
         """The stacked lab-frame state at ``times`` of ``rows``, one flat
-        state each as ``sample`` holds them, with the parity of the initial
+        state each as ``_evolve`` holds them, with the parity of the initial
         state.  In the lab frame the rows are the (m, n) grids; under the RWA
         each band row is turned by the phases of its sectors and gathered
         into the two photon-parity parts."""
@@ -383,18 +330,18 @@ class _Chebyshev:
                  for first in range(0, terms, size)]
         return coeffs, folds
 
-    def _expand(self, coeffs: np.ndarray, folds: list, rows: np.ndarray,
-                drift: np.ndarray) -> None:
+    def _expand(self, coeffs: np.ndarray, folds: list, ring: np.ndarray,
+                rows: np.ndarray, drift: np.ndarray) -> None:
         """rows[j] <- exp(-iH tau_j) psi, renormalized, and drift[j] <- its
         |pre-renorm norm - 1|, for the samples ``_coefficients`` gave
-        ``coeffs`` and ``folds`` (tau_j their offsets times dt).
+        ``coeffs`` and ``folds`` (tau_j their offsets times dt); psi is ring[0].
 
-        The terms T_k psi go into a ring of one vector per row (at least
+        The terms T_k psi go into the ring, one vector per row (at least
         three: the recurrence reads two back), and each full ring is folded
         into ``rows`` by one product with the ring's columns of the
         coefficient table, over the rows whose sums still run."""
-        slots = self._slots[:max(len(rows), 3)]
-        flat = self._ring.reshape(len(self._ring), -1)
+        slots = list(ring[:max(len(rows), 3)])
+        flat = ring.reshape(len(ring), -1)
         apply = self.action.apply
         for first, end, live in folds:
             for k in range(first, end):
@@ -448,11 +395,34 @@ def _evolve(initial: CompositeState, params: ModelParams, steps: Sequence[int],
             dt: float):
     """Yield (stacked state, norm drifts) for the consecutive ``blocks`` of
     the increasing grid ``steps``, each read off one recurrence; the
-    truncation tail is guarded at every sample.  The generator drops its
-    reference to a block before it allocates the next."""
+    truncation tail is guarded at every sample.  The run is laid out once:
+    psi lives in slot 0 of the ring of ``_expand``, max(3, longest block)
+    slots, and the plan of ``_coefficients`` serves every block of a
+    regular grid.  A block's rows go before it is handed out, and the block
+    before the next is allocated."""
     evolver = _Chebyshev(initial, params, dt)
-    for chunk in evolver.blocks(steps):
-        state, drift = evolver.sample(chunk)
+    runs = evolver.blocks(steps)
+    ring = np.zeros((max([3, *map(len, runs)]),) + evolver.action.shape, dtype=np.complex128)
+    psi, step, plan = ring[0], 0, ((), None, None)
+    psi.flat[evolver._band_cells] = initial.amplitudes.flat[evolver._grid_cells]
+    size = psi.size
+    for chunk in runs:
+        # a band row ends in one zero cell, the source of the parts' dead cells
+        rows = np.empty((len(chunk), size + (evolver._omega_k is not None)), dtype=np.complex128)
+        rows[:, size:] = 0.0
+        drift = np.zeros(len(chunk))
+        offsets = tuple(s - step for s in chunk)
+        first = int(offsets[0] == 0)
+        if first:                                 # psi itself, unchanged
+            rows[0, :size] = psi.reshape(-1)
+        if first < len(chunk):
+            if offsets != plan[0]:
+                plan = offsets, *evolver._coefficients(offsets[first:])
+            evolver._expand(*plan[1:], ring, rows[first:, :size], drift[first:])
+            psi.reshape(-1)[...] = rows[-1, :size]
+        step = chunk[-1]
+        state = evolver._state(np.asarray(chunk) * dt, rows)
+        del rows
         state.check_tail()
         yield state, drift
         del state

@@ -159,10 +159,13 @@ def rabi_solution(params: ModelParams, alpha: complex, t: float) -> np.ndarray:
 
     The rotating wave closed form whatever ``params.rwa`` says (the full
     drive is ``classically_driven_state``); for alpha = 0 it reduces to the
-    all-down state times its free phase e^{i J omega t}.  The scalar form
-    of ``_rabi_states``: (a, b) in Python scalars and one two-row
+    all-down state times its free phase e^{i J omega t}; t must be finite,
+    and a negative t runs it backwards.  The scalar form of
+    ``_rabi_states``: (a, b) in Python scalars and one two-row
     ``coherent_matrix`` for the product state of ``_product_state``.
     """
+    if not math.isfinite(t):
+        raise StateValidationError(f"time must be finite, got {t!r}")
     n = params.n_qubits
     a, b, _ = _rabi_amplitudes(params, alpha, t)
     root = math.sqrt(n)
@@ -174,6 +177,8 @@ def rabi_solution(params: ModelParams, alpha: complex, t: float) -> np.ndarray:
 
 def _superposed(params: ModelParams, branches, weights, t: float) -> np.ndarray:
     """Normalized weighted sum of the branches' states under the model's drive."""
+    if not math.isfinite(t):
+        raise StateValidationError(f"time must be finite, got {t!r}")
     if params.rwa:
         states = _rabi_states(params, branches, t)
     else:
@@ -192,7 +197,8 @@ def rabi_cat_state(params: ModelParams, alpha: complex, t: float,
 
     The even field superposition takes the + sign between the alpha and
     -alpha spin trajectories, the odd one the - sign.  The trajectories,
-    here and in ``rabi_kitten_state``, follow ``params.rwa``.
+    here and in ``rabi_kitten_state``, follow ``params.rwa``; t must be
+    finite, and a negative t is taken by the RWA but not the full drive.
 
     Only the alpha branch is evaluated: the -alpha one is psi_alpha times
     (-1)^k, k the Dicke index (b(-alpha) = -b(alpha) in the closed form;
@@ -219,7 +225,7 @@ def rabi_kitten_state(params: ModelParams, alpha: complex, t: float) -> np.ndarr
 
     The vacuum branch leaves the spins in the freely precessing all-down
     state, so the result interpolates between no drive and a full Rabi
-    rotation.
+    rotation.  Times are taken as by ``rabi_cat_state``.
     """
     return _superposed(params, (alpha, 0.0), (1.0, 1.0), t)
 

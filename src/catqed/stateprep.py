@@ -42,9 +42,10 @@ class PhotonicSpec:
     def __post_init__(self):
         if self.kind not in PHOTONIC_KINDS:
             raise ConfigError(f"unknown photonic kind {self.kind!r}; choose from {PHOTONIC_KINDS}")
-        beta = 0.0 if self.beta is None else self.beta
-        if not np.isfinite([self.alpha, beta, self.phi_cat]).all():
-            raise ConfigError(f"alpha, beta and phi_cat must be finite, got "
+        values = (self.alpha, 0.0 if self.beta is None else self.beta, self.phi_cat)
+        if (any(isinstance(x, (bool, np.bool_)) for x in values)
+                or not np.isfinite(values).all()):
+            raise ConfigError(f"alpha, beta and phi_cat must be finite numbers, got "
                               f"{self.alpha!r}, {self.beta!r}, {self.phi_cat!r}")
         if self.kind == "general_cat":
             if self.beta is None:

@@ -1,10 +1,13 @@
 """Hamiltonian action and observable expectations against dense kron oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import catqed as cq
-from catqed.propagator import _Chebyshev
+from catqed import hilbert
+from catqed.propagator import _Chebyshev, _evolve, _live_sectors
 from oracles import counter_rotating, dense_boson, dense_hamiltonian, dense_spin
 
 
@@ -36,13 +39,30 @@ def test_spin_commutator():
     assert np.abs(comm - 1j * jz).max() < 1e-13
 
 
+def start_of_run(initial, params, monkeypatch):
+    """The evolver of a run and psi as ``_evolve`` starts it, slot 0 of the
+    ring that the first ``_expand`` receives (a random state fills the
+    truncation tail, which is not checked here)."""
+    monkeypatch.setattr(hilbert, "TAIL_TOLERANCE", 2.0)
+    started = []
+    expand = _Chebyshev._expand
+
+    def spied(self, coeffs, folds, ring, rows, drift):
+        started.append((self, ring[0].copy()))
+        return expand(self, coeffs, folds, ring, rows, drift)
+
+    monkeypatch.setattr(_Chebyshev, "_expand", spied)
+    next(_evolve(initial, params, [1], 1e-3))
+    return started[0]
+
+
 @pytest.mark.parametrize("params", [
     cq.ModelParams(n_qubits=3, gamma=0.2),
     cq.ModelParams(n_qubits=3, gamma=0.2, delta=1.3, omega=0.8),
     cq.ModelParams(n_qubits=2, gamma=0.15 * 0.7, rwa=False),
     cq.ModelParams(n_qubits=1, gamma=0.05, delta=0.9, omega=1.1, rwa=False),
 ])
-def test_apply_hamiltonian_matches_dense(params, rng):
+def test_apply_hamiltonian_matches_dense(params, rng, monkeypatch):
     n_max = 7
     state = random_state(rng, params.n_qubits, n_max)
     psi = state.amplitudes.ravel()
@@ -59,14 +79,14 @@ def test_apply_hamiltonian_matches_dense(params, rng):
     expanded = h - params.rwa * params.omega * k
     lo, hi = gershgorin(expanded)
     centre, half_width = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    evolver = _Chebyshev(state, params, 1e-3)
+    evolver, psi0 = start_of_run(state, params, monkeypatch)
     assert evolver._center == pytest.approx(centre, abs=1e-12)
     assert evolver._half_width == pytest.approx(half_width, abs=1e-12)
     # under the RWA the evolver holds psi on the band of excitation sectors
     # (every sector of a random state); at t = 0 its gather puts a band
     # array, one zero cell past its end, into the photon-parity parts of the
     # grid unchanged
-    mapped = evolver.action.apply(evolver.psi, np.empty_like(evolver.psi))
+    mapped = evolver.action.apply(psi0, np.empty_like(psi0))
     rows = mapped.reshape(1, -1)
     if params.rwa:
         assert not np.delete(mapped.ravel(), evolver._band_cells).any()
@@ -78,9 +98,71 @@ def test_apply_hamiltonian_matches_dense(params, rng):
 
 def test_only_the_rwa_action_moves_onto_sectors():
     params = cq.ModelParams(n_qubits=2, gamma=0.1, rwa=False)
-    action = cq.HamiltonianAction(params, cq.DickeSpace(2), cq.FockSpace(5))
     with pytest.raises(cq.ConfigError, match="RWA"):
-        action.to_band([0, 2, 4])
+        cq.HamiltonianAction(params, cq.DickeSpace(2), cq.FockSpace(5), sectors=[0, 2, 4])
+
+
+def band_reference(params, dicke, fock, sectors):
+    """(cells, diag, coupling) of the band of ``sectors``, gathered from the
+    grid action: a real cell takes the grid's values at its flat grid
+    index, a padding cell no coupling and the diagonal of its sector's
+    nearest real cell."""
+    grid = cq.HamiltonianAction(params, dicke, fock)
+    column, k = np.asarray(sectors)[:, None], np.arange(dicke.dim)
+    n = column - k
+    inside = (n >= 0) & (n <= fock.n_max)
+    cells = np.where(inside, k * fock.dim + n, -1)
+    nearest = np.clip(k, column - fock.n_max, column)
+    diag = grid.diag[nearest, column - nearest]
+    pair = inside & (n >= 1) & (k < dicke.dim - 1)
+    coupling = np.zeros(n.shape, dtype=complex)
+    coupling[pair] = grid.coupling[cells[pair]]
+    return cells, diag, coupling.reshape(-1)[:-1]
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
+@pytest.mark.parametrize("spec", [
+    cq.PhotonicSpec("even_cat", 2.0), cq.PhotonicSpec("even_cat", 3.5),
+    cq.PhotonicSpec("general_cat", 2.5, beta=1.0 - 1.5j, phi_cat=0.7),
+    cq.PhotonicSpec("kitten", 3.0),
+], ids=["even_cat_2", "even_cat_3.5", "general_cat", "kitten"])
+def test_the_band_action_is_the_grid_arithmetic_on_its_cells(n_qubits, spec):
+    # bit for bit, on the live sectors and on every sector, whose first N
+    # (K < N) and last N (K > n_max) rows hold padding
+    initial = cq.prepare_initial(spec, n_qubits)
+    dicke, fock = initial.dicke, initial.fock
+    every = np.arange(fock.n_max + n_qubits + 1)
+    for params in (cq.ModelParams(n_qubits, gamma=0.2),
+                   cq.ModelParams(n_qubits, gamma=0.13, delta=1.3, omega=0.7)):
+        for sectors in (_live_sectors(initial.amplitudes), every):
+            band = cq.HamiltonianAction(params, dicke, fock, sectors)
+            cells, diag, coupling = band_reference(params, dicke, fock, sectors)
+            assert band.cells.tobytes() == cells.tobytes()
+            assert band.diag.tobytes() == diag.tobytes()
+            assert band.coupling.tobytes() == coupling.tobytes()
+            assert np.array_equal(band.sectors, sectors) and band.shape == cells.shape
+            held = [v for v in vars(band).values() if isinstance(v, np.ndarray)]
+            assert len(held) == 5 and max(v.size for v in held) <= cells.size
+        assert (cells < 0).any() and (cells >= 0).all(axis=1).any()
+        grid = cq.HamiltonianAction(params, dicke, fock)
+        assert grid.cells is None and grid.sectors is None
+
+
+def test_a_headline_band_action_allocates_less_than_one_grid():
+    # even cat alpha 30 at N = 24, n_max = 1144: 283 live sectors of 25
+    # cells; building the band action peaks below one complex grid
+    params = cq.ModelParams(n_qubits=24, gamma=0.01)
+    initial = cq.prepare_initial(cq.PhotonicSpec("even_cat", 30.0), 24)
+    assert initial.fock.n_max == 1144
+    sectors = _live_sectors(initial.amplitudes)
+    tracemalloc.start()
+    try:
+        band = cq.HamiltonianAction(params, initial.dicke, initial.fock, sectors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert band.shape == (283, 25)
+    assert peak < initial.amplitudes.nbytes == 25 * 1145 * 16
 
 
 @pytest.mark.parametrize("rwa", [True, False])
@@ -198,6 +280,23 @@ def test_model_params_validation():
         cq.ModelParams(n_qubits=2, gamma=-0.1)
     with pytest.raises(cq.ConfigError):
         cq.ModelParams(n_qubits=2, gamma=0.1, omega=0.0)
+
+
+@pytest.mark.parametrize("make,error", [
+    (lambda: cq.ModelParams(n_qubits=True, gamma=0.01), cq.ConfigError),
+    (lambda: cq.ModelParams(n_qubits=2, gamma=True), cq.ConfigError),
+    (lambda: cq.ModelParams(n_qubits=2, gamma=0.01, delta=True), cq.ConfigError),
+    (lambda: cq.ModelParams(n_qubits=2, gamma=0.01, omega=np.True_), cq.ConfigError),
+    (lambda: cq.DickeSpace(True), cq.DimensionMismatchError),
+    (lambda: cq.FockSpace(True), cq.DimensionMismatchError),
+    (lambda: cq.PhotonicSpec("even_cat", True), cq.ConfigError),
+    (lambda: cq.PhotonicSpec("general_cat", 1.0, beta=np.True_), cq.ConfigError),
+    (lambda: cq.PhotonicSpec("general_cat", 1.0, beta=2.0, phi_cat=True), cq.ConfigError),
+], ids=["n_qubits", "gamma", "delta", "omega", "dicke", "fock", "alpha", "beta", "phi_cat"])
+def test_a_bool_is_not_a_number(make, error):
+    # bool is an int, so a flag would pass for a count of 1 or a rate of 1.0
+    with pytest.raises(error, match="must be a positive integer|must be finite numbers"):
+        make()
 
 
 def test_observables_tuple_frozen():

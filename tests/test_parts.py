@@ -241,12 +241,12 @@ def test_amplitudes_built_from_the_parts_are_the_scattered_grid():
     for make in (flagship, odd_cat, lambda: small("kitten")):
         params, initial = make()
         evolver = _Chebyshev(initial, params, 1e-3)
-        count, size = 3, evolver.psi.size
+        count, size = 3, evolver.action.cells.size
         rows = np.zeros((count, size + 1), dtype=complex)
         rows[:, :size] = rng.normal(size=(count, size)) + 1j * rng.normal(size=(count, size))
         times = np.array([0.0, 0.37, 2.9])
         phases = np.exp(np.multiply.outer(-1j * times, evolver._omega_k))
-        bands = rows[:, :size].reshape((count,) + evolver.psi.shape) * phases[:, :, None]
+        bands = rows[:, :size].reshape((count,) + evolver.action.shape) * phases[:, :, None]
         scattered = np.zeros((count,) + initial.amplitudes.shape, dtype=complex)
         scattered.reshape(count, -1)[:, evolver._grid_cells] = \
             bands.reshape(count, -1)[:, evolver._band_cells]
@@ -262,7 +262,7 @@ def test_the_window_holds_every_nonzero_cell(case):
     # leaves out the rest, below LIVE_SECTOR_POPULATION a sector)
     params, initial = CASES[case][0]()
     evolver = _Chebyshev(initial, params, 1e-3)
-    zero = evolver.psi.size
+    zero = evolver.action.cells.size
     gathered = np.concatenate([source.ravel() for source in evolver._gather])
     assert np.array_equal(np.sort(gathered[gathered != zero]), evolver._band_cells)
     state = next(_evolve(initial, params, [0], 1e-3))[0]
@@ -280,7 +280,7 @@ def test_check_tail_refuses_at_the_same_sample_as_the_grid(monkeypatch):
     state = cq.product_state(np.array([0.0, 0.0, 1.0]), p / np.linalg.norm(p),
                              cq.DickeSpace(2), cq.FockSpace(20))
     evolver = _Chebyshev(state, params, 0.5)
-    assert max(evolver._gather[0].max(), evolver._gather[1].max()) == evolver.psi.size
+    assert max(evolver._gather[0].max(), evolver._gather[1].max()) == evolver.action.cells.size
     plan = cq.PropagationPlan(t_max=4.0, dt=0.5, monitors=("tail_population",))
     monkeypatch.setattr(hilbert, "TAIL_TOLERANCE", 1.0)
     tails = cq.run(state, params, plan).column("tail_population")

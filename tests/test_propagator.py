@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -161,9 +162,9 @@ def test_each_block_is_read_off_one_table(monkeypatch):
         tables.append(coeffs.size)
         return coeffs, folds
 
-    def spied_expand(self, coeffs, folds, rows, drift):
+    def spied_expand(self, coeffs, folds, ring, rows, drift):
         expanded.append(len(coeffs))
-        return expand(self, coeffs, folds, rows, drift)
+        return expand(self, coeffs, folds, ring, rows, drift)
 
     monkeypatch.setattr(_Chebyshev, "_coefficients", spied_coefficients)
     monkeypatch.setattr(_Chebyshev, "_expand", spied_expand)
@@ -178,8 +179,7 @@ def test_each_block_is_read_off_one_table(monkeypatch):
 
 
 def test_the_block_cut_depends_on_the_steps_alone(monkeypatch):
-    # each run starts from the last step of the one before, so cutting the
-    # rest of the grid after a run has been sampled gives the same runs
+    # each run starts from the last step of the one before, from step 0
     params, initial = full_kitten()
     monkeypatch.setattr(propagator, "MAX_CHEBYSHEV_TERMS", 200)
     evolver = _Chebyshev(initial, params, 1e-3)
@@ -188,8 +188,19 @@ def test_the_block_cut_depends_on_the_steps_alone(monkeypatch):
     assert evolver.blocks(steps) == runs
     assert [step for run in runs for step in run] == steps
     assert len(runs) > 3 and len(set(map(len, runs))) > 1
-    evolver.sample(runs[0])
-    assert evolver.blocks(steps[len(runs[0]):]) == runs[1:]
+
+
+def spy_rings(monkeypatch):
+    """(block, rows, ring) of every ``_expand`` call from here on."""
+    rings = []
+    expand = _Chebyshev._expand
+
+    def spied(self, coeffs, folds, ring, rows, drift):
+        rings.append((self.block, len(rows), ring))
+        return expand(self, coeffs, folds, ring, rows, drift)
+
+    monkeypatch.setattr(_Chebyshev, "_expand", spied)
+    return rings
 
 
 def test_the_ring_is_allocated_once(monkeypatch):
@@ -198,20 +209,11 @@ def test_the_ring_is_allocated_once(monkeypatch):
     params = cq.ModelParams(n_qubits=1, gamma=0.3)
     initial = coherent_initial(1, 1.2, 25)
     monkeypatch.setattr(propagator, "SAMPLE_BLOCK_BYTES", 4 * initial.amplitudes.nbytes)
-    rings = []
-    sample = _Chebyshev.sample
-
-    def spied(self, steps):
-        rings.append((len(steps), self._ring))
-        sampled = sample(self, steps)
-        rings.append((len(steps), self._ring))
-        return sampled
-
-    monkeypatch.setattr(_Chebyshev, "sample", spied)
+    rings = spy_rings(monkeypatch)
     cq.snapshots(initial, params, [0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
-    assert [count for count, _ in rings] == [4, 4, 2, 2]
-    assert len(rings[0][1]) == 4
-    assert all(ring is rings[0][1] for _, ring in rings)
+    assert [count for _, count, _ in rings] == [4, 2]
+    assert len(rings[0][2]) == 4
+    assert all(ring is rings[0][2] for _, _, ring in rings)
 
 
 def test_the_ring_holds_one_slot_per_sample_of_the_longest_run(monkeypatch):
@@ -225,23 +227,17 @@ def test_the_ring_holds_one_slot_per_sample_of_the_longest_run(monkeypatch):
     params = cq.ModelParams(n_qubits=16, gamma=0.01)
     initial = cq.prepare_initial(cq.PhotonicSpec("even_cat", 4.0), 16)
     sample_bytes = 16 * (9 * 37 + 8 * 36)
-    rings = []
-    sample = _Chebyshev.sample
-
-    def spied(self, steps):
-        rings.append((self.block, len(self._ring)))
-        return sample(self, steps)
-
-    monkeypatch.setattr(_Chebyshev, "sample", spied)
+    rings = spy_rings(monkeypatch)
     cq.snapshots(initial, params, [0.0, 7.85, 15.7])
-    assert rings == [(26, 3)]
+    assert [(block, len(ring)) for block, _, ring in rings] == [(26, 3)]
     plan = cq.PropagationPlan(t_max=0.5, sample_stride=10, monitors=("norm_drift",))
     for block_bytes, block in ((propagator.SAMPLE_BLOCK_BYTES, 26), (sample_bytes, 1),
                                (2 * sample_bytes - 1, 1), (2 * sample_bytes, 2)):
         monkeypatch.setattr(propagator, "SAMPLE_BLOCK_BYTES", block_bytes)
         rings.clear()
         cq.run(initial, params, plan)
-        assert set(rings) == {(block, max(block, 3))}
+        assert {(block, len(ring)) for block, _, ring in rings} == {(block, max(block, 3))}
+        assert len({id(ring) for _, _, ring in rings}) == 1
 
 
 def test_a_state_that_stops_being_finite_is_refused(monkeypatch):
@@ -282,10 +278,10 @@ def test_band_matches_the_full_grid_and_the_oracle(case, monkeypatch):
     params, make = BAND_CASES[case]
     initial = make()
     times = [0.0, 1.3, 4.0]
-    live = _Chebyshev(initial, params, 1e-3).psi.size
+    live = _Chebyshev(initial, params, 1e-3).action.cells.size
     band = cq.snapshots(initial, params, times)
     monkeypatch.setattr(propagator, "LIVE_SECTOR_POPULATION", -1.0)
-    assert _Chebyshev(initial, params, 1e-3).psi.size > live
+    assert _Chebyshev(initial, params, 1e-3).action.cells.size > live
     grid = cq.snapshots(initial, params, times)
     h = dense_hamiltonian(params, initial.fock.n_max)
     for b, g in zip(band, grid):
@@ -300,7 +296,7 @@ def test_flagship_band_holds_at_most_half_the_grid():
     params = cq.ModelParams(n_qubits=8, gamma=0.01)
     initial = cq.prepare_initial(cq.PhotonicSpec("even_cat", 10.0), 8, n_max=188)
     evolver = _Chebyshev(initial, params, 1e-3)
-    assert evolver.psi.size <= 0.5 * initial.amplitudes.size
+    assert evolver.action.cells.size <= 0.5 * initial.amplitudes.size
     assert np.all(evolver.action.sectors % 2 == 0)
 
 
@@ -604,3 +600,24 @@ def test_propagation_matches_the_dense_oracle(n_qubits, n_max, gamma, delta,
     for state in states:
         ref = evolve_exact(h, psi0, state.time)
         assert np.abs(state.amplitudes.ravel() - ref).max() < 1e-12
+
+
+def test_a_block_lets_go_of_its_rows_before_it_is_handed_out(monkeypatch):
+    # an RWA block is gathered out of its band rows into the parts; rows
+    # held across the hand-out raised a flagship run's peak by a block
+    rows_of = []
+    state_of = _Chebyshev._state
+
+    def spied(self, times, rows):
+        rows_of.append(weakref.ref(rows))
+        return state_of(self, times, rows)
+
+    monkeypatch.setattr(_Chebyshev, "_state", spied)
+    params = cq.ModelParams(n_qubits=8, gamma=0.01)
+    initial = cq.prepare_initial(cq.PhotonicSpec("even_cat", 10.0), 8, n_max=188)
+    handed = 0
+    for state, _ in propagator._evolve(initial, params, list(range(0, 60, 2)), 1e-3):
+        handed += 1
+        assert len(rows_of) == handed and len(state.time) in (19, 11)
+        assert rows_of[-1]() is None
+    assert handed == 2

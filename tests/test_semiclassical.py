@@ -343,6 +343,26 @@ def test_trajectory_refuses_a_bad_time_anywhere(rwa, bad):
             cq.classically_driven_trajectory(params, 1.1, times)
 
 
+@pytest.mark.parametrize("rwa", [True, False], ids=["rwa", "full"])
+def test_the_drive_references_refuse_a_time_that_is_not_finite(rwa):
+    params = cq.ModelParams(n_qubits=3, gamma=0.7, rwa=rwa)
+    refs = (cq.rabi_solution, cq.rabi_cat_state, cq.rabi_kitten_state,
+            cq.classically_driven_state)
+    for bad in (math.nan, math.inf, -math.inf):
+        for ref in refs:
+            with pytest.raises(cq.StateValidationError, match="finite"):
+                ref(params, 1.1, bad)
+    # a negative time runs the closed form backwards (``rabi_solution`` is
+    # that closed form under either model); the full drive and
+    # ``classically_driven_state`` refuse it
+    for ref in refs:
+        if ref is cq.rabi_solution or (rwa and ref is not cq.classically_driven_state):
+            assert np.linalg.norm(ref(params, 1.1, -0.4)) == pytest.approx(1.0, abs=1e-14)
+        else:
+            with pytest.raises(cq.StateValidationError, match="nonnegative"):
+                ref(params, 1.1, -0.4)
+
+
 def test_counter_rotating_terms_negligible_when_weak():
     # weak coupling: the full oscillating drive only dresses the rotating
     # wave answer with small 2 omega micromotion
