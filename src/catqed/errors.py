@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the two number checks
+the value types raise them from."""
+
+import cmath
+import numbers
 
 
 class CatqedError(Exception):
@@ -47,3 +51,22 @@ class GridConvergenceError(CatqedError):
 
 class PeakError(CatqedError):
     """A time series has no interior peak or no half-maximum crossings."""
+
+
+def check_finite(value, what: str, kind=numbers.Real) -> None:
+    """Raise ``ConfigError`` unless ``value`` is a finite number of ``kind``
+    (``numbers.Complex`` for an amplitude).  A bool is refused: it is an
+    int, so a flag would pass for 0 or 1; ``np.bool_`` is no number."""
+    try:
+        finite = (not isinstance(value, bool) and isinstance(value, kind)
+                  and cmath.isfinite(value))
+    except OverflowError:                     # an int past the float range
+        finite = False
+    if not finite:
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+
+
+def check_count(value, what: str, error=ConfigError) -> None:
+    """Raise ``error`` unless ``value`` is a positive integer and no bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise error(f"{what} must be a positive integer, got {value!r}")

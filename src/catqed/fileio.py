@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import os
-import tempfile
 
 import numpy as np
 
@@ -48,11 +47,14 @@ def atomic_write_text(path: str, text) -> None:
     ``text`` is a str or an iterable of byte chunks (a ``ChunkedText``, a
     generator); each chunk goes into the file as it comes.  If making or
     writing a chunk fails, the temp file is closed and removed, the target
-    is left as it was, and the error propagates.
+    is left as it was, and the error propagates.  The file gets the mode
+    ``open(path, "w")`` gives, 0o666 less the process umask (a
+    ``tempfile.mkstemp`` file would keep its owner-only 0o600).
     """
     chunks = (text.encode(),) if isinstance(text, str) else text
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         try:
             for chunk in chunks:

@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, StateValidationError, TruncationError
+from .errors import (DimensionMismatchError, StateValidationError, TruncationError,
+                     check_count)
 
 NORM_ATOL = 1e-10
 HERMITICITY_ATOL = 1e-12
@@ -91,10 +92,7 @@ class DickeSpace:
     n_qubits: int
 
     def __post_init__(self):
-        if (isinstance(self.n_qubits, bool) or not isinstance(self.n_qubits, (int, np.integer))
-                or self.n_qubits < 1):
-            raise DimensionMismatchError(
-                f"n_qubits must be a positive integer, got {self.n_qubits!r}")
+        check_count(self.n_qubits, "n_qubits", DimensionMismatchError)
 
     @property
     def j(self) -> float:
@@ -121,10 +119,7 @@ class FockSpace:
     n_max: int
 
     def __post_init__(self):
-        if (isinstance(self.n_max, bool) or not isinstance(self.n_max, (int, np.integer))
-                or self.n_max < 1):
-            raise DimensionMismatchError(
-                f"n_max must be a positive integer, got {self.n_max!r}")
+        check_count(self.n_max, "n_max", DimensionMismatchError)
 
     @property
     def dim(self) -> int:
@@ -153,8 +148,7 @@ class CompositeState:
                  "_parity", "_split")
 
     def __init__(self, amplitudes, dicke: DickeSpace, fock: FockSpace,
-                 time: float | np.ndarray = 0.0, copy: bool = True,
-                 validate: bool = True):
+                 time: float | np.ndarray = 0.0, copy: bool = True):
         arr = np.array(amplitudes, dtype=np.complex128, copy=copy, order="C")
         if arr.ndim not in (2, 3) or arr.shape[-2:] != (dicke.dim, fock.dim):
             raise DimensionMismatchError(
@@ -164,15 +158,14 @@ class CompositeState:
         if times.shape != arr.shape[:-2]:
             raise DimensionMismatchError(
                 f"times of shape {times.shape} for amplitudes of shape {arr.shape}")
-        if validate:
-            # summed on the float view, so no array of the grid's size is made
-            flat = arr.view(np.float64).reshape(*arr.shape[:-2], -1)
-            if not np.all(np.isfinite(flat)):
-                raise StateValidationError("non-finite amplitude encountered")
-            dev = np.max(np.abs(np.sqrt(np.einsum("...k,...k->...", flat, flat)) - 1.0))
-            if dev > NORM_ATOL:
-                raise StateValidationError(
-                    f"state norm deviates from 1 by {dev:.3e} (> {NORM_ATOL})")
+        # summed on the float view, so no array of the grid's size is made
+        flat = arr.view(np.float64).reshape(*arr.shape[:-2], -1)
+        if not np.all(np.isfinite(flat)):
+            raise StateValidationError("non-finite amplitude encountered")
+        dev = np.max(np.abs(np.sqrt(np.einsum("...k,...k->...", flat, flat)) - 1.0))
+        if dev > NORM_ATOL:
+            raise StateValidationError(
+                f"state norm deviates from 1 by {dev:.3e} (> {NORM_ATOL})")
         self._fill(dicke, fock, times, grid=arr)
 
     def _fill(self, dicke, fock, times, grid=None, parts=None, first=0, cut=None) -> None:

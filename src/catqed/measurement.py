@@ -27,8 +27,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import (ConfigError, ImpossibleOutcomeError,
-                     QuadratureConvergenceError)
+from .errors import (ConfigError, ImpossibleOutcomeError, QuadratureConvergenceError,
+                     check_finite)
 from .hilbert import (CompositeState, ElectronDensityMatrix, gram, per_sample,
                       squared_norm)
 
@@ -73,9 +73,8 @@ class QuadratureSpec:
     phase_tracking: bool = False
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.x, self.phi, self.delta_x))):
-            raise ConfigError(f"x, phi and delta_x must be finite, got "
-                              f"{self.x!r}, {self.phi!r}, {self.delta_x!r}")
+        for name in ("x", "phi", "delta_x"):
+            check_finite(getattr(self, name), name)
         if self.delta_x < 0.0:
             raise ConfigError(f"delta_x must be >= 0, got {self.delta_x!r}")
 

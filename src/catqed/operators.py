@@ -19,23 +19,25 @@ counter-rotating pairs (k, n) -- (k + 1, n + 1) n_max + 2 apart; the
 coefficients are zero-padded to the flat length, so that pairs wrapping
 round a grid row exchange nothing.
 
-Under the RWA the excitation number K = Jz + J + n commutes with H
-(Tavis and Cummings, Phys. Rev. 170, 379 (1968)), and an action built on a
-list of sectors holds their band alone: row s of the band holds the cells
-(k, K_s - k), k = 0 .. N, of sector K_s, with the grid's per-cell values,
-and H is tridiagonal along that row.  Laid out flat, each co-rotating pair
-is two neighbouring cells, so the same flat shifted-slice code serves the
-grid and the band.
+Under the RWA the excitation number K = Jz + n commutes with H (Tavis and
+Cummings, Phys. Rev. 170, 379 (1968)), and an action built on a list of
+sectors K_s = k + n holds, on their band alone, the generator in the frame
+rotating with omega K,
+    H' = H - omega K = (delta - omega) Jz + V,   V the co-rotating coupling:
+row s of the band holds the cells (k, K_s - k), k = 0 .. N, of sector K_s,
+with the diagonal (delta - omega) m and the grid's coupling, and H' is
+tridiagonal along that row.  On resonance H' = V has no diagonal at all.
+Laid out flat, each co-rotating pair is two neighbouring cells, so the same
+flat shifted-slice code serves the grid and the band.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError
+from .errors import ConfigError, DimensionMismatchError, check_count, check_finite
 from .hilbert import CompositeState, DickeSpace, FockSpace, per_sample
 
 OBSERVABLES = ("photon_number", "jz", "jx", "jy", "energy", "excitation_number")
@@ -52,13 +54,9 @@ class ModelParams:
     rwa: bool = True
 
     def __post_init__(self):
-        if (isinstance(self.n_qubits, bool) or not isinstance(self.n_qubits, (int, np.integer))
-                or self.n_qubits < 1):
-            raise ConfigError(f"n_qubits must be a positive integer, got {self.n_qubits!r}")
-        rates = (self.gamma, self.delta, self.omega)
-        if any(isinstance(x, (bool, np.bool_)) or not math.isfinite(x) for x in rates):
-            raise ConfigError(f"gamma, delta and omega must be finite numbers, got "
-                              f"{self.gamma!r}, {self.delta!r}, {self.omega!r}")
+        check_count(self.n_qubits, "n_qubits")
+        for name in ("gamma", "delta", "omega"):
+            check_finite(getattr(self, name), name)
         if self.gamma < 0.0:
             raise ConfigError(f"gamma must be nonnegative, got {self.gamma!r}")
         if self.delta <= 0.0 or self.omega <= 0.0:
@@ -76,25 +74,26 @@ class ModelParams:
 
 
 class HamiltonianAction:
-    """Precomputed H|psi> on the (m, n) grid, or on a band of excitation sectors.
+    """Precomputed H|psi> on the (m, n) grid, or H'|psi> = (H - omega K)|psi>
+    on a band of excitation sectors.
 
-    ``diag`` holds delta m + omega n and ``coupling`` the coefficient
+    ``diag`` holds the diagonal, delta m + omega n on the grid and
+    (delta - omega) m on the band, and ``coupling`` the coefficient
     -i (g/2) sqrt(n) s+(m) shared by the four exchange terms, one per flat
     cell that starts a co-rotating pair (zero where the pair wraps round).
-    Both are plain arrays that a caller may rewrite in place; ``apply`` and
-    ``spectral_bounds`` read what they hold then (the propagator maps them
-    onto its normalized operator).  A band action may hold ``diag = None``
-    for an identically zero diagonal, which ``apply`` then skips.  Holds
-    one scratch buffer, so a single instance must not be shared by
-    concurrent callers.
+    On resonance (delta == omega) the band holds ``diag = None`` from the
+    start, and ``apply`` skips the diagonal.  The propagator only centres
+    and scales these arrays in place; ``apply`` and ``spectral_bounds``
+    read what they hold then.  Holds one scratch buffer, so a single
+    instance must not be shared by concurrent callers.
 
     With ``sectors`` None it lives on the (m, n) grid of shape ``shape``.
-    Under the RWA increasing ``sectors`` K = k + n build it on their
-    (sector, k) band alone, by the grid's per-cell formulas; ``cells``
-    (None on the grid) holds each band cell's flat grid index, -1 for
-    padding where a sector lacks that k.  Padding takes no coupling, so it
-    exchanges nothing with the real cells, and the diagonal of its sector's
-    nearest real cell, so the Gershgorin interval stays theirs.
+    Under the RWA increasing ``sectors`` K = k + n build H' on their
+    (sector, k) band alone, by per-cell formulas; ``cells`` (None on the
+    grid) holds each band cell's flat grid index, -1 for padding where a
+    sector lacks that k.  Padding takes no coupling, so it exchanges
+    nothing with the real cells, and the diagonal of its sector's nearest
+    real cell, so the Gershgorin interval stays theirs.
     """
 
     def __init__(self, params: ModelParams, dicke: DickeSpace, fock: FockSpace,
@@ -129,8 +128,9 @@ class HamiltonianAction:
             np.clip(n, 0, n_max, out=n)               # n of the sector's nearest real cell
             s = np.append(dicke.raising_coefficients(), 0.0)
             self.coupling = np.where(pair, (-1j * g) * (s * np.sqrt(n)), 0).reshape(-1)[:-1]
-            self.diag = (params.delta * m[sectors[:, None] - n]
-                         + params.omega * n).astype(np.complex128)
+            # H' = H - omega K: (delta - omega) m, none at all on resonance
+            self.diag = None if params.delta == params.omega else (
+                ((params.delta - params.omega) * m)[sectors[:, None] - n].astype(np.complex128))
             del n, inside, pair           # so the band's peak is its kept arrays
         self._tmp = np.empty_like(self.coupling)
 

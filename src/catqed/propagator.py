@@ -30,11 +30,11 @@ In the RWA model K = Jz + n commutes with H, so
 
     exp(-iHt) = exp(-i omega K t) exp(-iH't),   H' = (delta - omega) Jz + V,
 
-and the evolver keeps psi in the frame rotating with omega K: it expands
-only H', whose half-width is set by the coupling V instead of the fast
-Fock ladder, and applies exp(-i omega K t), one phase per sector, when it
-hands out a sampled state.  The full model has no conserved K and expands
-H itself in the lab frame.
+and the evolver keeps psi in the frame rotating with omega K: the band
+action is H' itself, whose half-width is set by the coupling V instead of
+the fast Fock ladder, and the evolver applies exp(-i omega K t), one phase
+per sector, when it hands out a sampled state.  The full model has no
+conserved K and expands H itself in the lab frame.
 
 Conserved K also fixes the population of each excitation sector for all
 time, so under the RWA psi lives on a band of the live sectors only.  With
@@ -56,11 +56,12 @@ outside the window and dead sectors inside it are exact zeros on the grid,
 so every readout sees the grid's numbers, and no grid is built unless a
 reader asks for it.
 
-The evolver builds one ``HamiltonianAction`` per run, under the RWA on
-the band of live sectors alone, takes each band row's omega K off its
-diagonal there, and maps it in place onto 2 H_n, so each term T_{k+1} =
-2 H_n T_k - T_{k-1} of the recurrence is one apply and one subtraction.
-On resonance the mapped diagonal of H' vanishes and the apply skips it.
+The evolver builds one ``HamiltonianAction`` per run, H' on the band of
+live sectors under the RWA and H on the grid otherwise, and only maps it in
+place onto 2 H_n, so each term T_{k+1} = 2 H_n T_k - T_{k-1} of the
+recurrence is one apply and one subtraction.  On resonance H' holds no
+diagonal, its interval is symmetric about c = 0, and the apply skips the
+diagonal.
 
 The result is exact on the truncated space up to rounding, so ``dt`` only
 fixes the sampling grid.  Each sample is renormalized; its
@@ -84,7 +85,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, NumericalError, PeakError
+from .errors import (ConfigError, DimensionMismatchError, NumericalError, PeakError,
+                     check_count, check_finite)
 from .fileio import FLOAT_FORMAT, atomic_write_text
 from .hilbert import CompositeState
 from .monitors import MonitorContext, MonitorFn, resolve_monitors
@@ -132,14 +134,14 @@ class PropagationPlan:
     monitors: tuple[str, ...] = DEFAULT_MONITORS
 
     def __post_init__(self):
-        if not 0.0 < self.t_max < math.inf:
-            raise ConfigError(f"t_max must be positive and finite, got {self.t_max!r}")
+        check_finite(self.t_max, "t_max")
+        check_finite(self.dt, "dt")
+        if not self.t_max > 0.0:
+            raise ConfigError(f"t_max must be positive, got {self.t_max!r}")
         if not 0.0 < self.dt <= self.t_max:
             raise ConfigError(f"dt must lie in (0, t_max], got {self.dt!r}")
-        stride = self.sample_stride
-        if stride is not None and (isinstance(stride, bool)
-                                   or not isinstance(stride, (int, np.integer)) or stride < 1):
-            raise ConfigError(f"sample_stride must be a positive integer, got {stride!r}")
+        if self.sample_stride is not None:
+            check_count(self.sample_stride, "sample_stride")
         resolve_monitors(self.monitors)
 
     @property
@@ -213,11 +215,12 @@ def _live_sectors(amplitudes: np.ndarray) -> np.ndarray:
 class _Chebyshev:
     """The expansion of one run; ``_evolve`` owns the run itself.
 
-    ``action`` is the run's one ``HamiltonianAction``: on the band of live
-    sectors under the RWA, where only H' is expanded, in the frame rotating
-    with omega K, and on the (m, n) grid in the lab frame otherwise; it is
-    mapped in place so that its ``apply`` yields 2 H_n psi.  ``_state``
-    hands out the lab-frame samples, gathered from the band into the two
+    ``action`` is the run's one ``HamiltonianAction``: H' on the band of
+    live sectors under the RWA, in the frame rotating with omega K, and H
+    on the (m, n) grid in the lab frame otherwise.  The evolver only
+    centres and scales it in place, so that its ``apply`` yields 2 H_n psi.
+    ``_state`` hands out the lab-frame samples, turned by each sector's
+    phase exp(-i omega K t) and gathered from the band into the two
     photon-parity parts under the RWA.
     """
 
@@ -231,9 +234,6 @@ class _Chebyshev:
         self._band_cells = self._grid_cells = slice(None)
         if params.rwa:
             self._omega_k = params.omega * (sectors - initial.dicke.j)
-            action.diag -= self._omega_k[:, None]      # H' = H - omega K
-            if params.delta == params.omega:           # H' = V exactly, no rounding residue
-                action.diag[...] = 0.0
             band = action.cells.ravel()
             self._band_cells = np.flatnonzero(band >= 0)
             self._grid_cells = band[self._band_cells]
@@ -248,11 +248,10 @@ class _Chebyshev:
         # c: each expansion is the one term e^{-i c tau} and H is never
         # applied, so any positive width serves for the mapped action.
         width = self._half_width or 1.0
-        action.diag -= self._center
-        action.diag *= 2.0 / width
+        if action.diag is not None:   # without one the interval is symmetric: c = 0
+            action.diag -= self._center
+            action.diag *= 2.0 / width
         action.coupling *= 2.0 / width
-        if params.rwa and not action.diag.any():
-            action.diag = None
 
     def _parts_map(self, zero: int) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
         """The window's first column and, for each photon-parity part u_o,

@@ -9,11 +9,12 @@ vectors rather than taken from closed forms.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, TruncationError
+from .errors import ConfigError, TruncationError, check_finite
 from .hilbert import TAIL_WIDTH, CompositeState, DickeSpace, FockSpace
 
 PHOTONIC_KINDS = ("coherent", "general_cat", "even_cat", "kitten")
@@ -42,11 +43,10 @@ class PhotonicSpec:
     def __post_init__(self):
         if self.kind not in PHOTONIC_KINDS:
             raise ConfigError(f"unknown photonic kind {self.kind!r}; choose from {PHOTONIC_KINDS}")
-        values = (self.alpha, 0.0 if self.beta is None else self.beta, self.phi_cat)
-        if (any(isinstance(x, (bool, np.bool_)) for x in values)
-                or not np.isfinite(values).all()):
-            raise ConfigError(f"alpha, beta and phi_cat must be finite numbers, got "
-                              f"{self.alpha!r}, {self.beta!r}, {self.phi_cat!r}")
+        check_finite(self.alpha, "alpha", kind=numbers.Complex)
+        if self.beta is not None:
+            check_finite(self.beta, "beta", kind=numbers.Complex)
+        check_finite(self.phi_cat, "phi_cat")
         if self.kind == "general_cat":
             if self.beta is None:
                 raise ConfigError("general_cat requires beta")

@@ -99,6 +99,24 @@ def test_the_writer_streams_text_and_chunks(tmp_path):
     assert os.listdir(tmp_path) == ["out.txt"]
 
 
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_a_written_file_takes_the_mode_open_gives(tmp_path, umask, mode):
+    # a new or replaced file gets 0o666 & ~umask, as with open(path, "w"),
+    # not the owner-only mode of a tempfile.mkstemp file
+    path = tmp_path / "series.csv"
+    old = os.umask(umask)
+    try:
+        atomic_write_text(str(path), "time\n0\n")
+        assert os.stat(path).st_mode & 0o777 == mode
+        os.chmod(path, 0o600)
+        atomic_write_text(str(path), ChunkedText(lambda: iter([b"time\n", b"1\n"])))
+        assert os.stat(path).st_mode & 0o777 == mode
+        assert os.umask(umask) == umask           # the writer left the umask as it was
+    finally:
+        os.umask(old)
+
+
 def _open_fds():
     return sorted(os.listdir("/proc/self/fd"))
 

@@ -103,17 +103,17 @@ def test_only_the_rwa_action_moves_onto_sectors():
 
 
 def band_reference(params, dicke, fock, sectors):
-    """(cells, diag, coupling) of the band of ``sectors``, gathered from the
-    grid action: a real cell takes the grid's values at its flat grid
-    index, a padding cell no coupling and the diagonal of its sector's
-    nearest real cell."""
+    """(cells, diag, coupling) of the band of ``sectors``: a real cell takes
+    the grid action's coupling at its flat grid index, a padding cell none,
+    and every cell the diagonal (delta - omega) m of H' = H - omega K at its
+    sector's nearest real cell."""
     grid = cq.HamiltonianAction(params, dicke, fock)
     column, k = np.asarray(sectors)[:, None], np.arange(dicke.dim)
     n = column - k
     inside = (n >= 0) & (n <= fock.n_max)
     cells = np.where(inside, k * fock.dim + n, -1)
     nearest = np.clip(k, column - fock.n_max, column)
-    diag = grid.diag[nearest, column - nearest]
+    diag = ((params.delta - params.omega) * dicke.m_values()[nearest]).astype(complex)
     pair = inside & (n >= 1) & (k < dicke.dim - 1)
     coupling = np.zeros(n.shape, dtype=complex)
     coupling[pair] = grid.coupling[cells[pair]]
@@ -138,11 +138,13 @@ def test_the_band_action_is_the_grid_arithmetic_on_its_cells(n_qubits, spec):
             band = cq.HamiltonianAction(params, dicke, fock, sectors)
             cells, diag, coupling = band_reference(params, dicke, fock, sectors)
             assert band.cells.tobytes() == cells.tobytes()
-            assert band.diag.tobytes() == diag.tobytes()
+            resonant = params.delta == params.omega
+            # on resonance H' has no diagonal, and the band holds none
+            assert band.diag is None if resonant else band.diag.tobytes() == diag.tobytes()
             assert band.coupling.tobytes() == coupling.tobytes()
             assert np.array_equal(band.sectors, sectors) and band.shape == cells.shape
             held = [v for v in vars(band).values() if isinstance(v, np.ndarray)]
-            assert len(held) == 5 and max(v.size for v in held) <= cells.size
+            assert len(held) == 5 - resonant and max(v.size for v in held) <= cells.size
         assert (cells < 0).any() and (cells >= 0).all(axis=1).any()
         grid = cq.HamiltonianAction(params, dicke, fock)
         assert grid.cells is None and grid.sectors is None
@@ -292,10 +294,20 @@ def test_model_params_validation():
     (lambda: cq.PhotonicSpec("even_cat", True), cq.ConfigError),
     (lambda: cq.PhotonicSpec("general_cat", 1.0, beta=np.True_), cq.ConfigError),
     (lambda: cq.PhotonicSpec("general_cat", 1.0, beta=2.0, phi_cat=True), cq.ConfigError),
-], ids=["n_qubits", "gamma", "delta", "omega", "dicke", "fock", "alpha", "beta", "phi_cat"])
+    (lambda: cq.PropagationPlan(t_max=True), cq.ConfigError),
+    (lambda: cq.PropagationPlan(t_max=2.0, dt=True), cq.ConfigError),
+    (lambda: cq.PropagationPlan(t_max="3"), cq.ConfigError),
+    (lambda: cq.QuadratureSpec(x=True), cq.ConfigError),
+    (lambda: cq.QuadratureSpec(delta_x=np.True_), cq.ConfigError),
+    (lambda: cq.QuadratureSpec(phi=False), cq.ConfigError),
+    (lambda: cq.ModelParams(n_qubits=2, gamma=10**400), cq.ConfigError),
+], ids=["n_qubits", "gamma", "delta", "omega", "dicke", "fock", "alpha", "beta", "phi_cat",
+        "t_max", "dt", "t_max-str", "x", "delta_x", "phi", "gamma-huge-int"])
 def test_a_bool_is_not_a_number(make, error):
-    # bool is an int, so a flag would pass for a count of 1 or a rate of 1.0
-    with pytest.raises(error, match="must be a positive integer|must be finite numbers"):
+    # bool is an int, so a flag would pass for a count of 1 or a rate of 1.0;
+    # a string, or an int no float can hold, is refused as a number too,
+    # not by a raw TypeError or OverflowError
+    with pytest.raises(error, match="must be a positive integer|must be a finite number"):
         make()
 
 

@@ -72,7 +72,7 @@ def count_scans(monkeypatch):
 
 def one(amplitudes, time):
     return cq.CompositeState(amplitudes, cq.DickeSpace(N_QUBITS), cq.FockSpace(N_MAX),
-                             time=time, validate=False)
+                             time=time)
 
 
 def close(got, ref):

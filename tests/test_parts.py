@@ -22,7 +22,7 @@ from catqed.stateprep import coherent_matrix
 def on_grid(state):
     """The same samples as a grid state, which decides its parity afresh."""
     return cq.CompositeState(state.amplitudes, state.dicke, state.fock, time=state.time,
-                             copy=False, validate=False)
+                             copy=False)
 
 
 def grid_path(monkeypatch):
@@ -222,8 +222,7 @@ def test_a_sub_stack_of_parts_on_every_row_decides_its_parity_from_the_parts():
     assert stack.parity is None
     even = stack[[True, False]]
     assert even.parity == 0 and even._grid is None
-    ref = cq.CompositeState(grids[:1], cq.DickeSpace(4), cq.FockSpace(40), time=[3.0],
-                            validate=False)
+    ref = cq.CompositeState(grids[:1], cq.DickeSpace(4), cq.FockSpace(40), time=[3.0])
     for offset in (0, 1):
         rows, gram = even.photon_parity_gram(offset)
         assert rows == ref.photon_parity_gram(offset)[0] == slice(offset, None, 2)

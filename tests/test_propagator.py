@@ -313,6 +313,26 @@ def test_detuned_rwa_run_keeps_its_diagonal(delta):
         assert np.abs(state.amplitudes.ravel() - ref).max() < 1e-12
 
 
+@pytest.mark.parametrize("spec,n_qubits,params", [
+    (cq.PhotonicSpec("even_cat", 3.0), 6, cq.ModelParams(6, gamma=0.3, delta=1.3, omega=0.7)),
+    (cq.PhotonicSpec("kitten", 2.5), 4, cq.ModelParams(4, gamma=0.3, delta=0.9, omega=1.15)),
+], ids=["even_cat", "kitten"])
+def test_detuned_band_is_mapped_from_its_own_diagonal(spec, n_qubits, params):
+    # the band holds H' = H - omega K, so each mapped cell is
+    # fl(fl((delta - omega) m - c) * 2 / r), with no rounding of omega K
+    # in it; m is that of the sector's nearest real cell
+    initial = cq.prepare_initial(spec, n_qubits)
+    evolver = _Chebyshev(initial, params, 1e-2)
+    sectors, n_max = evolver.action.sectors[:, None], initial.fock.n_max
+    nearest = np.clip(np.arange(n_qubits + 1), sectors - n_max, sectors)
+    lo, hi = cq.HamiltonianAction(params, initial.dicke, initial.fock, sectors[:, 0]).spectral_bounds()
+    centre, half_width = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    ref = ((params.delta - params.omega) * initial.dicke.m_values()[nearest] - centre) \
+        * (2.0 / half_width)
+    assert evolver.action.diag.real.tobytes() == ref.tobytes()
+    assert not evolver.action.diag.imag.any()
+
+
 def test_result_is_independent_of_the_sampling_step():
     # dt only sets the sampling grid: sampled at every point of either grid,
     # the state at t = 1 is the exact one, not a step-dependent approximation
