@@ -78,10 +78,14 @@ class QuadratureSpec:
         if self.delta_x < 0.0:
             raise ConfigError(f"delta_x must be >= 0, got {self.delta_x!r}")
 
-    def phase_at(self, time: float, omega: float) -> float:
-        if self.phase_tracking:
-            return 0.5 * math.pi - omega * time
-        return self.phi
+    def phase_at(self, time: float, omega: float | None) -> float:
+        """The oscillator phase at ``time``; only a tracking spec reads the
+        field frequency ``omega``, and it refuses a missing one."""
+        if not self.phase_tracking:
+            return self.phi
+        if omega is None:
+            raise ConfigError("a phase-tracking quadrature readout needs omega")
+        return 0.5 * math.pi - omega * time
 
 
 @dataclass(frozen=True)
@@ -206,8 +210,11 @@ def _window_rule(x: float, delta_x: float, n_max: int, count: int) -> np.ndarray
 
 
 def quadrature_postselect(state: CompositeState, spec: QuadratureSpec,
-                          omega: float = 1.0) -> PostselectionResult:
+                          omega: float | None = None) -> PostselectionResult:
     """Condition on a quadrature readout at the state's own time.
+
+    A phase-tracking ``spec`` needs the field frequency ``omega`` of the
+    model (``ConfigError`` without it); a fixed-phase spec ignores it.
 
     Ideal (delta_x = 0): pure conditioned state, probability density.
     Finite window: Gauss-Legendre over the window, node count doubled until

@@ -492,28 +492,36 @@ class PeakInfo:
 def peak_and_fwhm(times: np.ndarray, values: np.ndarray) -> PeakInfo:
     """Locate the global maximum and its full width at half maximum.
 
-    The peak time is the sample argmax; the half-maximum crossings on both
-    flanks are linearly interpolated.  Monotone series and boundary maxima
-    are rejected since their width is undefined.
+    The peak time is the argmax of the finite samples (a NaN marks a sample
+    whose readout is impossible); the half-maximum crossings on both flanks
+    are linearly interpolated.  Monotone series, boundary maxima and a flank
+    that meets a non-finite sample before its crossing are rejected since
+    their width is undefined.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if times.shape != values.shape or times.ndim != 1 or times.size < 3:
         raise PeakError("need matching 1-d arrays with at least 3 samples")
-    k = int(np.argmax(values))
+    finite = np.isfinite(values)
+    if not finite.any():
+        raise PeakError("no finite sample; no peak")
+    k = int(np.argmax(np.where(finite, values, -np.inf)))
     if k == 0 or k == values.size - 1:
         raise PeakError(f"maximum at the boundary (index {k}); no interior peak")
     peak = float(values[k])
     half = 0.5 * peak
 
     def crossing(lo_side: bool) -> float:
+        side = "left" if lo_side else "right"
         idx = range(k, 0, -1) if lo_side else range(k, values.size - 1)
         for i in idx:
             j = i - 1 if lo_side else i + 1
+            if not finite[j]:
+                raise PeakError(f"the {side} flank meets a non-finite sample "
+                                f"(index {j}) before its half maximum")
             if values[j] < half <= values[i]:
                 frac = (values[i] - half) / (values[i] - values[j])
                 return float(times[i] + frac * (times[j] - times[i]))
-        side = "left" if lo_side else "right"
         raise PeakError(f"half maximum never crossed on the {side} flank")
 
     left = crossing(True)

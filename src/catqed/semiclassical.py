@@ -79,11 +79,15 @@ class RabiDrive:
 
     @property
     def rabi_frequency(self) -> float:
-        return _rabi_amplitudes(self.params, self.alpha, 0.0)[2]
+        return float(_rabi_closed_form(self.params, self.alpha, 0.0)[2])
 
     def amplitudes(self, t: float) -> tuple[complex, complex]:
-        """(a, b): rotating-frame amplitudes to stay down / flip up."""
-        return _rabi_amplitudes(self.params, self.alpha, t)[:2]
+        """(a, b): rotating-frame amplitudes to stay down / flip up; t must
+        be finite, and a negative t runs the closed form backwards."""
+        if not math.isfinite(t):
+            raise StateValidationError(f"time must be finite, got {t!r}")
+        a, b, _ = _rabi_closed_form(self.params, self.alpha, t)
+        return complex(a), complex(b)
 
     def period(self) -> float:
         w = self.rabi_frequency
@@ -92,26 +96,16 @@ class RabiDrive:
         return 2.0 * math.pi / w
 
 
-def _rabi_amplitudes(params: ModelParams, alpha: complex,
-                     t: float) -> tuple[complex, complex, float]:
-    """(a, b, W) of the module docstring for one amplitude and time, in
-    Python scalars (``_rabi_closed_form`` takes arrays)."""
-    drive = 1j * params.coupling * alpha
-    detuning = params.delta - params.omega
-    w = float(np.hypot(detuning, abs(drive)))      # math.hypot rounds differently
-    half = 0.5 * w * t
-    s = math.sin(half) / (w if w else 1.0)
-    return complex(math.cos(half), detuning * s), 1j * drive * s, w
-
-
 def _rabi_closed_form(params: ModelParams, alphas, times):
     """(a, b, W) of the module docstring, broadcast over amplitudes and
-    times; an undriven resonant qubit (W = 0) stays down."""
+    times; an undriven resonant qubit (W = 0) stays down.  Only ufuncs
+    act, so one Python (alpha, t) stays in numpy scalars and gives the
+    bits of its entry in an array call."""
     drive = 1j * params.coupling * alphas
     detuning = params.delta - params.omega
     w = np.hypot(detuning, np.abs(drive))
-    half = 0.5 * w * np.asarray(times)
-    s = np.sin(half) / np.where(w == 0.0, 1.0, w)
+    half = 0.5 * w * times
+    s = np.sin(half) / (w + (w == 0.0))
     return np.cos(half) + 1j * detuning * s, 1j * drive * s, w
 
 
@@ -145,13 +139,13 @@ def _rabi_states(params: ModelParams, alphas, times) -> np.ndarray:
     and ``times`` broadcast against each other.  The free phase is
     evaluated once per entry of ``times`` and broadcast over the
     amplitudes."""
-    alphas, times = np.asarray(alphas), np.asarray(times)
-    shape = np.broadcast_shapes(alphas.shape, times.shape)
+    shape = np.broadcast_shapes(np.shape(alphas), np.shape(times))
     a, b, _ = _rabi_closed_form(params, np.broadcast_to(alphas, shape).ravel(),
                                 np.broadcast_to(times, shape).ravel())
     m = _m_values(params.n_qubits)
     states = _product_state(params.n_qubits, a, b).reshape(shape + m.shape)
-    return (states * np.exp(-1j * params.omega * times[..., None] * m)).reshape(-1, m.size)
+    phase = np.exp(-1j * params.omega * np.expand_dims(times, -1) * m)
+    return (states * phase).reshape(-1, m.size)
 
 
 def rabi_solution(params: ModelParams, alpha: complex, t: float) -> np.ndarray:
@@ -160,14 +154,14 @@ def rabi_solution(params: ModelParams, alpha: complex, t: float) -> np.ndarray:
     The rotating wave closed form whatever ``params.rwa`` says (the full
     drive is ``classically_driven_state``); for alpha = 0 it reduces to the
     all-down state times its free phase e^{i J omega t}; t must be finite,
-    and a negative t runs it backwards.  The scalar form of
-    ``_rabi_states``: (a, b) in Python scalars and one two-row
+    and a negative t runs it backwards.  One entry of ``_rabi_states``:
+    (a, b) from ``_rabi_closed_form`` on one (alpha, t) and one two-row
     ``coherent_matrix`` for the product state of ``_product_state``.
     """
     if not math.isfinite(t):
         raise StateValidationError(f"time must be finite, got {t!r}")
     n = params.n_qubits
-    a, b, _ = _rabi_amplitudes(params, alpha, t)
+    a, b, _ = _rabi_closed_form(params, alpha, t)
     root = math.sqrt(n)
     rows = coherent_matrix(np.array([root * b, root * a]), n)
     state = rows[0] * rows[1, ::-1]
@@ -176,14 +170,10 @@ def rabi_solution(params: ModelParams, alpha: complex, t: float) -> np.ndarray:
 
 
 def _superposed(params: ModelParams, branches, weights, t: float) -> np.ndarray:
-    """Normalized weighted sum of the branches' states under the model's drive."""
-    if not math.isfinite(t):
-        raise StateValidationError(f"time must be finite, got {t!r}")
-    if params.rwa:
-        states = _rabi_states(params, branches, t)
-    else:
-        states = np.array([classically_driven_state(params, alpha, t) for alpha in branches])
-    total = np.asarray(weights) @ states
+    """Normalized weighted sum of the branches' states, each the model's
+    one-branch reference at t."""
+    branch = rabi_solution if params.rwa else classically_driven_state
+    total = np.asarray(weights) @ np.array([branch(params, alpha, t) for alpha in branches])
     nrm2 = float(np.real(np.vdot(total, total)))
     if nrm2 < DEGENERATE_NORM_ATOL:
         raise StateValidationError(
@@ -272,7 +262,7 @@ def _floquet(params: ModelParams, alpha: complex) -> tuple[np.ndarray, ...]:
                        "the full drive's g |alpha| / omega =")
     ks = np.arange(-k_max, k_max + 1)
     hop = np.full(2 * k_max, 0.5j * params.coupling * np.conj(alpha))    # h_{+1}
-    h_f = (np.diag(params.omega * ks + np.where(ks % 2 == 0, -0.5, 0.5) * params.delta)
+    h_f = (np.diag(params.omega * ks + (ks % 2 - 0.5) * params.delta)
            + np.diag(hop, -1) + np.diag(hop.conj(), 1))
     energies, vecs = np.linalg.eigh(h_f)
     start = vecs[k_max].conj()

@@ -179,6 +179,29 @@ def test_phase_tracking_convention():
     assert static.phase_at(5.0, 1.0) == 0.3
 
 
+def test_a_tracking_readout_needs_the_field_frequency():
+    # off omega = 1 the tracked phase pi/2 - omega t hangs on omega, so a
+    # missing one is refused rather than read as 1
+    params = cq.ModelParams(n_qubits=2, gamma=0.1, omega=2.0)
+    kitten = cq.prepare_initial(cq.PhotonicSpec("kitten", 1.5), 2)
+    state = cq.snapshots(kitten, params, [0.7], dt=0.1)[0]
+    tracking = cq.QuadratureSpec(x=0.3, phase_tracking=True)
+    with pytest.raises(cq.ConfigError, match="omega"):
+        cq.quadrature_postselect(state, tracking)
+    with pytest.raises(cq.ConfigError, match="omega"):
+        tracking.phase_at(0.7, None)
+    tracked = cq.quadrature_postselect(state, tracking, omega=params.omega)
+    fixed = cq.quadrature_postselect(
+        state, cq.QuadratureSpec(x=0.3, phi=0.5 * math.pi - params.omega * state.time))
+    assert tracked.probability == pytest.approx(0.6986, abs=1e-4)
+    assert tracked.probability == fixed.probability
+    assert np.array_equal(tracked.rho.matrix, fixed.rho.matrix)
+    # a fixed phase reads no omega, with or without one
+    static = cq.QuadratureSpec(x=0.3, phi=0.4)
+    assert (cq.quadrature_postselect(state, static).probability
+            == cq.quadrature_postselect(state, static, omega=params.omega).probability)
+
+
 def test_quadrature_postselect_rejects_unreachable_x(rng):
     state = random_joint(rng, 1, 10)
     with pytest.raises(cq.ImpossibleOutcomeError):

@@ -566,6 +566,22 @@ def test_peak_and_fwhm_rejects_boundary_and_monotone():
         cq.peak_and_fwhm(t, v2)
 
 
+def test_peak_and_fwhm_skips_impossible_samples():
+    # a NaN marks a sample whose readout is impossible (an odd cat's
+    # conditioned QFI at t = 0): it is never the peak, and a flank may not
+    # reach its half maximum through one
+    t = np.arange(5.0)
+    peak = cq.peak_and_fwhm(t, np.array([np.nan, 1.0, 3.0, 1.0, 0.0]))
+    assert (peak.t_peak, peak.peak_value) == (2.0, 3.0)
+    assert peak.fwhm == pytest.approx(1.5, abs=1e-12)
+    with pytest.raises(cq.PeakError, match=r"left flank .*index 1"):
+        cq.peak_and_fwhm(t, np.array([0.0, np.nan, 3.0, 2.0, 0.0]))
+    with pytest.raises(cq.PeakError, match=r"right flank .*index 3"):
+        cq.peak_and_fwhm(t, np.array([0.0, 2.0, 3.0, np.nan, 0.0]))
+    with pytest.raises(cq.PeakError, match="no finite sample"):
+        cq.peak_and_fwhm(t, np.full(5, np.nan))
+
+
 def test_timeseries_csv_roundtrip(tmp_path):
     times = np.array([0.0, 0.1, 0.2])
     series = cq.TimeSeries(times=times, columns={

@@ -37,6 +37,30 @@ def test_rabi_drive_derived_quantities():
     assert drive.period() == pytest.approx(2.0 * math.pi / expected_w)
 
 
+CLOSED_FORM_ALPHAS = (0.0, 1.7, -2.5, 2.0 - 1.5j, 1e-7j)
+CLOSED_FORM_TIMES = (0.0, 0.3, 2.9, -1.1)
+
+
+@pytest.mark.parametrize("params", [RES, DET], ids=["resonant", "detuned"])
+def test_one_closed_form_serves_one_amplitude_and_many(params):
+    # one Python (alpha, t) and one array call give the same bits, and the
+    # drive's readers are those entries as Python numbers
+    alphas = np.array(CLOSED_FORM_ALPHAS, dtype=complex)
+    times = np.array(CLOSED_FORM_TIMES)
+    grid = np.broadcast_arrays(*semiclassical._rabi_closed_form(params, alphas[:, None], times))
+    for i, alpha in enumerate(CLOSED_FORM_ALPHAS):
+        drive = cq.RabiDrive(params, alpha)
+        w = drive.rabi_frequency
+        assert type(w) is float and w == grid[2][i, 0]
+        for j, t in enumerate(CLOSED_FORM_TIMES):
+            one = semiclassical._rabi_closed_form(params, alpha, t)
+            for scalar, entry in zip(one, grid):
+                assert np.asarray(scalar).tobytes() == entry[i, j].tobytes()
+            a, b = drive.amplitudes(t)
+            assert type(a) is complex and type(b) is complex
+            assert (a, b) == (grid[0][i, j], grid[1][i, j])
+
+
 def test_undriven_resonant_qubit_has_no_period():
     drive = cq.RabiDrive(RES, 0.0)
     assert drive.rabi_frequency == 0.0
@@ -120,6 +144,16 @@ def test_branch_superpositions_match_manual_assembly():
                          - normalized(plus - minus))) < 1e-12
     assert np.max(np.abs(cq.rabi_kitten_state(params, alpha, t)
                          - normalized(plus + down))) < 1e-12
+
+
+@pytest.mark.parametrize("params", [RES, DET], ids=["resonant", "detuned"])
+def test_rwa_kitten_is_the_sum_of_its_two_branch_solutions(params):
+    # each branch is the one-branch reference ``rabi_solution``, bit for bit
+    for alpha in (1.7, 2.0 - 1.5j):
+        for t in (0.0, 0.3, 2.9, -1.1):
+            total = cq.rabi_solution(params, alpha, t) + cq.rabi_solution(params, 0.0, t)
+            nrm = math.sqrt(float(np.real(np.vdot(total, total))))
+            assert np.array_equal(cq.rabi_kitten_state(params, alpha, t), total / nrm)
 
 
 def test_branch_superpositions_follow_the_full_drive():
@@ -348,10 +382,15 @@ def test_the_drive_references_refuse_a_time_that_is_not_finite(rwa):
     params = cq.ModelParams(n_qubits=3, gamma=0.7, rwa=rwa)
     refs = (cq.rabi_solution, cq.rabi_cat_state, cq.rabi_kitten_state,
             cq.classically_driven_state)
+    drive = cq.RabiDrive(params, 1.1)
     for bad in (math.nan, math.inf, -math.inf):
         for ref in refs:
             with pytest.raises(cq.StateValidationError, match="finite"):
                 ref(params, 1.1, bad)
+        with pytest.raises(cq.StateValidationError, match="time must be finite"):
+            drive.amplitudes(bad)
+    a, b = drive.amplitudes(-0.4)
+    assert abs(a) ** 2 + abs(b) ** 2 == pytest.approx(1.0, abs=1e-14)
     # a negative time runs the closed form backwards (``rabi_solution`` is
     # that closed form under either model); the full drive and
     # ``classically_driven_state`` refuse it
